@@ -241,6 +241,13 @@ def cmd_tower(args) -> int:
     return 0 if report["strictly_increasing"] else 1
 
 
+def _matrix_size(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"matrix size must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superchar",
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tower_flags=False):
-        p.add_argument("--n", type=int, required=True, help="matrix size")
+        p.add_argument("--n", type=_matrix_size, required=True, help="matrix size")
         p.add_argument("--p", type=int, required=True, help="field characteristic")
         if tower_flags:
             p.add_argument(

@@ -47,6 +47,10 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value equals the int or Fraction it holds, so it must
+        # hash like it
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.p, self.coeffs))
 
     # arithmetic

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cyclotomic import Cyclotomic, cyclo_root
 from .dual import DualOrbit, enumerate_dual_orbits
@@ -187,30 +188,83 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     return table
 
 
+def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
+    """Every cell of rows as a sparse integer vector in Z[x]/(x^p - 1) over
+    one shared denominator D, the lcm of the cell denominators.
+
+    A cell becomes a tuple of (exponent, coefficient) pairs.  The power
+    basis leaves x^(p-1) at 0; subtracting the commonest coordinate, a
+    multiple of 1 + x + ... + x^(p-1) and so 0 in Q(zeta_p), keeps the
+    support small: zeta^(p-1), stored as (-1, ..., -1), becomes x^(p-1).
+    """
+    denom = lcm(*{c.denominator for row in rows for v in row for c in v.coeffs})
+    out = []
+    for row in rows:
+        cells = []
+        for v in row:
+            vec = [c.numerator * (denom // c.denominator) for c in v.coeffs]
+            vec.append(0)
+            shift = max(vec, key=vec.count)
+            cells.append(
+                tuple((e, c - shift) for e, c in enumerate(vec) if c != shift)
+            )
+        out.append(cells)
+    return denom, out
+
+
+def _gram_entry(row_i, row_j, sizes, p: int) -> list[int]:
+    """sum over k of sizes[k] * u_ik(x) * u_jk(x^-1) in Z[x]/(x^p - 1), for
+    integer rows from _integer_cells: |A| D^2 <xi_i, xi_j> before folding."""
+    acc = [0] * p
+    for u, v, w in zip(row_i, row_j, sizes):
+        if u and v:
+            for e, c in u:
+                c *= w
+                for f, d in v:
+                    acc[(e - f) % p] += c * d
+    return acc
+
+
+def _equals_rational(acc: list[int], denom: int, r) -> bool:
+    """Whether acc / denom, read in Q(zeta_p) by folding x^(p-1) onto the
+    power basis, is the rational r; integer cross-multiplication only."""
+    top = acc[-1]
+    return (
+        all(a == top for a in acc[1:-1])
+        and (acc[0] - top) * r.denominator == r.numerator * denom
+    )
+
+
 def inner_product(table: SupercharTable, i: int, j: int) -> Cyclotomic:
-    """<xi_i, xi_j> = (1/|G|) sum over classes of |K| xi_i(K) conj(xi_j(K))."""
+    """<xi_i, xi_j> = (1/|G|) sum over classes of |K| xi_i(K) conj(xi_j(K)).
+
+    Exact: rows i and j become integer vectors over a shared denominator
+    and the sum is an integer cyclic convolution weighted by |K|; only the
+    result is built as a Cyclotomic.
+    """
     p = table.field.p
-    acc = Cyclotomic.zero(p)
-    for k, cls in enumerate(table.superclasses):
-        term = table.values[i][k] * table.values[j][k].conjugate()
-        acc = acc + term.scale(cls.size)
-    return acc.scale(Fraction(1, table.order))
+    denom, (row_i, row_j) = _integer_cells([table.values[i], table.values[j]], p)
+    acc = _gram_entry(row_i, row_j, [k.size for k in table.superclasses], p)
+    scale = denom * denom * table.order
+    return Cyclotomic(p, tuple(Fraction(a - acc[-1], scale) for a in acc[:-1]))
 
 
 def plancherel(table: SupercharTable) -> dict:
     """The regular-character decomposition: weights |O|/|A| against each
-    supercharacter must reproduce the delta at the identity, exactly."""
+    supercharacter must reproduce the delta at the identity, exactly.  Each
+    column is summed as integer vectors over its own denominator D and
+    compared with D |A| delta by cross-multiplication."""
     p = table.field.p
     weights = [table.weight(i) for i in range(table.size)]
+    sizes = [o.size for o in table.dual_orbits]
     failures = []
     for j, cls in enumerate(table.superclasses):
-        acc = Cyclotomic.zero(p)
-        for i in range(table.size):
-            acc = acc + table.values[i][j].scale(weights[i])
-        expected = (
-            Cyclotomic.one(p) if cls.rep.is_zero() else Cyclotomic.zero(p)
-        )
-        if acc != expected:
+        denom, (column,) = _integer_cells([[row[j] for row in table.values]], p)
+        acc = [0] * p
+        for w, u in zip(sizes, column):
+            for e, c in u:
+                acc[e] += w * c
+        if not _equals_rational(acc, denom * table.order, int(cls.rep.is_zero())):
             failures.append(format_coloured(cls.label))
     return {
         "weights": [
@@ -238,6 +292,12 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
     constancy: 'full' scans every member of every superclass against every
     row by the averaging route; 'spot' samples 64 seeded members; default
     picks full when |A| <= 2^12.
+
+    Orthogonality reads only the table values and the orbit and class
+    sizes.  The table is converted once into integer vectors in
+    Z[x]/(x^p - 1) over the lcm D of its denominators; each <xi_i, xi_j>
+    is an integer cyclic convolution weighted by |K|, compared with
+    delta_ij / |O_i| by cross-multiplication after folding x^(p-1).
     """
     checks: list[tuple] = []
     n, field = table.n, table.field
@@ -293,17 +353,18 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
          else f"row {bad[0]}, column {bad[1]}, member {bad[2]}")
     )
 
+    denom, rows = _integer_cells(table.values, field.p)
+    sizes = [k.size for k in table.superclasses]
+    scale = denom * denom * table.order
     bad_pair = None
     for i in range(table.size):
         for j in range(table.size):
             expected_ip = (
-                Cyclotomic.from_rational(
-                    field.p, Fraction(1, table.dual_orbits[i].size)
-                )
-                if i == j
-                else Cyclotomic.zero(field.p)
+                Fraction(1, table.dual_orbits[i].size) if i == j else Fraction(0)
             )
-            if inner_product(table, i, j) != expected_ip:
+            if not _equals_rational(
+                _gram_entry(rows[i], rows[j], sizes, field.p), scale, expected_ip
+            ):
                 bad_pair = (i, j)
                 break
         if bad_pair:

@@ -219,3 +219,26 @@ def test_cap_violation_reports_error(capsys):
     code = main(["table", "--n", "13", "--p", "2"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "-1", "--p", "2", "--matrix", ""],
+    ["classify", "--n", "0", "--p", "2", "--matrix", ""],
+    ["verify", "--n", "0", "--p", "2"],
+])
+def test_matrix_size_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "matrix size must be at least 1" in err
+
+
+def test_matrix_size_one_still_works(capsys):
+    assert main(["classify", "--n", "1", "--p", "2", "--matrix", ""]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["label_text"] == "1"
+    assert blob["orbit_size"] == 1
+    assert main(["verify", "--n", "1", "--p", "3"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 8

@@ -174,3 +174,14 @@ def test_approx_bound_is_honest(data):
     for k, coef in enumerate(x.coeffs):
         ref += float(coef) * cmath.exp(2j * cmath.pi * k / p)
     assert abs(val - ref) <= bound + 1e-15
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    one = Cyclotomic.one(3)
+    assert one == 1 and hash(one) == hash(1)
+    assert len({one, 1}) == 1
+    half = Cyclotomic.from_rational(5, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2), Fraction(1, 2) * Cyclotomic.one(5)}) == 1
+    z = cyclo_root(5)
+    assert len({z, z + 0, z.conjugate().conjugate()}) == 1
