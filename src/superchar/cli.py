@@ -13,10 +13,10 @@ import sys
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .dual import dual_canonical, dual_orbit, enumerate_dual_orbits
+from .dual import dual_canonical, enumerate_dual_orbits
 from .gf import FieldElement, FiniteField, field_construct
 from .nilpotent import parse_matrix, format_matrix
-from .orbits import canonical_form, enumerate_superclasses, superclass_orbit
+from .orbits import canonical_form, enumerate_superclasses, orbit_states
 from .partitions import (
     format_coloured,
     parse_coloured,
@@ -98,12 +98,8 @@ def cmd_table(args) -> int:
 def cmd_classify(args) -> int:
     field = _field(args)
     a = parse_matrix(args.matrix, args.n, field)
-    if args.dual:
-        label = dual_canonical(a)
-        size = len(dual_orbit(a))
-    else:
-        label = canonical_form(a)
-        size = len(superclass_orbit(a))
+    label = dual_canonical(a) if args.dual else canonical_form(a)
+    size = len(orbit_states(a.n, field, a.dense(), dual=args.dual))
     _emit_json(
         {
             "group": _group_json(args.n, field),

@@ -4,16 +4,26 @@ A character of the additive group of A is tau(Tr(b^T a)) for a unique
 pairing matrix b, where tau is the standardized base character
 tau(x) = zeta_p^lift(Tr(x)).  In pairing coordinates the contragredient
 action of (g, h) transports b to the strictly upper part of
-(g^{-1})^T b h^T; for elementary g, h this is a single row or column move,
-which is what the orbit BFS applies.
+(g^{-1})^T b h^T.  For a superdiagonal generator this is a single row or
+column move, which superchar.orbits.orbit_states applies to dense states
+with dual=True; validate=True replays every compiled move against dual_act
+and the defining property.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .cyclotomic import Cyclotomic, cyclo_root
-from .gf import FieldElement, FiniteField, space_cap, trace_lift
+from .gf import FieldElement, FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, positions
-from .orbits import _add_into, _to_state
+from .orbits import (
+    _add_into,
+    _images,
+    _index_arith,
+    _verge_state,
+    orbit_states,
+)
 from .partitions import (
     ColouredPartition,
     build_e,
@@ -71,124 +81,60 @@ def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
     return NilMatrix(b.n, b.field, upper)
 
 
-def _dual_expand(n: int, field: FiniteField, b: dict) -> list[dict]:
-    """Images of the pairing dict under one elementary move on either side.
-
-    Left by 1+alpha*e_ij: row j gains -alpha times row i, kept right of j.
-    Right by 1+alpha*e_ij: column i gains alpha times column j, kept above i.
-    """
-    rows: dict = {}
-    cols: dict = {}
-    for (r, s), v in b.items():
-        rows.setdefault(r, []).append((s, v))
-        cols.setdefault(s, []).append((r, v))
-    out = []
-    nonzero = field.nonzero()
-    for (i, j) in positions(n):
-        row_i = rows.get(i)
-        if row_i and any(s > j for s, _ in row_i):
-            for alpha in nonzero:
-                c = dict(b)
-                for s, v in row_i:
-                    if s > j:
-                        _add_into(c, (j, s), -(alpha * v))
-                out.append(c)
-        col_j = cols.get(j)
-        if col_j and any(r < i for r, _ in col_j):
-            for alpha in nonzero:
-                c = dict(b)
-                for r, v in col_j:
-                    if r < i:
-                        _add_into(c, (r, i), alpha * v)
-                out.append(c)
-    return out
-
-
-def _dual_orbit_states(
-    n: int, field: FiniteField, start: dict, validate: bool = False
-) -> set:
-    if field.order ** len(positions(n)) > space_cap():
-        raise ValueError(
-            f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
-        )
-    visited = {_to_state(n, start)}
-    frontier = [start]
-    while frontier:
-        new = []
-        for b in frontier:
-            if validate:
-                _validate_moves(n, field, b)
-            for c in _dual_expand(n, field, b):
-                key = _to_state(n, c)
-                if key not in visited:
-                    visited.add(key)
-                    new.append(c)
-        frontier = new
-    return visited
-
-
-def _validate_moves(n: int, field: FiniteField, bdict: dict) -> None:
-    """Check one BFS state: the fast one-step images must equal the images
-    under the generic transport action, and the transport itself must obey
-    the defining property on a basis of A."""
-    b = NilMatrix(n, field, bdict)
+def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
+    """Check one BFS state: the image under each compiled dual move must
+    equal the image under the generic transport action of the same
+    generator, and the transport itself must obey the defining property on
+    a basis of A."""
+    b = NilMatrix.from_dense(n, field, state)
     one = GroupElement.identity(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
-    here = _to_state(n, bdict)
-    fast = {_to_state(n, c) for c in _dual_expand(n, field, bdict)} | {here}
-    slow = {here}
-    for (i, j) in positions(n):
-        for alpha in field.nonzero():
-            g = GroupElement(NilMatrix.single(n, field, i, j, alpha))
+    add, rows = _index_arith(field)
+    for i, left, pairs, sign in programs:
+        for k, row in enumerate(rows[sign]):
+            alpha = field.element_by_index(field.p**k)
+            g = GroupElement(NilMatrix.single(n, field, i, i + 1, alpha))
+            moved = dual_act(g, one, b) if left else dual_act(one, g, b)
+            fast = _images(state, [(pairs, [row])], add) or [state]
+            if fast[0] != moved.dense():
+                raise AssertionError(
+                    f"compiled dual move ({i},{i + 1}) alpha={alpha} disagrees "
+                    "with the transport action"
+                )
             gi = group_inv(g)
-            for left in (True, False):
-                moved = dual_act(g, one, b) if left else dual_act(one, g, b)
-                slow.add(_to_state(n, moved.entries))
-                for e in basis:
-                    twisted = (
-                        (gi.body @ e) + e if left else (e @ g.body) + e
-                    )  # g^-1*e or e*g, the identity summand dropped
-                    if dual_eval(moved, e) != dual_eval(b, twisted):
-                        raise AssertionError(
-                            f"dual move ({i},{j}) alpha={alpha} violates the "
-                            "defining property"
-                        )
-    if fast != slow:
-        raise AssertionError("fast dual moves disagree with the transport action")
+            for e in basis:
+                twisted = (
+                    (gi.body @ e) + e if left else (e @ g.body) + e
+                )  # g^-1*e or e*g, the identity summand dropped
+                if dual_eval(moved, e) != dual_eval(b, twisted):
+                    raise AssertionError(
+                        f"dual move ({i},{i + 1}) alpha={alpha} violates the "
+                        "defining property"
+                    )
+
+
+def _dual_states(b: NilMatrix, validate: bool = False) -> set:
+    n, field = b.n, b.field
+    check = partial(_validate_moves, n, field) if validate else None
+    return orbit_states(n, field, b.dense(), dual=True, check=check)
 
 
 def dual_orbit(b: NilMatrix, validate: bool = False) -> set[NilMatrix]:
     """The orbit of theta_b under the contragredient two-sided action."""
-    states = _dual_orbit_states(b.n, b.field, dict(b.entries), validate=validate)
+    states = _dual_states(b, validate)
     return {NilMatrix.from_dense(b.n, b.field, s) for s in states}
-
-
-def _verge_arcs(entries: dict) -> frozenset | None:
-    rows, cols = set(), set()
-    for (i, j) in entries:
-        if i in rows or j in cols:
-            return None
-        rows.add(i)
-        cols.add(j)
-    return frozenset(entries)
 
 
 def dual_canonical(b: NilMatrix) -> ColouredPartition:
     """The unique (pi, tau) label of the orbit of theta_b.
 
-    Found by scanning the orbit for its verge member; exactly one must
-    exist, and a second one is an internal error surfaced loudly.
+    Found by scanning the dense orbit states for the verge member; exactly
+    one must exist, and a second one is an internal error surfaced loudly.
+    Only the verge member becomes a NilMatrix.
     """
-    states = _dual_orbit_states(b.n, b.field, dict(b.entries))
-    found = None
-    for state in sorted(states):
-        m = NilMatrix.from_dense(b.n, b.field, state)
-        if _verge_arcs(m.entries) is not None:
-            assert found is None, "dual orbit holds two verge matrices"
-            found = m
-    assert found is not None, "dual orbit holds no verge matrix"
+    verge = NilMatrix.from_dense(b.n, b.field, _verge_state(b.n, _dual_states(b)))
     return ColouredPartition(
-        partition_from_arcs(b.n, frozenset(found.entries)), found.entries, dual=True
+        partition_from_arcs(b.n, frozenset(verge.entries)), verge.entries, dual=True
     )
 
 
@@ -217,7 +163,7 @@ def enumerate_dual_orbits(
     seen: set = set()
     for label in enumerate_labels(n, field, dual=True):
         rep = build_e(label, field)
-        states = _dual_orbit_states(n, field, dict(rep.entries), validate=validate)
+        states = _dual_states(rep, validate)
         if seen & states:
             raise AssertionError(f"dual orbit of {label!r} overlaps an earlier one")
         seen |= states

@@ -1,23 +1,27 @@
 """Superclasses: two-sided orbits GaG in A, their BFS enumeration, and the
 reduction of any matrix to its canonical coloured-set-partition label.
 
-Orbit states are kept as sparse entry dicts and hashed by the dense index
-tuple.  A left multiplication by 1 + alpha*e_ij adds alpha times row j to
-row i; a right multiplication adds alpha times column i to column j.  Both
-moves stay strictly upper, so no projection is ever needed.
+One BFS engine, orbit_states, walks both the superclasses here and the dual
+orbits of superchar.dual.  A state is the dense tuple of field enumeration
+indices over positions(n), row-major.  Each generator of the engine is a
+move program compiled once per (n, dual): (dst_rank, src_rank) pairs plus a
+sign, applied as dst += sign * alpha * src through index tables of the
+field.  Every move keeps a strictly upper matrix strictly upper, so no
+projection is ever needed.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .gf import FiniteField, space_cap
-from .nilpotent import NilMatrix, positions
+from .nilpotent import NilMatrix, position_rank, positions
 from .partitions import (
     ColouredPartition,
     build_e,
     enumerate_labels,
     partition_from_arcs,
 )
-
 
 def _to_state(n: int, entries: dict) -> tuple[int, ...]:
     return tuple(
@@ -37,67 +41,134 @@ def _add_into(b: dict, key, term) -> None:
         del b[key]
 
 
-def _expand(n: int, field: FiniteField, a: dict) -> list[dict]:
-    """All images of the entry dict a under one elementary move, either side."""
-    rows: dict = {}
-    cols: dict = {}
-    for (r, s), v in a.items():
-        rows.setdefault(r, []).append((s, v))
-        cols.setdefault(s, []).append((r, v))
+@lru_cache(maxsize=None)
+def _move_programs(n: int, dual: bool) -> tuple:
+    """(i, left, pairs, sign) for 1 + alpha*e_{i,i+1} acting on one side.
+
+    pairs are (dst_rank, src_rank); a move sets dst += sign*alpha*src.
+    Superclass left: row i += alpha row i+1.  Superclass right: column i+1
+    += alpha column i.  Dual left: row i+1 -= alpha row i, right of i+1.
+    Dual right: column i += alpha column i+1, above i.
+    """
+    rank = position_rank(n)
     out = []
-    nonzero = field.nonzero()
-    for (i, j) in positions(n):
-        row_j = rows.get(j)
-        if row_j:
-            for alpha in nonzero:
-                b = dict(a)
-                for s, v in row_j:
-                    _add_into(b, (i, s), alpha * v)
-                out.append(b)
-        col_i = cols.get(i)
-        if col_i:
-            for alpha in nonzero:
-                b = dict(a)
-                for r, v in col_i:
-                    _add_into(b, (r, j), alpha * v)
-                out.append(b)
+    for i in range(1, n):
+        j = i + 1
+        right_of = range(j + 1, n + 1)
+        above = range(1, i)
+        if dual:
+            left = tuple((rank[j, s], rank[i, s]) for s in right_of)
+            right = tuple((rank[r, i], rank[r, j]) for r in above)
+            out += [(i, True, left, -1), (i, False, right, 1)]
+        else:
+            left = tuple((rank[i, s], rank[j, s]) for s in right_of)
+            right = tuple((rank[r, j], rank[r, i]) for r in above)
+            out += [(i, True, left, 1), (i, False, right, 1)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _index_arith(field: FiniteField) -> tuple[list, dict]:
+    """add[a][b] on enumeration indices, and per sign the rows
+    v -> sign*alpha*v for alpha over the F_p-basis 1, x, ..., x^(m-1)."""
+    elts = field.elements
+    basis = [elts[field.p**k] for k in range(field.m)]
+    scalars = {1: basis, -1: [-alpha for alpha in basis]}
+    rows = {s: [[(c * x).index for x in elts] for c in cs] for s, cs in scalars.items()}
+    if field._add is not None:
+        return field._add, rows
+    return [[(x + y).index for y in elts] for x in elts], rows
+
+
+def _images(state: tuple, moves, add) -> list[tuple]:
+    """Images of one state under every move whose source entries are not
+    all zero; a move with an all-zero source fixes the state."""
+    out = []
+    for pairs, rows in moves:
+        live = [(d, state[r]) for d, r in pairs if state[r]]
+        if live:
+            for row in rows:
+                img = list(state)
+                for d, v in live:
+                    img[d] = add[img[d]][row[v]]
+                out.append(tuple(img))
     return out
 
 
-def _orbit_states(n: int, field: FiniteField, start: dict) -> set:
+def orbit_states(
+    n: int, field: FiniteField, start: tuple, dual: bool = False, check=None
+) -> set[tuple[int, ...]]:
+    """Dense states of the two-sided orbit of start: the superclass G a G,
+    or with dual=True the contragredient orbit of the pairing matrix.
+
+    The generators are the superdiagonal 1 + alpha*e_{i,i+1} with alpha over
+    the F_p-basis 1, x, ..., x^(m-1) of F_q, on either side: 2(n-1)m moves
+    per state.  They generate U_n(F_q): e_{i,i+1}^2 = 0 gives
+    (1 + alpha e)(1 + beta e) = 1 + (alpha + beta) e, so each superdiagonal
+    root subgroup is reached from the basis; the commutator of 1 + alpha
+    e_{i,j} and 1 + beta e_{j,j+1} is 1 + alpha*beta e_{i,j+1}, so each
+    diagonal above is reached from the one below; and the root subgroups
+    generate U_n.  An orbit is closed under any generating set of the
+    acting group, so these orbits are the orbits under every elementary
+    move.  check(state, programs), when given, runs on every state before
+    it expands, with the compiled programs the engine applies.
+    """
     if field.order ** len(positions(n)) > space_cap():
         raise ValueError(
             f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
         )
-    visited = {_to_state(n, start)}
+    visited = {start}
+    programs = _move_programs(n, dual)
+    moves = [(pairs, sign) for _, _, pairs, sign in programs if pairs]
+    add = None  # no move, no arithmetic: n = 2 needs no tables at any q
+    if moves:
+        add, rows = _index_arith(field)
+        moves = [(pairs, rows[sign]) for pairs, sign in moves]
     frontier = [start]
     while frontier:
         new = []
-        for a in frontier:
-            for b in _expand(n, field, a):
-                key = _to_state(n, b)
-                if key not in visited:
-                    visited.add(key)
-                    new.append(b)
+        for state in frontier:
+            if check is not None:
+                check(state, programs)
+            for t in _images(state, moves, add):
+                if t not in visited:
+                    visited.add(t)
+                    new.append(t)
         frontier = new
     return visited
 
 
 def superclass_orbit(a: NilMatrix) -> set[NilMatrix]:
     """The full two-sided orbit GaG."""
-    states = _orbit_states(a.n, a.field, dict(a.entries))
+    states = orbit_states(a.n, a.field, a.dense())
     return {NilMatrix.from_dense(a.n, a.field, s) for s in states}
 
 
-def _verge_arcs(entries: dict) -> frozenset | None:
-    """Arc set of a verge matrix, or None if a row or column repeats."""
+def _verge_arcs(nonzero_positions) -> frozenset | None:
+    """Arc set of a verge matrix from its nonzero positions, or None if a
+    row or column repeats."""
     rows, cols = set(), set()
-    for (i, j) in entries:
+    arcs = []
+    for (i, j) in nonzero_positions:
         if i in rows or j in cols:
             return None
         rows.add(i)
         cols.add(j)
-    return frozenset(entries)
+        arcs.append((i, j))
+    return frozenset(arcs)
+
+
+def _verge_state(n: int, states) -> tuple[int, ...]:
+    """The unique member of an orbit whose nonzero entries hit each row and
+    each column at most once, tested on the dense states."""
+    pos = positions(n)
+    found = None
+    for state in states:
+        if _verge_arcs(pos[k] for k, v in enumerate(state) if v) is not None:
+            assert found is None, "orbit holds two verge matrices"
+            found = state
+    assert found is not None, "orbit holds no verge matrix"
+    return found
 
 
 def canonical_form(a: NilMatrix) -> ColouredPartition:
@@ -145,14 +216,8 @@ def canonical_form(a: NilMatrix) -> ColouredPartition:
 
 
 def _verge_fallback(a: NilMatrix) -> dict:
-    found = None
-    for state in sorted(_orbit_states(a.n, a.field, dict(a.entries))):
-        entries = dict(NilMatrix.from_dense(a.n, a.field, state).entries)
-        if _verge_arcs(entries) is not None:
-            assert found is None, "orbit holds two verge matrices"
-            found = entries
-    assert found is not None, "orbit holds no verge matrix"
-    return found
+    states = orbit_states(a.n, a.field, a.dense())
+    return NilMatrix.from_dense(a.n, a.field, _verge_state(a.n, states)).entries
 
 
 class Superclass:
@@ -178,7 +243,7 @@ def enumerate_superclasses(n: int, field: FiniteField) -> list[Superclass]:
     seen: set = set()
     for label in enumerate_labels(n, field):
         rep = build_e(label, field)
-        states = _orbit_states(n, field, dict(rep.entries))
+        states = orbit_states(n, field, rep.dense())
         if seen & states:
             raise AssertionError(f"superclass of {label!r} overlaps an earlier one")
         seen |= states

@@ -120,8 +120,14 @@ def arcs(pi: SetPartition) -> frozenset:
     return pi.arcs()
 
 
+@lru_cache(maxsize=1 << 12)
 def compute_SR(pi: SetPartition) -> tuple[frozenset, frozenset]:
-    """S = pairs shadowed to the right/above by some arc; R = the rest."""
+    """S = pairs shadowed to the right/above by some arc; R = the rest.
+
+    Cached per partition, so a table computes it once per column shape, not
+    once per cell; the bound exceeds Bell(7), the widest table the space
+    cap admits at any q.
+    """
     n = pi.n
     shadow = set()
     for (i, j) in pi.arcs():

@@ -264,7 +264,8 @@ def plancherel(table: SupercharTable) -> dict:
         for w, u in zip(sizes, column):
             for e, c in u:
                 acc[e] += w * c
-        if not _equals_rational(acc, denom * table.order, int(cls.rep.is_zero())):
+        identity = not cls.label.arcs()  # the partition with no arcs
+        if not _equals_rational(acc, denom * table.order, int(identity)):
             failures.append(format_coloured(cls.label))
     return {
         "weights": [
@@ -298,7 +299,17 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
     Z[x]/(x^p - 1) over the lcm D of its denominators; each <xi_i, xi_j>
     is an integer cyclic convolution weighted by |K|, compared with
     delta_ij / |O_i| by cross-multiplication after folding x^(p-1).
+
+    The constancy scan walks orbit members, so a table read back by
+    table_from_json, which carries labels and sizes only, is refused with
+    ValueError.
     """
+    axes = list(table.superclasses) + list(table.dual_orbits)
+    if any(axis.members is None for axis in axes):
+        raise ValueError(
+            "verify_theory needs orbit members; a table read from JSON "
+            "carries only labels and sizes"
+        )
     checks: list[tuple] = []
     n, field = table.n, table.field
     expected = count_labels(n, field.order)
@@ -319,7 +330,7 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
     )
 
     id_ok = (
-        table.superclasses[0].rep.is_zero()
+        not table.superclasses[0].label.arcs()
         and table.superclasses[0].size == 1
         and all(row[0] == Cyclotomic.one(field.p) for row in table.values)
     )

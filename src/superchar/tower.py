@@ -15,10 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .dual import _dual_orbit_states
 from .gf import FieldElement, FiniteField, field_construct, field_embed, trace_lift
 from .nilpotent import positions
-from .orbits import _orbit_states
+from .orbits import _to_state, orbit_states
 from .partitions import (
     ColouredPartition,
     SetPartition,
@@ -306,10 +305,7 @@ def _size_scan(n: int, tower: FieldTower, levels, dual: bool) -> list[tuple]:
             entries = {
                 arc: tower.embed(v, m) for arc, v in label.colours.items()
             }
-            if dual:
-                sizes.append(len(_dual_orbit_states(n, field, entries)))
-            else:
-                sizes.append(len(_orbit_states(n, field, entries)))
+            sizes.append(len(orbit_states(n, field, _to_state(n, entries), dual)))
         out.append((label, sizes))
     return out
 
@@ -416,4 +412,5 @@ def _size_scan_level_dual(n: int, tower: FieldTower, level: int):
     colours than level 1 offers)."""
     field = tower.field(level)
     for label in enumerate_labels(n, field, dual=True):
-        yield label, len(_dual_orbit_states(n, field, dict(label.colours)))
+        start = _to_state(n, label.colours)
+        yield label, len(orbit_states(n, field, start, dual=True))

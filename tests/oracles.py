@@ -1,13 +1,15 @@
-"""Fraction-coordinate reference loops for the exact table identities.
+"""Slow reference implementations, kept so tests can compare exactly.
 
 superchar.table checks orthogonality and super-Plancherel on integer
-vectors.  These are the direct Cyclotomic loops those kernels replaced,
-kept here so that tests can compare the two exactly.
+vectors; the direct Cyclotomic loops those kernels replaced come first.
+The sparse dict BFS that superchar.orbits.orbit_states replaced follows.
 """
 
 from fractions import Fraction
 
 from superchar import Cyclotomic, format_coloured
+from superchar.nilpotent import positions
+from superchar.orbits import _add_into, _to_state
 
 
 def inner_product(table, i, j):
@@ -30,7 +32,7 @@ def plancherel(table):
         for i in range(table.size):
             acc = acc + table.values[i][j].scale(weights[i])
         expected = (
-            Cyclotomic.one(p) if cls.rep.is_zero() else Cyclotomic.zero(p)
+            Cyclotomic.one(p) if not cls.label.arcs() else Cyclotomic.zero(p)
         )
         if acc != expected:
             failures.append(format_coloured(cls.label))
@@ -75,3 +77,86 @@ def plancherel_check(table):
         "sum of |O|/|A| xi(g) = delta_{g,1}" if pl["identity_holds"]
         else f"fails on classes {pl['failures']}",
     )
+
+
+# -- dict-based orbit BFS ------------------------------------------------------
+#
+# superchar.orbits.orbit_states walks dense index tuples with compiled move
+# programs for the superdiagonal generators only.  The loops below are the
+# sparse entry-dict BFS it replaced: every elementary move 1 + alpha*e_ij
+# with every nonzero alpha, in FieldElement arithmetic.
+
+
+def _expand(n, field, a):
+    """All images of the entry dict a under one elementary move, either side."""
+    rows, cols = {}, {}
+    for (r, s), v in a.items():
+        rows.setdefault(r, []).append((s, v))
+        cols.setdefault(s, []).append((r, v))
+    out = []
+    nonzero = field.nonzero()
+    for (i, j) in positions(n):
+        row_j = rows.get(j)
+        if row_j:
+            for alpha in nonzero:
+                b = dict(a)
+                for s, v in row_j:
+                    _add_into(b, (i, s), alpha * v)
+                out.append(b)
+        col_i = cols.get(i)
+        if col_i:
+            for alpha in nonzero:
+                b = dict(a)
+                for r, v in col_i:
+                    _add_into(b, (r, j), alpha * v)
+                out.append(b)
+    return out
+
+
+def _dual_expand(n, field, b):
+    """Images of the pairing dict under one elementary move on either side.
+
+    Left by 1+alpha*e_ij: row j gains -alpha times row i, kept right of j.
+    Right by 1+alpha*e_ij: column i gains alpha times column j, kept above i.
+    """
+    rows, cols = {}, {}
+    for (r, s), v in b.items():
+        rows.setdefault(r, []).append((s, v))
+        cols.setdefault(s, []).append((r, v))
+    out = []
+    nonzero = field.nonzero()
+    for (i, j) in positions(n):
+        row_i = rows.get(i)
+        if row_i and any(s > j for s, _ in row_i):
+            for alpha in nonzero:
+                c = dict(b)
+                for s, v in row_i:
+                    if s > j:
+                        _add_into(c, (j, s), -(alpha * v))
+                out.append(c)
+        col_j = cols.get(j)
+        if col_j and any(r < i for r, _ in col_j):
+            for alpha in nonzero:
+                c = dict(b)
+                for r, v in col_j:
+                    if r < i:
+                        _add_into(c, (r, i), alpha * v)
+                out.append(c)
+    return out
+
+
+def dict_orbit_states(n, field, start, dual=False):
+    """Dense states of the orbit of the entry dict start, by the dict BFS."""
+    expand = _dual_expand if dual else _expand
+    visited = {_to_state(n, start)}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in expand(n, field, a):
+                key = _to_state(n, b)
+                if key not in visited:
+                    visited.add(key)
+                    new.append(b)
+        frontier = new
+    return visited

@@ -89,6 +89,27 @@ def test_classify_dual(capsys):
     assert blob["dual"] is True
 
 
+def test_classify_builds_no_orbit_matrices(capsys, monkeypatch):
+    # the orbit size is a state count; dual_canonical builds the verge only
+    from superchar import NilMatrix
+
+    calls = []
+    from_dense = NilMatrix.from_dense.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return from_dense(cls, *args)
+
+    monkeypatch.setattr(NilMatrix, "from_dense", classmethod(counting))
+    argv = ["classify", "--n", "4", "--p", "3", "--matrix", "a12=1,a13=2,a24=1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_size"] == 9
+    assert calls == []
+    assert main(argv + ["--dual"]) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_size"] == 27
+    assert len(calls) == 1
+
+
 def test_classify_zero_matrix(capsys):
     code = main(["classify", "--n", "3", "--p", "5", "--matrix", ""])
     assert code == 0

@@ -1,0 +1,120 @@
+"""The dense orbit engine behind superclasses and dual orbits.
+
+Oracle: the sparse dict BFS in tests/oracles.py, which applies every
+elementary move 1 + alpha*e_ij with every nonzero alpha in FieldElement
+arithmetic.  The engine applies compiled programs for the superdiagonal
+generators only, so equal orbit sets also check the generation argument.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import dict_orbit_states
+from superchar import (
+    NilMatrix,
+    build_e,
+    enumerate_dual_orbits,
+    enumerate_labels,
+    field_construct,
+)
+from superchar import orbits
+from superchar.nilpotent import positions
+from superchar.orbits import orbit_states
+
+# every (n, q) with n >= 3 and |A| <= 4096, and n = 2 (no moves) up to q = 16
+SMALL_CONFIGS = (
+    [(2, p, m) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                            (3, 2), (11, 1), (13, 1), (2, 4)]]
+    + [(3, p, m) for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                              (3, 2), (11, 1), (13, 1), (2, 4)]]
+    + [(4, 2, 1), (4, 3, 1), (4, 2, 2), (5, 2, 1)]
+)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["superclass", "dual"])
+@pytest.mark.parametrize("n,p,m", SMALL_CONFIGS)
+def test_engine_matches_dict_bfs_on_every_label(n, p, m, dual):
+    f = field_construct(p, m)
+    assert f.order ** len(positions(n)) <= 4096
+    for label in enumerate_labels(n, f, dual=dual):
+        rep = build_e(label, f)
+        got = orbit_states(n, f, rep.dense(), dual)
+        assert got == dict_orbit_states(n, f, dict(rep.entries), dual), label
+
+
+HYPOTHESIS_CONFIGS = [(3, 3, 1), (3, 2, 2), (3, 5, 1), (4, 2, 1), (4, 3, 1),
+                      (4, 2, 2), (5, 2, 1), (3, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.sampled_from(HYPOTHESIS_CONFIGS),
+    dual=st.booleans(),
+    data=st.data(),
+)
+def test_engine_matches_dict_bfs_from_random_starts(config, dual, data):
+    n, p, m = config
+    f = field_construct(p, m)
+    start = tuple(
+        data.draw(st.lists(
+            st.integers(0, f.order - 1),
+            min_size=len(positions(n)), max_size=len(positions(n)),
+        ))
+    )
+    entries = dict(NilMatrix.from_dense(n, f, start).entries)
+    assert orbit_states(n, f, start, dual) == dict_orbit_states(n, f, entries, dual)
+
+
+@pytest.mark.parametrize("corruption", ["sign", "destination"])
+def test_corrupted_move_program_fails_validation(monkeypatch, corruption):
+    compiled = orbits._move_programs
+
+    def corrupted(n, dual):
+        programs = list(compiled(n, dual))
+        k = next(k for k, prog in enumerate(programs) if prog[2])
+        i, left, pairs, sign = programs[k]
+        if corruption == "sign":
+            programs[k] = (i, left, pairs, -sign)
+        else:
+            (dst, src), rest = pairs[0], pairs[1:]
+            other = next(r for r in range(len(positions(n))) if r not in (dst, src))
+            programs[k] = (i, left, ((other, src),) + rest, sign)
+        return tuple(programs)
+
+    f = field_construct(3, 1)
+    enumerate_dual_orbits(3, f, validate=True)
+    monkeypatch.setattr(orbits, "_move_programs", corrupted)
+    with pytest.raises(AssertionError, match="disagrees with the transport"):
+        enumerate_dual_orbits(3, f, validate=True)
+
+
+def test_field_without_index_tables(monkeypatch):
+    # 257^3 exceeds the default space cap; GF(257) has no operation tables
+    monkeypatch.setenv("SUPERCHAR_CAP", "20000000")
+    f = field_construct(257, 1)
+    assert f._add is None
+    e12 = NilMatrix.single(3, f, 1, 2, f.one)
+    assert len(orbit_states(3, f, e12.dense())) == 257
+    assert len(orbit_states(3, f, e12.dense(), dual=True)) == 1
+    e23 = NilMatrix.single(3, f, 2, 3, f.one)
+    assert orbit_states(3, f, e23.dense()) == dict_orbit_states(
+        3, f, dict(e23.entries)
+    )
+
+
+def test_images_bounded_by_superdiagonal_moves(monkeypatch):
+    # a deterministic cost guard: the engine generates at most 2(n-1)m images
+    # per state, where every elementary move would give up to n(n-1)(q-1)
+    images = []
+    expand = orbits._images
+
+    def counting(*args):
+        out = expand(*args)
+        images.append(len(out))
+        return out
+
+    monkeypatch.setattr(orbits, "_images", counting)
+    n, f = 4, field_construct(3, 1)
+    states = sum(o.size for o in enumerate_dual_orbits(n, f))
+    assert states == len(images) == 3 ** 6
+    assert 0 < sum(images) <= states * 2 * (n - 1) * f.m

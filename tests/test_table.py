@@ -269,6 +269,17 @@ def test_json_round_trip():
     assert table_from_json(json.loads(text)) == t
 
 
+def test_parsed_table_plancherel_and_verify():
+    # a table read back from JSON carries labels and sizes, no orbit members
+    for n, q in [(2, 2), (3, 3)]:
+        t = build_table(n, field_construct(q, 1))
+        back = table_from_json(table_to_json(t))
+        assert plancherel(back) == plancherel(t)
+        assert plancherel(back)["identity_holds"]
+        with pytest.raises(ValueError, match="orbit members"):
+            verify_theory(back)
+
+
 def test_json_shape():
     f = field_construct(2, 1)
     blob = table_to_json(build_table(3, f))
