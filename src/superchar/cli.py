@@ -11,13 +11,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .dual import dual_canonical, enumerate_dual_orbits
 from .gf import FieldElement, FiniteField, field_construct
 from .nilpotent import parse_matrix, format_matrix
-from .orbits import canonical_form, enumerate_superclasses, orbit_states
+from .orbits import canonical_form, enumerate_superclasses
 from .partitions import (
+    compute_SR,
     format_coloured,
     parse_coloured,
     parse_colours,
@@ -98,8 +100,13 @@ def cmd_table(args) -> int:
 def cmd_classify(args) -> int:
     field = _field(args)
     a = parse_matrix(args.matrix, args.n, field)
-    label = dual_canonical(a) if args.dual else canonical_form(a)
-    size = len(orbit_states(a.n, field, a.dense(), dual=args.dual))
+    # closed orbit sizes: q^r(pi) for a dual orbit, q^|S(pi)| for a superclass
+    if args.dual:
+        label = dual_canonical(a)
+        size = field.order ** r_of(label.partition)
+    else:
+        label = canonical_form(a)
+        size = field.order ** len(compute_SR(label.partition)[0])
     _emit_json(
         {
             "group": _group_json(args.n, field),
@@ -244,7 +251,10 @@ def _matrix_size(text: str) -> int:
     return n
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The six-subcommand parser, built once per process on first use: not
+    at import, where it would cost every process that only imports."""
     parser = argparse.ArgumentParser(
         prog="superchar",
         description="Exact supercharacter tables of unitriangular groups, "

@@ -7,7 +7,9 @@ action of (g, h) transports b to the strictly upper part of
 (g^{-1})^T b h^T.  For a superdiagonal generator this is a single row or
 column move, which superchar.orbits.orbit_states applies to dense states
 with dual=True; validate=True replays every compiled move against dual_act
-and the defining property.
+and the defining property.  dual_canonical walks no orbit: it reaches the
+verge member by elimination with the same moves, as canonical_form does for
+superclasses.
 """
 
 from __future__ import annotations
@@ -17,19 +19,8 @@ from functools import partial
 from .cyclotomic import Cyclotomic, cyclo_root
 from .gf import FieldElement, FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, positions
-from .orbits import (
-    _add_into,
-    _images,
-    _index_arith,
-    _verge_state,
-    orbit_states,
-)
-from .partitions import (
-    ColouredPartition,
-    build_e,
-    enumerate_labels,
-    partition_from_arcs,
-)
+from .orbits import _add_into, _images, _index_arith, _verge_label, orbit_states
+from .partitions import ColouredPartition, build_e, enumerate_labels
 
 
 def base_character(field: FiniteField, x: FieldElement) -> Cyclotomic:
@@ -125,17 +116,48 @@ def dual_orbit(b: NilMatrix, validate: bool = False) -> set[NilMatrix]:
     return {NilMatrix.from_dense(b.n, b.field, s) for s in states}
 
 
+def _left(w: dict, i: int, j: int, alpha) -> None:
+    """L(i, j, alpha), the left move by 1 + alpha*e_ij: row j -= alpha*row i
+    at the columns right of j."""
+    for (_, s), u in [it for it in w.items() if it[0][0] == i and it[0][1] > j]:
+        _add_into(w, (j, s), -(alpha * u))
+
+
+def _right(w: dict, i: int, j: int, alpha) -> None:
+    """R(i, j, alpha), the right move by 1 + alpha*e_ij: column i +=
+    alpha*column j at the rows above i."""
+    for (r, _), u in [it for it in w.items() if it[0][1] == j and it[0][0] < i]:
+        _add_into(w, (r, i), alpha * u)
+
+
 def dual_canonical(b: NilMatrix) -> ColouredPartition:
     """The unique (pi, tau) label of the orbit of theta_b.
 
-    Found by scanning the dense orbit states for the verge member; exactly
-    one must exist, and a second one is an internal error surfaced loudly.
-    Only the verge member becomes a NilMatrix.
+    Top-down elimination with the moves L and R, so membership is
+    structural and no orbit is walked.  For each row i, the rightmost
+    entry (i, l) is the pivot.  The column below it is cleared by L(i, j)
+    for i < j < l, which reaches only rows not yet processed.  Then the row
+    left of the pivot is cleared by R(k, l) for i < k < l, which has no
+    side effects because column l now holds only the pivot.  Nothing later
+    writes into a pivot column, so each row's entries all lie in columns
+    that hold no pivot yet.  The result is the orbit's verge member; a
+    non-verge result raises AssertionError.
     """
-    verge = NilMatrix.from_dense(b.n, b.field, _verge_state(b.n, _dual_states(b)))
-    return ColouredPartition(
-        partition_from_arcs(b.n, frozenset(verge.entries)), verge.entries, dual=True
-    )
+    n = b.n
+    w = dict(b.entries)
+    for i in range(1, n):
+        row = sorted(s for (r, s) in w if r == i)
+        if not row:
+            continue
+        l = row[-1]
+        pivot = w[i, l]
+        for j in range(i + 1, l):
+            v = w.get((j, l))
+            if v is not None:
+                _left(w, i, j, v / pivot)
+        for k in row[:-1]:
+            _right(w, k, l, -w[i, k] / pivot)
+    return _verge_label(n, w, dual=True)
 
 
 class DualOrbit:

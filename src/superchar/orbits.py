@@ -158,19 +158,6 @@ def _verge_arcs(nonzero_positions) -> frozenset | None:
     return frozenset(arcs)
 
 
-def _verge_state(n: int, states) -> tuple[int, ...]:
-    """The unique member of an orbit whose nonzero entries hit each row and
-    each column at most once, tested on the dense states."""
-    pos = positions(n)
-    found = None
-    for state in states:
-        if _verge_arcs(pos[k] for k, v in enumerate(state) if v) is not None:
-            assert found is None, "orbit holds two verge matrices"
-            found = state
-    assert found is not None, "orbit holds no verge matrix"
-    return found
-
-
 def canonical_form(a: NilMatrix) -> ColouredPartition:
     """The unique coloured partition labelling the superclass of a.
 
@@ -207,17 +194,15 @@ def canonical_form(a: NilMatrix) -> ColouredPartition:
                 for (r, s), u in [it for it in w.items() if it[0][1] == pivot_j]:
                     _add_into(w, (r, l), lam * u)
         used_cols.add(pivot_j)
+    return _verge_label(n, w)
+
+
+def _verge_label(n: int, w: dict, dual: bool = False) -> ColouredPartition:
+    """The label read off an eliminated entry dict, which must be a verge."""
     arcs = _verge_arcs(w)
     if arcs is None:
-        w = _verge_fallback(a)
-        arcs = _verge_arcs(w)
-        assert arcs is not None
-    return ColouredPartition(partition_from_arcs(n, arcs), w)
-
-
-def _verge_fallback(a: NilMatrix) -> dict:
-    states = orbit_states(a.n, a.field, a.dense())
-    return NilMatrix.from_dense(a.n, a.field, _verge_state(a.n, states)).entries
+        raise AssertionError("elimination left a matrix that is not a verge")
+    return ColouredPartition(partition_from_arcs(n, arcs), w, dual=dual)
 
 
 class Superclass:

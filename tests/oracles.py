@@ -2,14 +2,15 @@
 
 superchar.table checks orthogonality and super-Plancherel on integer
 vectors; the direct Cyclotomic loops those kernels replaced come first.
-The sparse dict BFS that superchar.orbits.orbit_states replaced follows.
+The sparse dict BFS that superchar.orbits.orbit_states replaced follows,
+then the orbit scan that canonical_form and dual_canonical replaced.
 """
 
 from fractions import Fraction
 
 from superchar import Cyclotomic, format_coloured
 from superchar.nilpotent import positions
-from superchar.orbits import _add_into, _to_state
+from superchar.orbits import _add_into, _to_state, _verge_arcs
 
 
 def inner_product(table, i, j):
@@ -160,3 +161,22 @@ def dict_orbit_states(n, field, start, dual=False):
                     new.append(b)
         frontier = new
     return visited
+
+
+# -- verge scan ----------------------------------------------------------------
+#
+# canonical_form and dual_canonical reach the verge member by elimination.
+# The scan below finds it by testing every member of the whole orbit.
+
+
+def verge_state(n, states):
+    """The unique member of an orbit whose nonzero entries hit each row and
+    each column at most once, tested on the dense states."""
+    pos = positions(n)
+    found = None
+    for state in states:
+        if _verge_arcs(pos[k] for k, v in enumerate(state) if v) is not None:
+            assert found is None, "orbit holds two verge matrices"
+            found = state
+    assert found is not None, "orbit holds no verge matrix"
+    return found

@@ -90,24 +90,64 @@ def test_classify_dual(capsys):
 
 
 def test_classify_builds_no_orbit_matrices(capsys, monkeypatch):
-    # the orbit size is a state count; dual_canonical builds the verge only
-    from superchar import NilMatrix
+    # labels come by elimination and sizes from the label: no orbit walk,
+    # no NilMatrix built from a dense state, on either side
+    from superchar import NilMatrix, dual, orbits
 
     calls = []
     from_dense = NilMatrix.from_dense.__func__
+    walk = orbits.orbit_states
 
     def counting(cls, *args):
-        calls.append(args)
+        calls.append(("from_dense", args))
         return from_dense(cls, *args)
 
+    def counting_walk(*args, **kwargs):
+        calls.append(("orbit_states", args))
+        return walk(*args, **kwargs)
+
     monkeypatch.setattr(NilMatrix, "from_dense", classmethod(counting))
+    monkeypatch.setattr(orbits, "orbit_states", counting_walk)
+    monkeypatch.setattr(dual, "orbit_states", counting_walk)
     argv = ["classify", "--n", "4", "--p", "3", "--matrix", "a12=1,a13=2,a24=1"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["orbit_size"] == 9
-    assert calls == []
     assert main(argv + ["--dual"]) == 0
     assert json.loads(capsys.readouterr().out)["orbit_size"] == 27
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_classify_reuses_the_parser(capsys):
+    # the parser is built once per process; no call may leak into the next
+    argv = ["classify", "--n", "4", "--p", "3", "--matrix", "a12=1,a13=2,a24=1"]
+    assert main(argv + ["--dual"]) == 0
+    assert json.loads(capsys.readouterr().out)["dual"] is True
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["dual"] is False
+    assert blob["orbit_size"] == 9
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "4", "--p", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == blob
+
+
+@pytest.mark.parametrize(
+    "matrix,dual,size",
+    [
+        ("a18=1", False, 1),  # e_18 is central: S(pi) is empty
+        ("a18=1", True, 2 ** 12),  # r(pi) = 12, all (1,k) and (k,8)
+        ("a12=1,a34=1", False, 2 ** 11),
+        ("a13=1,a26=1", True, 2 ** 7),
+    ],
+)
+def test_classify_beyond_the_space_cap(capsys, matrix, dual, size):
+    # |A| = 2^28 exceeds the space cap, which only orbit walks obey
+    argv = ["classify", "--n", "8", "--p", "2", "--matrix", matrix]
+    assert main(argv + ["--dual"] * dual) == 0
+    assert json.loads(capsys.readouterr().out)["orbit_size"] == size
 
 
 def test_classify_zero_matrix(capsys):

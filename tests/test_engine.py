@@ -1,25 +1,43 @@
-"""The dense orbit engine behind superclasses and dual orbits.
+"""The dense orbit engine behind superclasses and dual orbits, and the
+shortcuts that stand in for it: closed orbit sizes and the eliminations.
 
-Oracle: the sparse dict BFS in tests/oracles.py, which applies every
+Oracles: the sparse dict BFS in tests/oracles.py, which applies every
 elementary move 1 + alpha*e_ij with every nonzero alpha in FieldElement
 arithmetic.  The engine applies compiled programs for the superdiagonal
 generators only, so equal orbit sets also check the generation argument.
+The engine's orbits in turn are the oracle for the closed sizes
+q^|S(pi)| and q^r(pi), and, scanned by verge_state, for the labels that
+canonical_form and dual_canonical find by elimination.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dict_orbit_states
+from oracles import dict_orbit_states, verge_state
 from superchar import (
     NilMatrix,
     build_e,
+    canonical_form,
+    compute_SR,
+    dual_canonical,
     enumerate_dual_orbits,
     enumerate_labels,
     field_construct,
+    r_of,
 )
 from superchar import orbits
 from superchar.nilpotent import positions
-from superchar.orbits import orbit_states
+from superchar.orbits import _to_state, orbit_states
+
+
+def closed_size(label, q):
+    """q^r(pi) for a dual orbit, q^|S(pi)| for a superclass."""
+    if label.dual:
+        return q ** r_of(label.partition)
+    return q ** len(compute_SR(label.partition)[0])
+
 
 # every (n, q) with n >= 3 and |A| <= 4096, and n = 2 (no moves) up to q = 16
 SMALL_CONFIGS = (
@@ -40,6 +58,7 @@ def test_engine_matches_dict_bfs_on_every_label(n, p, m, dual):
         rep = build_e(label, f)
         got = orbit_states(n, f, rep.dense(), dual)
         assert got == dict_orbit_states(n, f, dict(rep.entries), dual), label
+        assert closed_size(label, f.order) == len(got), label
 
 
 HYPOTHESIS_CONFIGS = [(3, 3, 1), (3, 2, 2), (3, 5, 1), (4, 2, 1), (4, 3, 1),
@@ -118,3 +137,41 @@ def test_images_bounded_by_superdiagonal_moves(monkeypatch):
     states = sum(o.size for o in enumerate_dual_orbits(n, f))
     assert states == len(images) == 3 ** 6
     assert 0 < sum(images) <= states * 2 * (n - 1) * f.m
+
+
+@pytest.mark.parametrize(
+    "n,p,m,dual",
+    [(3, 3, 1, True), (4, 2, 1, True), (3, 2, 2, True), (4, 2, 1, False)],
+)
+def test_elimination_matches_orbit_scan_on_every_matrix(n, p, m, dual):
+    f = field_construct(p, m)
+    canonical = dual_canonical if dual else canonical_form
+    for start in itertools.product(range(f.order), repeat=len(positions(n))):
+        label = canonical(NilMatrix.from_dense(n, f, start))
+        assert label.dual == dual
+        verge = verge_state(n, orbit_states(n, f, start, dual))
+        assert _to_state(n, label.colours) == verge, start
+
+
+# n <= 5 and q in {2, 3, 4, 5}, leaving out U_5(F_4), whose typical orbit
+# of 4^8 states takes about a second to walk, and U_5(F_5), above the space cap
+ELIMINATION_CONFIGS = [(2, 5, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 5, 1),
+                       (4, 2, 1), (4, 3, 1), (4, 2, 2), (4, 5, 1), (5, 2, 1),
+                       (5, 3, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from(ELIMINATION_CONFIGS), data=st.data())
+def test_dual_elimination_matches_orbit_scan_from_random_starts(config, data):
+    n, p, m = config
+    f = field_construct(p, m)
+    start = tuple(
+        data.draw(st.lists(
+            st.integers(0, f.order - 1),
+            min_size=len(positions(n)), max_size=len(positions(n)),
+        ))
+    )
+    label = dual_canonical(NilMatrix.from_dense(n, f, start))
+    states = orbit_states(n, f, start, dual=True)
+    assert _to_state(n, label.colours) == verge_state(n, states)
+    assert closed_size(label, f.order) == len(states)
