@@ -161,23 +161,19 @@ def _verge_arcs(nonzero_positions) -> frozenset | None:
 def canonical_form(a: NilMatrix) -> ColouredPartition:
     """The unique coloured partition labelling the superclass of a.
 
-    Bottom-up elimination: rows n-1 down to 1; the leftmost entry in an
-    unused column is the pivot; the column above it is cleared by left
+    Bottom-up elimination: rows n-1 down to 1; the leftmost entry of the
+    row is the pivot; the column above it is cleared by left
     multiplications before the row to its right is cleared by right
     multiplications (in that order, so the column operations touch only
-    the pivot row).  Every operation is an orbit move, so membership is
-    structural; only the verge shape of the result is re-checked, with a
-    BFS fallback that cannot fire unless the elimination logic rots.
+    the pivot row).  A pivot column is cleared above its pivot, so no
+    later row has an entry there.  Every operation is an orbit move, so
+    membership is structural; the result must be a verge, and a non-verge
+    result raises AssertionError.
     """
-    n, field = a.n, a.field
+    n = a.n
     w = dict(a.entries)
-    used_cols: set[int] = set()
     for i in range(n - 1, 0, -1):
-        pivot_j = None
-        for j in range(i + 1, n + 1):
-            if (i, j) in w and j not in used_cols:
-                pivot_j = j
-                break
+        pivot_j = next((j for j in range(i + 1, n + 1) if (i, j) in w), None)
         if pivot_j is None:
             continue
         pivot = w[(i, pivot_j)]
@@ -193,7 +189,6 @@ def canonical_form(a: NilMatrix) -> ColouredPartition:
                 lam = -v / pivot
                 for (r, s), u in [it for it in w.items() if it[0][1] == pivot_j]:
                     _add_into(w, (r, l), lam * u)
-        used_cols.add(pivot_j)
     return _verge_label(n, w)
 
 

@@ -6,6 +6,22 @@ unless every arc of the row label survives the column label's shadow, and
 otherwise a root of unity damped by q^-nesting.  The two routes share no
 code beyond field arithmetic, which is the point: build_table computes by
 the closed formula and cross-validates against the average.
+
+The averaging route for every a in A and every row at once is one additive
+Fourier transform, as Diaconis and Isaacs build supercharacters: the
+histogram over b in O of lift(Tr<b, a>) is the transform of the indicator
+of O on A = F_p^(mN), N = n(n-1)/2.  _averaging_route takes it radix p
+over the mN base-p digits of the dense state index (a field index's digits
+are its F_p coordinates).  A value in Z[x]/(x^p - 1) is p packed Python
+ints, one per exponent, each holding one count per row in a field of
+bit_length(|A|) + 1 bits, so multiplying by x is a cyclic shift of the p
+ints and every operation is a non-negative integer addition: about
+rows * |A| * mN * p^2 bit-packed additions, in row blocks that bound the
+memory.  The output is read at the trace-dual digits
+c_k(a) = lift(Tr(x^k a)).  The transform reads only the BFS dual-orbit
+members and the trace pairing, never a label formula.  build_table's full
+cross-check reads it at each column's representative, and verify_theory's
+superclass-constancy check at every member of every class.
 """
 
 from __future__ import annotations
@@ -14,6 +30,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .cyclotomic import Cyclotomic, cyclo_root
 from .dual import DualOrbit, enumerate_dual_orbits
@@ -24,6 +41,7 @@ from .partitions import ColouredPartition, compute_SR, count_labels, format_colo
 
 _FULL_VALIDATION_LIMIT = 1 << 12
 _SPOT_CHECKS = 64
+_ROUTE_BLOCK_BITS = 1 << 27  # packed count bits per row block of the transform
 
 
 class RouteDisagreement(AssertionError):
@@ -122,6 +140,7 @@ class SupercharTable:
         self.superclasses = superclasses
         self.values = values
         self.order = field.order ** len(positions(n))
+        self._route = None  # _averaging_route, computed once from the members
 
     @property
     def size(self) -> int:
@@ -154,8 +173,9 @@ class SupercharTable:
 
 def build_table(n: int, field: FiniteField, validate: str | None = None) -> SupercharTable:
     """The full table by the closed formula, cross-checked against the
-    orbit average ('full' on every cell, 'spot' on 64 seeded cells, 'off').
-    The default picks full when |A| <= 2^12 and spot above."""
+    orbit average ('full' on every cell, read from the transform at each
+    column's representative; 'spot' on 64 seeded cells by sch_bruteforce;
+    'off').  The default picks full when |A| <= 2^12 and spot above."""
     dual_orbits = enumerate_dual_orbits(n, field)
     superclasses = enumerate_superclasses(n, field)
     values = [
@@ -166,26 +186,160 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     if validate is None:
         validate = "full" if table.order <= _FULL_VALIDATION_LIMIT else "spot"
     if validate == "full":
-        pairs = [
-            (i, j) for i in range(table.size) for j in range(table.size)
-        ]
+        hists, _ = _averaging_route(table)
+        denom, cells = _integer_cells(values, field.p)
+        for i, o in enumerate(dual_orbits):
+            for j, k in enumerate(superclasses):
+                if not _route_matches(hists[j][i], cells[i][j], denom, o.size):
+                    brute = _hist_to_cyclo(field.p, hists[j][i], o.size)
+                    raise RouteDisagreement(o.label, k.label, values[i][j], brute)
     elif validate == "spot":
         rng = random.Random(20240 + n * 1000 + field.order)
         pairs = [
             (rng.randrange(table.size), rng.randrange(table.size))
             for _ in range(_SPOT_CHECKS)
         ]
-    elif validate == "off":
-        pairs = []
-    else:
+        for i, j in pairs:
+            brute = sch_bruteforce(dual_orbits[i], GroupElement(superclasses[j].rep))
+            if brute != values[i][j]:
+                raise RouteDisagreement(
+                    dual_orbits[i].label, superclasses[j].label, values[i][j], brute
+                )
+    elif validate != "off":
         raise ValueError(f"unknown validation mode {validate!r}")
-    for i, j in pairs:
-        brute = sch_bruteforce(dual_orbits[i], GroupElement(superclasses[j].rep))
-        if brute != values[i][j]:
-            raise RouteDisagreement(
-                dual_orbits[i].label, superclasses[j].label, values[i][j], brute
-            )
     return table
+
+
+# -- the averaging route as one additive Fourier transform --------------------
+
+
+@lru_cache(maxsize=None)
+def _trace_dual_index(field: FiniteField) -> list[int]:
+    """Per element index k, the index whose base-p digits are the
+    trace-dual coordinates lift(Tr(x^d e_k)), d < m: the pairing
+    lift(Tr(b e_k)) is the dot product of these with b's digits, mod p."""
+    elts = field.elements
+    trl = _trace_lift_list(field)
+    basis = [elts[field.p**d] for d in range(field.m)]
+    return [
+        sum(trl[(x * e).index] * field.p**d for d, x in enumerate(basis))
+        for e in elts
+    ]
+
+
+def _additive_fourier(vec: list[list[int]], p: int, digits: int) -> list[list[int]]:
+    """F(c) = sum over b of vec(b) x^(b.c) on F_p^digits, in Z[x]/(x^p - 1),
+    where vec(b) = sum_e vec[e][b] x^e and an index's base-p digits are
+    its coordinates.
+
+    Radix p, one digit per pass: a pass transforms the top digit and
+    writes its frequency as the bottom digit, so once every digit has
+    passed they are back in place.  Multiplying by x^t makes list
+    (e - t) % p the coefficient of x^e; the rest is elementwise addition.
+    """
+    size = p**digits
+    stride = size // p
+    for _ in range(digits):
+        parts = [[v[b * stride:(b + 1) * stride] for b in range(p)] for v in vec]
+        vec = [[0] * size for _ in range(p)]
+        for c in range(p):
+            for e in range(p):
+                acc = parts[e][0]
+                for b in range(1, p):
+                    acc = list(map(add, acc, parts[(e - b * c) % p][b]))
+                vec[e][c::p] = acc
+    return vec
+
+
+def _averaging_route(table: SupercharTable) -> tuple[list, list]:
+    """The averaging route at every member of every class, for every row.
+
+    Returns (hists, deviants): hists[j][i] is the histogram of zeta
+    exponents of <b, rep_j> over b in row i; deviants[j] maps the index
+    of each member of class j whose packed key differs from the
+    representative's to {row: histogram} on the row blocks where it
+    differs.  Computed once per table, in blocks of rows whose packed
+    counts take at most _ROUTE_BLOCK_BITS bits.
+    """
+    if table._route is not None:
+        return table._route
+    field, p = table.field, table.field.p
+    weights = [field.order**k for k in range(len(positions(table.n)))]
+    dual_index = _trace_dual_index(field)
+
+    def frequency(state):  # the index holding the route at a = state
+        return sum(dual_index[v] * w for v, w in zip(state, weights))
+
+    order = table.order
+    width = order.bit_length() + 1
+    mask = (1 << width) - 1
+    rows = table.dual_orbits
+    block = max(1, _ROUTE_BLOCK_BITS // (width * order * p))
+    cols = [[frequency(s) for s in k.members] for k in table.superclasses]
+    reps = [frequency(k.rep.dense()) for k in table.superclasses]
+    hists: list[list] = [[] for _ in cols]
+    deviants: list[dict] = [{} for _ in cols]
+    for lo in range(0, len(rows), block):
+        block_rows = range(lo, min(lo + block, len(rows)))
+        vec = [[0] * order for _ in range(p)]
+        for k, i in enumerate(block_rows):
+            bit = 1 << (k * width)
+            for s in rows[i].members:
+                vec[0][sum(v * w for v, w in zip(s, weights))] = bit
+        vec = _additive_fourier(vec, p, field.m * len(weights))
+
+        def decode(key):
+            return [[(v >> (k * width)) & mask for v in key] for k in range(len(block_rows))]
+
+        for j, (rep, members) in enumerate(zip(reps, cols)):
+            key = [v[rep] for v in vec]
+            hists[j] += decode(key)
+            if all(
+                list(map(v.__getitem__, members)).count(t) == len(members)
+                for v, t in zip(vec, key)
+            ):
+                continue
+            for idx, x in enumerate(members):
+                got = [v[x] for v in vec]
+                if got != key:
+                    deviants[j].setdefault(idx, {}).update(zip(block_rows, decode(got)))
+    table._route = hists, deviants
+    return table._route
+
+
+def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
+    """Whether hist / size, read in Q(zeta_p), is the integer cell u / denom
+    of _integer_cells: hist*denom - size*u has all p coordinates equal."""
+    v = [h * denom for h in hist]
+    for e, c in cell:
+        v[e] -= size * c
+    return v.count(v[0]) == len(v)
+
+
+def _constancy_failure(table: SupercharTable, cells: list, denom: int):
+    """The first (row, column, member) whose averaging-route value differs
+    from the table cell, in scan order: classes, then members, then rows;
+    None when every member of every class matches its column on every row.
+    A member sharing the representative's packed key shares its verdict."""
+    hists, deviants = _averaging_route(table)
+    sizes = [o.size for o in table.dual_orbits]
+
+    def first_row(j, dev):
+        for i, size in enumerate(sizes):
+            if not _route_matches(dev.get(i, hists[j][i]), cells[i][j], denom, size):
+                return i
+        return None
+
+    for j, cls in enumerate(table.superclasses):
+        devs = deviants[j]
+        rep_row = first_row(j, {})
+        # when the representative passes, only deviants can fail; when it
+        # fails, the scan stops at the first member that shares its key
+        for k in sorted(devs) if rep_row is None else range(len(cls.members)):
+            i = first_row(j, devs[k]) if k in devs else rep_row
+            if i is not None:
+                return i, j, cls.members[k]
+    return None
 
 
 def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
@@ -287,12 +441,13 @@ def _inverse_column(table: SupercharTable, j: int) -> int:
     raise AssertionError("inverse superclass missing from the table")
 
 
-def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[tuple]:
+def verify_theory(table: SupercharTable) -> list[tuple]:
     """The axiom and identity suite; returns (name, passed, detail) triples.
 
-    constancy: 'full' scans every member of every superclass against every
-    row by the averaging route; 'spot' samples 64 seeded members; default
-    picks full when |A| <= 2^12.
+    Superclass constancy reads the averaging route at every member of every
+    class from the table's one additive Fourier transform: members must
+    share their representative's packed key, and each distinct key is
+    decoded and compared with the table column on integers.
 
     Orthogonality reads only the table values and the orbit and class
     sizes.  The table is converted once into integer vectors in
@@ -300,7 +455,7 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
     is an integer cyclic convolution weighted by |K|, compared with
     delta_ij / |O_i| by cross-multiplication after folding x^(p-1).
 
-    The constancy scan walks orbit members, so a table read back by
+    The constancy check needs orbit members, so a table read back by
     table_from_json, which carries labels and sizes only, is refused with
     ValueError.
     """
@@ -336,35 +491,15 @@ def verify_theory(table: SupercharTable, constancy: str | None = None) -> list[t
     )
     checks.append(("identity-normalization", id_ok, "xi(1) = 1 on every row"))
 
-    if constancy is None:
-        constancy = "full" if table.order <= _FULL_VALIDATION_LIMIT else "spot"
-    bad = None
-    tested = 0
-    rng = random.Random(77)
-    for j, cls in enumerate(table.superclasses):
-        members = cls.members
-        if constancy == "spot" and len(members) > _SPOT_CHECKS:
-            members = rng.sample(members, _SPOT_CHECKS)
-        for state in members:
-            a = NilMatrix.from_dense(n, field, state)
-            for i, orbit in enumerate(table.dual_orbits):
-                hist = _pairing_hist(orbit.members, a)
-                got = _hist_to_cyclo(field.p, hist, orbit.size)
-                tested += 1
-                if got != table.values[i][j]:
-                    bad = (i, j, state)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    denom, rows = _integer_cells(table.values, field.p)
+    bad = _constancy_failure(table, rows, denom)
+    tested = sum(len(k.members) for k in table.superclasses) * table.size
     checks.append(
         ("superclass-constancy", bad is None,
          f"{tested} member evaluations" if bad is None
          else f"row {bad[0]}, column {bad[1]}, member {bad[2]}")
     )
 
-    denom, rows = _integer_cells(table.values, field.p)
     sizes = [k.size for k in table.superclasses]
     scale = denom * denom * table.order
     bad_pair = None

@@ -1,16 +1,19 @@
 """Slow reference implementations, kept so tests can compare exactly.
 
 superchar.table checks orthogonality and super-Plancherel on integer
-vectors; the direct Cyclotomic loops those kernels replaced come first.
-The sparse dict BFS that superchar.orbits.orbit_states replaced follows,
-then the orbit scan that canonical_form and dual_canonical replaced.
+vectors; the direct Cyclotomic loops those kernels replaced come first,
+then the member-by-member superclass-constancy scan that the additive
+Fourier transform replaced.  The sparse dict BFS that
+superchar.orbits.orbit_states replaced follows, then the orbit scan that
+canonical_form and dual_canonical replaced.
 """
 
 from fractions import Fraction
 
-from superchar import Cyclotomic, format_coloured
+from superchar import Cyclotomic, NilMatrix, format_coloured
 from superchar.nilpotent import positions
 from superchar.orbits import _add_into, _to_state, _verge_arcs
+from superchar.table import _hist_to_cyclo, _pairing_hist
 
 
 def inner_product(table, i, j):
@@ -77,6 +80,34 @@ def plancherel_check(table):
         "plancherel-identity", pl["identity_holds"],
         "sum of |O|/|A| xi(g) = delta_{g,1}" if pl["identity_holds"]
         else f"fails on classes {pl['failures']}",
+    )
+
+
+def constancy_check(table):
+    """The superclass-constancy triple of verify_theory, by the averaging
+    route evaluated member by member: classes in order, members in order,
+    rows in order, stopping at the first value that is not the table's."""
+    n, field = table.n, table.field
+    bad = None
+    tested = 0
+    for j, cls in enumerate(table.superclasses):
+        for state in cls.members:
+            a = NilMatrix.from_dense(n, field, state)
+            for i, orbit in enumerate(table.dual_orbits):
+                hist = _pairing_hist(orbit.members, a)
+                got = _hist_to_cyclo(field.p, hist, orbit.size)
+                tested += 1
+                if got != table.values[i][j]:
+                    bad = (i, j, state)
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    return (
+        "superclass-constancy", bad is None,
+        f"{tested} member evaluations" if bad is None
+        else f"row {bad[0]}, column {bad[1]}, member {bad[2]}",
     )
 
 

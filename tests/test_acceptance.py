@@ -68,7 +68,8 @@ def _column_index(t):
 
 
 def test_c01_route_equivalence():
-    # build_table(validate="full") compares sch_closed with sch_bruteforce
+    # build_table(validate="full") compares sch_closed with the averaging
+    # route, read from the additive Fourier transform of the dual orbits,
     # on every (dual orbit, superclass) pair and raises on any mismatch
     start = time.perf_counter()
     for n, q in CONFIGS:

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
+from oracles import verge_state
 from superchar import (
-    ColouredPartition,
     GroupElement,
     NilMatrix,
     Superclass,
@@ -25,25 +25,10 @@ from superchar import (
     superclass_orbit,
 )
 from superchar.nilpotent import positions
+from superchar.orbits import _to_state, orbit_states
 
 
 # ---------------------------------------------------------------- oracles
-
-def _verge_label_by_scan(a):
-    """Search the whole orbit for the verge member; independent of the
-    elimination code path."""
-    hits = []
-    for b in superclass_orbit(a):
-        rows = [i for (i, j) in b.entries]
-        cols = [j for (i, j) in b.entries]
-        if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-            hits.append(b)
-    assert len(hits) == 1, "verge member not unique"
-    verge = hits[0]
-    from superchar import partition_from_arcs
-    pi = partition_from_arcs(a.n, set(verge.entries))
-    return ColouredPartition(pi, dict(verge.entries))
-
 
 def _random_matrix(n, f, rng):
     entries = {}
@@ -132,7 +117,8 @@ def test_canonical_form_matches_orbit_scan_oracle():
         f = field_construct(p, m)
         for _ in range(30):
             a = _random_matrix(n, f, rng)
-            assert canonical_form(a) == _verge_label_by_scan(a)
+            verge = verge_state(n, orbit_states(n, f, a.dense()))
+            assert _to_state(n, canonical_form(a).colours) == verge
 
 
 def test_canonical_form_constant_on_orbits():

@@ -1,0 +1,180 @@
+"""The averaging route as one additive Fourier transform.
+
+Oracles: _pairing_hist, which sums the pairing character over the orbit
+members one cell at a time, and the member-by-member constancy scan in
+tests/oracles.py.  The transform must reproduce the first on every cell
+and the second's verdict and detail on tables whose dual orbits have been
+tampered with.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+import superchar.table as table_mod
+from superchar import (
+    DualOrbit,
+    GroupElement,
+    RouteDisagreement,
+    SupercharTable,
+    build_table,
+    field_construct,
+    sch_bruteforce,
+    verify_theory,
+)
+from superchar.table import _additive_fourier, _averaging_route, _pairing_hist
+
+# every config with |A| = q^(n(n-1)/2) <= 4096 and q <= 16
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                (13, 1), (2, 4)]
+ROUTE_CONFIGS = (
+    [(1, 2, 1), (1, 3, 1)]
+    + [(2, p, m) for p, m in SMALL_FIELDS]
+    + [(3, p, m) for p, m in SMALL_FIELDS]
+    + [(4, 2, 1), (4, 3, 1), (4, 2, 2), (5, 2, 1)]
+)
+
+
+@lru_cache(maxsize=None)
+def _table(n, p, m):
+    return build_table(n, field_construct(p, m), validate="off")
+
+
+def _fresh(t, dual_orbits=None):
+    """The same table with no cached route, optionally other dual orbits."""
+    return SupercharTable(
+        t.n, t.field, dual_orbits or t.dual_orbits, t.superclasses, t.values
+    )
+
+
+def _dft(vec, p, digits):
+    """The transform by its definition, one output at a time."""
+    size = p**digits
+
+    def coords(k):
+        return [(k // p**d) % p for d in range(digits)]
+
+    out = [[0] * size for _ in range(p)]
+    for c in range(size):
+        cc = coords(c)
+        for b in range(size):
+            t = sum(x * y for x, y in zip(coords(b), cc))
+            for e in range(p):
+                out[(e + t) % p][c] += vec[e][b]
+    return out
+
+
+@pytest.mark.parametrize("p,digits", [(2, 0), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_additive_fourier_matches_definition(p, digits):
+    rng = random.Random(p * 10 + digits)
+    vec = [[rng.randrange(50) for _ in range(p**digits)] for _ in range(p)]
+    assert _additive_fourier([v[:] for v in vec], p, digits) == _dft(vec, p, digits)
+
+
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
+def test_transform_equals_pairing_hist_on_every_cell(n, p, m):
+    t = _fresh(_table(n, p, m))
+    hists, deviants = _averaging_route(t)
+    assert deviants == [{} for _ in t.superclasses]
+    for j, cls in enumerate(t.superclasses):
+        assert hists[j] == [_pairing_hist(o.members, cls.rep) for o in t.dual_orbits]
+
+
+def test_row_blocks_give_the_same_route(monkeypatch):
+    t = _table(4, 3, 1)
+    whole = _averaging_route(_fresh(t))
+    monkeypatch.setattr(table_mod, "_ROUTE_BLOCK_BITS", 1)  # one row per block
+    assert _averaging_route(_fresh(t)) == whole
+
+
+@pytest.mark.parametrize("n,p,m", [(1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 2, 2), (2, 5, 1)])
+def test_verify_theory_small_n(n, p, m):
+    t = _fresh(_table(n, p, m))
+    report = {c[0]: c for c in verify_theory(t)}
+    assert all(ok for _, ok, _ in report.values())
+    assert report["superclass-constancy"] == oracles.constancy_check(t)
+    assert report["superclass-constancy"][2] == f"{t.order * t.size} member evaluations"
+
+
+def _tampered(t, moves):
+    """t with members moved between dual orbits: (src, member, dst, swap)
+    moves member index `member` of orbit src into orbit dst, and with swap
+    also member 0 of dst into src.  No orbit is left empty."""
+    members = [list(o.members) for o in t.dual_orbits]
+    for src, k, dst, swap in moves:
+        if src == dst or (len(members[src]) == 1 and not swap):
+            continue
+        b = members[src].pop(k % len(members[src]))
+        if swap:
+            members[src].append(members[dst].pop(0))
+        members[dst].append(b)
+    orbits = [
+        DualOrbit(o.label, o.rep, len(ms), tuple(sorted(ms)))
+        for o, ms in zip(t.dual_orbits, members)
+    ]
+    return _fresh(t, orbits)
+
+
+def test_moved_member_is_caught():
+    t = _table(4, 3, 1)
+    last = t.size - 1
+    tampered = _tampered(t, [(last, 5, 1, True)])
+    report = {c[0]: c for c in verify_theory(tampered)}
+    assert not report["superclass-constancy"][1]
+    assert report["superclass-constancy"] == oracles.constancy_check(tampered)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(3, 3, 1), (3, 2, 2), (4, 2, 1), (2, 5, 1), (3, 5, 1)]),
+    st.data(),
+)
+def test_tampered_orbits_get_oracle_verdicts(config, data):
+    t = _table(*config)
+    row = st.integers(0, t.size - 1)
+    moves = data.draw(
+        st.lists(st.tuples(row, st.integers(0, 200), row, st.booleans()),
+                 min_size=1, max_size=3)
+    )
+    tampered = _tampered(t, moves)
+    report = {c[0]: c for c in verify_theory(tampered)}
+    assert report["superclass-constancy"] == oracles.constancy_check(tampered)
+
+
+def test_no_member_by_member_evaluations(monkeypatch):
+    calls = 0
+
+    def counting(members, a):
+        nonlocal calls
+        calls += 1
+        return _pairing_hist(members, a)
+
+    monkeypatch.setattr(table_mod, "_pairing_hist", counting)
+    f = field_construct(3, 1)
+    t = build_table(4, f, validate="full")
+    report = verify_theory(t)
+    assert all(ok for _, ok, _ in report)
+    assert calls == 0
+    build_table(4, f, validate="spot")  # the spot cross-check still samples cells
+    assert calls == 64
+
+
+def test_full_cross_check_reports_the_average(monkeypatch):
+    uncorrupted = table_mod.sch_closed
+
+    def corrupted(row, col, field):
+        v = uncorrupted(row, col, field)
+        return v.conjugate() if col.arcs() and row.arcs() else v
+
+    monkeypatch.setattr(table_mod, "sch_closed", corrupted)
+    f = field_construct(3, 1)
+    with pytest.raises(RouteDisagreement) as info:
+        build_table(3, f, validate="full")
+    err = info.value
+    orbit = next(o for o in table_mod.enumerate_dual_orbits(3, f) if o.label == err.row_label)
+    cls = next(k for k in table_mod.enumerate_superclasses(3, f) if k.label == err.col_label)
+    assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
+    assert err.closed != err.brute
