@@ -53,6 +53,7 @@ from .partitions import (
     SetPartition,
     arcs,
     build_e,
+    closed_size,
     compute_SR,
     count_labels,
     enumerate_labels,

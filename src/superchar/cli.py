@@ -19,7 +19,7 @@ from .gf import FieldElement, FiniteField, field_construct
 from .nilpotent import parse_matrix, format_matrix
 from .orbits import canonical_form, enumerate_superclasses
 from .partitions import (
-    compute_SR,
+    closed_size,
     format_coloured,
     parse_coloured,
     parse_colours,
@@ -100,13 +100,7 @@ def cmd_table(args) -> int:
 def cmd_classify(args) -> int:
     field = _field(args)
     a = parse_matrix(args.matrix, args.n, field)
-    # closed orbit sizes: q^r(pi) for a dual orbit, q^|S(pi)| for a superclass
-    if args.dual:
-        label = dual_canonical(a)
-        size = field.order ** r_of(label.partition)
-    else:
-        label = canonical_form(a)
-        size = field.order ** len(compute_SR(label.partition)[0])
+    label = dual_canonical(a) if args.dual else canonical_form(a)
     _emit_json(
         {
             "group": _group_json(args.n, field),
@@ -114,7 +108,7 @@ def cmd_classify(args) -> int:
             "input": format_matrix(a),
             "label": label.to_json(),
             "label_text": format_coloured(label),
-            "orbit_size": size,
+            "orbit_size": closed_size(label, field.order),
         },
         args.output,
     )

@@ -19,7 +19,15 @@ from functools import partial
 from .cyclotomic import Cyclotomic, cyclo_root
 from .gf import FieldElement, FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, positions
-from .orbits import _add_into, _images, _index_arith, _verge_label, orbit_states
+from .orbits import (
+    _add_into,
+    _images,
+    _index_arith,
+    _Orbit,
+    _verge_label,
+    check_cover,
+    orbit_states,
+)
 from .partitions import ColouredPartition, build_e, enumerate_labels
 
 
@@ -160,39 +168,20 @@ def dual_canonical(b: NilMatrix) -> ColouredPartition:
     return _verge_label(n, w, dual=True)
 
 
-class DualOrbit:
-    __slots__ = ("label", "rep", "size", "members")
-
-    def __init__(self, label: ColouredPartition, rep: NilMatrix, size: int, members):
-        self.label = label
-        self.rep = rep
-        self.size = size
-        self.members = members  # sorted tuple of dense states
-
-    def member_matrices(self):
-        for state in self.members:
-            yield NilMatrix.from_dense(self.rep.n, self.rep.field, state)
-
-    def __repr__(self):
-        return f"DualOrbit({self.label!r}, size={self.size})"
+class DualOrbit(_Orbit):
+    __slots__ = ()
+    dual = True
 
 
 def enumerate_dual_orbits(
     n: int, field: FiniteField, validate: bool = False
 ) -> list[DualOrbit]:
-    """One orbit per dual coloured partition, canonical order, cover-checked."""
+    """One orbit per dual coloured partition, canonical order, walked and
+    cover-checked; each size is the walked state count."""
     out = []
-    seen: set = set()
     for label in enumerate_labels(n, field, dual=True):
         rep = build_e(label, field)
         states = _dual_states(rep, validate)
-        if seen & states:
-            raise AssertionError(f"dual orbit of {label!r} overlaps an earlier one")
-        seen |= states
         out.append(DualOrbit(label, rep, len(states), tuple(sorted(states))))
-    total = field.order ** len(positions(n))
-    if len(seen) != total:
-        raise AssertionError(
-            f"dual orbits cover {len(seen)} of {total} characters"
-        )
+    check_cover(out, field.order ** len(positions(n)))
     return out

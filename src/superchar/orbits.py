@@ -8,6 +8,11 @@ move program compiled once per (n, dual): (dst_rank, src_rank) pairs plus a
 sign, applied as dst += sign * alpha * src through index tables of the
 field.  Every move keeps a strictly upper matrix strictly upper, so no
 projection is ever needed.
+
+An orbit object (Superclass here, DualOrbit in superchar.dual) carries its
+label, representative and size; its members are walked only on first read
+unless given, and a walk checks the size.  check_cover checks that the
+members of a list of orbits partition A.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .nilpotent import NilMatrix, position_rank, positions
 from .partitions import (
     ColouredPartition,
     build_e,
+    closed_size,
     enumerate_labels,
     partition_from_arcs,
 )
@@ -95,6 +101,14 @@ def _images(state: tuple, moves, add) -> list[tuple]:
     return out
 
 
+def check_space(n: int, field: FiniteField) -> None:
+    """ValueError when |A| exceeds the space cap that orbit walks obey."""
+    if field.order ** len(positions(n)) > space_cap():
+        raise ValueError(
+            f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
+        )
+
+
 def orbit_states(
     n: int, field: FiniteField, start: tuple, dual: bool = False, check=None
 ) -> set[tuple[int, ...]]:
@@ -113,10 +127,7 @@ def orbit_states(
     move.  check(state, programs), when given, runs on every state before
     it expands, with the compiled programs the engine applies.
     """
-    if field.order ** len(positions(n)) > space_cap():
-        raise ValueError(
-            f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
-        )
+    check_space(n, field)
     visited = {start}
     programs = _move_programs(n, dual)
     moves = [(pairs, sign) for _, _, pairs, sign in programs if pairs]
@@ -200,37 +211,80 @@ def _verge_label(n: int, w: dict, dual: bool = False) -> ColouredPartition:
     return ColouredPartition(partition_from_arcs(n, arcs), w, dual=dual)
 
 
-class Superclass:
-    __slots__ = ("label", "rep", "size", "members")
+class _Orbit:
+    """An orbit labelled by a coloured partition: the label, the
+    representative build_e(label), the size and the members, a sorted tuple
+    of dense states.  Members given to the constructor are kept as given.
+    Otherwise the first read of members walks the orbit with orbit_states
+    and caches it; a walk whose count differs from size raises
+    AssertionError, so a closed size is checked whenever it is walked.
+    """
 
-    def __init__(self, label: ColouredPartition, rep: NilMatrix, size: int, members):
+    __slots__ = ("label", "rep", "size", "_members")
+    dual = False
+
+    def __init__(self, label: ColouredPartition, rep: NilMatrix, size: int, members=None):
         self.label = label
         self.rep = rep
         self.size = size
-        self.members = members  # sorted tuple of dense states, or None
+        self._members = members
+
+    @classmethod
+    def from_label(cls, label: ColouredPartition, field: FiniteField):
+        """The orbit of label with its closed size, members not yet walked."""
+        return cls(label, build_e(label, field), closed_size(label, field.order))
+
+    @property
+    def members(self) -> tuple:
+        if self._members is None:
+            rep = self.rep
+            states = orbit_states(rep.n, rep.field, rep.dense(), self.dual)
+            if len(states) != self.size:
+                raise AssertionError(
+                    f"{self!r}: the walk found {len(states)} states"
+                )
+            self._members = tuple(sorted(states))
+        return self._members
 
     def member_matrices(self):
         for state in self.members:
             yield NilMatrix.from_dense(self.rep.n, self.rep.field, state)
 
     def __repr__(self):
-        return f"Superclass({self.label!r}, size={self.size})"
+        return f"{type(self).__name__}({self.label!r}, size={self.size})"
+
+
+class Superclass(_Orbit):
+    __slots__ = ()
+
+
+_COVER_WORDS = {
+    False: ("superclass", "superclasses", "algebra elements"),
+    True: ("dual orbit", "dual orbits", "characters"),
+}
+
+
+def check_cover(axes, total: int) -> None:
+    """AssertionError unless the members of axes, all superclasses or all
+    dual orbits, are pairwise disjoint and cover all total states."""
+    one, many, space = _COVER_WORDS[axes[0].dual]
+    seen: set = set()
+    for axis in axes:
+        states = axis.members
+        if not seen.isdisjoint(states):
+            raise AssertionError(f"{one} of {axis.label!r} overlaps an earlier one")
+        seen.update(states)
+    if len(seen) != total:
+        raise AssertionError(f"{many} cover {len(seen)} of {total} {space}")
 
 
 def enumerate_superclasses(n: int, field: FiniteField) -> list[Superclass]:
-    """One superclass per coloured partition, canonical order, cover-checked."""
+    """One superclass per coloured partition, canonical order, walked and
+    cover-checked; each size is the walked state count."""
     out = []
-    seen: set = set()
     for label in enumerate_labels(n, field):
         rep = build_e(label, field)
         states = orbit_states(n, field, rep.dense())
-        if seen & states:
-            raise AssertionError(f"superclass of {label!r} overlaps an earlier one")
-        seen |= states
         out.append(Superclass(label, rep, len(states), tuple(sorted(states))))
-    total = field.order ** len(positions(n))
-    if len(seen) != total:
-        raise AssertionError(
-            f"superclasses cover {len(seen)} of {total} algebra elements"
-        )
+    check_cover(out, field.order ** len(positions(n)))
     return out

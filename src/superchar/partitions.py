@@ -295,6 +295,14 @@ def parse_coloured(
     return ColouredPartition(pi, colours, dual=dual)
 
 
+def closed_size(cp: ColouredPartition, q: int) -> int:
+    """The orbit size of a label over F_q, with no walk: q^r(pi) for a dual
+    orbit, q^|S(pi)| for a superclass."""
+    if cp.dual:
+        return q ** r_of(cp.partition)
+    return q ** len(compute_SR(cp.partition)[0])
+
+
 def build_e(cp: ColouredPartition, field: FiniteField):
     """The verge matrix with colour values at arc positions."""
     from .nilpotent import NilMatrix

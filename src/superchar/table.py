@@ -22,6 +22,15 @@ c_k(a) = lift(Tr(x^k a)).  The transform reads only the BFS dual-orbit
 members and the trace pairing, never a label formula.  build_table's full
 cross-check reads it at each column's representative, and verify_theory's
 superclass-constancy check at every member of every class.
+
+build_table builds both axes from the labels alone: each orbit carries its
+label, the representative build_e(label) and its closed size, q^|S(pi)|
+for a superclass and q^r(pi) for a dual orbit.  Members are walked lazily,
+only when a validator reads them, and a walk that does not find the closed
+size raises AssertionError.  The full cross-check and verify_theory read
+every member of both axes and check that each axis covers A disjointly;
+the spot cross-check walks only the dual orbits of the rows it samples;
+plancherel and the closed table walk nothing.
 """
 
 from __future__ import annotations
@@ -33,11 +42,18 @@ from math import lcm
 from operator import add
 
 from .cyclotomic import Cyclotomic, cyclo_root
-from .dual import DualOrbit, enumerate_dual_orbits
+from .dual import DualOrbit
 from .gf import FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
-from .orbits import Superclass, canonical_form, enumerate_superclasses
-from .partitions import ColouredPartition, compute_SR, count_labels, format_coloured, nest
+from .orbits import Superclass, canonical_form, check_cover, check_space
+from .partitions import (
+    ColouredPartition,
+    compute_SR,
+    count_labels,
+    enumerate_labels,
+    format_coloured,
+    nest,
+)
 
 _FULL_VALIDATION_LIMIT = 1 << 12
 _SPOT_CHECKS = 64
@@ -175,9 +191,21 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     """The full table by the closed formula, cross-checked against the
     orbit average ('full' on every cell, read from the transform at each
     column's representative; 'spot' on 64 seeded cells by sch_bruteforce;
-    'off').  The default picks full when |A| <= 2^12 and spot above."""
-    dual_orbits = enumerate_dual_orbits(n, field)
-    superclasses = enumerate_superclasses(n, field)
+    'off').  The default picks full when |A| <= 2^12 and spot above.
+
+    The axes come from the labels with closed sizes; only the cross-check
+    walks orbits: 'full' every orbit of both kinds, 'spot' the dual orbits
+    of its sampled rows, 'off' none.  |A| above the space cap raises
+    ValueError whatever the mode.
+    """
+    check_space(n, field)
+    dual_orbits = [
+        DualOrbit.from_label(label, field)
+        for label in enumerate_labels(n, field, dual=True)
+    ]
+    superclasses = [
+        Superclass.from_label(label, field) for label in enumerate_labels(n, field)
+    ]
     values = [
         [sch_closed(o.label, k.label, field) for k in superclasses]
         for o in dual_orbits
@@ -259,10 +287,13 @@ def _averaging_route(table: SupercharTable) -> tuple[list, list]:
     of each member of class j whose packed key differs from the
     representative's to {row: histogram} on the row blocks where it
     differs.  Computed once per table, in blocks of rows whose packed
-    counts take at most _ROUTE_BLOCK_BITS bits.
+    counts take at most _ROUTE_BLOCK_BITS bits, after checking that the
+    members of each axis cover A disjointly.
     """
     if table._route is not None:
         return table._route
+    check_cover(table.dual_orbits, table.order)
+    check_cover(table.superclasses, table.order)
     field, p = table.field, table.field.p
     weights = [field.order**k for k in range(len(positions(table.n)))]
     dual_index = _trace_dual_index(field)
@@ -403,17 +434,15 @@ def inner_product(table: SupercharTable, i: int, j: int) -> Cyclotomic:
     return Cyclotomic(p, tuple(Fraction(a - acc[-1], scale) for a in acc[:-1]))
 
 
-def plancherel(table: SupercharTable) -> dict:
-    """The regular-character decomposition: weights |O|/|A| against each
-    supercharacter must reproduce the delta at the identity, exactly.  Each
-    column is summed as integer vectors over its own denominator D and
+def _plancherel_failures(table: SupercharTable, columns) -> list[str]:
+    """Labels of the classes where sum over rows of |O_i| xi_i(K) is not
+    |A| delta_{K,1}.  columns yields, in class order, a denominator D and
+    the column as integer cells over D (_integer_cells); each column sum is
     compared with D |A| delta by cross-multiplication."""
     p = table.field.p
-    weights = [table.weight(i) for i in range(table.size)]
     sizes = [o.size for o in table.dual_orbits]
     failures = []
-    for j, cls in enumerate(table.superclasses):
-        denom, (column,) = _integer_cells([[row[j] for row in table.values]], p)
+    for cls, (denom, column) in zip(table.superclasses, columns):
         acc = [0] * p
         for w, u in zip(sizes, column):
             for e, c in u:
@@ -421,9 +450,25 @@ def plancherel(table: SupercharTable) -> dict:
         identity = not cls.label.arcs()  # the partition with no arcs
         if not _equals_rational(acc, denom * table.order, int(identity)):
             failures.append(format_coloured(cls.label))
+    return failures
+
+
+def plancherel(table: SupercharTable) -> dict:
+    """The regular-character decomposition: weights |O|/|A| against each
+    supercharacter must reproduce the delta at the identity, exactly.  Each
+    column is converted on its own, over its own denominator, so no integer
+    copy of the table is held."""
+    p = table.field.p
+
+    def columns():
+        for j in range(len(table.superclasses)):
+            denom, (column,) = _integer_cells([[row[j] for row in table.values]], p)
+            yield denom, column
+
+    failures = _plancherel_failures(table, columns())
     return {
         "weights": [
-            (format_coloured(o.label), weights[i])
+            (format_coloured(o.label), table.weight(i))
             for i, o in enumerate(table.dual_orbits)
         ],
         "identity_holds": not failures,
@@ -453,11 +498,18 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     sizes.  The table is converted once into integer vectors in
     Z[x]/(x^p - 1) over the lcm D of its denominators; each <xi_i, xi_j>
     is an integer cyclic convolution weighted by |K|, compared with
-    delta_ij / |O_i| by cross-multiplication after folding x^(p-1).
+    delta_ij / |O_i| by cross-multiplication after folding x^(p-1).  Only
+    the entries with i <= j are computed: swapping i and j sends the
+    convolution's x^k to x^-k, which keeps the verdict, and the mirror of a
+    failing (i, j) with i > j comes earlier in row-major order, so the
+    first failure found is the full scan's.  Plancherel reads the same
+    integer table.
 
     The constancy check needs orbit members, so a table read back by
     table_from_json, which carries labels and sizes only, is refused with
-    ValueError.
+    ValueError.  Reading them walks every orbit not walked yet, which
+    checks its closed size, and the transform first checks that each axis
+    covers A disjointly.
     """
     axes = list(table.superclasses) + list(table.dual_orbits)
     if any(axis.members is None for axis in axes):
@@ -504,7 +556,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     scale = denom * denom * table.order
     bad_pair = None
     for i in range(table.size):
-        for j in range(table.size):
+        for j in range(i, table.size):
             expected_ip = (
                 Fraction(1, table.dual_orbits[i].size) if i == j else Fraction(0)
             )
@@ -521,11 +573,14 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
          else f"fails at rows {bad_pair}")
     )
 
-    pl = plancherel(table)
+    failures = _plancherel_failures(
+        table,
+        ((denom, [row[j] for row in rows]) for j in range(len(table.superclasses))),
+    )
     checks.append(
-        ("plancherel-identity", pl["identity_holds"],
-         "sum of |O|/|A| xi(g) = delta_{g,1}" if pl["identity_holds"]
-         else f"fails on classes {pl['failures']}")
+        ("plancherel-identity", not failures,
+         "sum of |O|/|A| xi(g) = delta_{g,1}" if not failures
+         else f"fails on classes {failures}")
     )
 
     bad_conj = None

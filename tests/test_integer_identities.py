@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import superchar.table as table_mod
 from superchar import (
     Cyclotomic,
     SupercharTable,
@@ -22,6 +23,7 @@ from superchar import (
     plancherel,
     verify_theory,
 )
+from superchar.table import _gram_entry
 
 # the table configs the other tests build, plus U_3(F_7)
 CONFIGS = [
@@ -93,3 +95,49 @@ def test_verify_theory_builds_few_cyclotomics(monkeypatch):
     report = verify_theory(t)
     assert all(ok for _, ok, _ in report)
     assert built < 50_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_gram_entry_is_hermitian(p, data):
+    # swapping the rows sends x^k to x^-k: the mirror entry is never computed
+    cell = st.lists(st.tuples(st.integers(0, p - 1), st.integers(-9, 9)),
+                    max_size=3).map(tuple)
+    k = data.draw(st.integers(1, 5))
+    rows = [data.draw(st.lists(cell, min_size=k, max_size=k)) for _ in range(2)]
+    sizes = data.draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    forward = _gram_entry(rows[0], rows[1], sizes, p)
+    backward = _gram_entry(rows[1], rows[0], sizes, p)
+    assert backward == [forward[-e % p] for e in range(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 3, 1), (3, 2, 2), (2, 5, 1), (4, 2, 1)]), st.data())
+def test_half_gram_finds_the_full_scan_failure(config, data):
+    # corrupt cells below the diagonal too, where the full scan would meet
+    # a failing (i, j) with i > j only after its mirror (j, i)
+    base = _table(*config)
+    values = [row[:] for row in base.values]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(1, base.size - 1))
+        j = data.draw(st.integers(0, i))
+        values[i][j] = data.draw(_non_monomial(base.field.p))
+    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert report["orthogonality"] == oracles.orthogonality_check(t)
+
+
+def test_verify_theory_converts_the_table_once(monkeypatch):
+    calls = 0
+    convert = table_mod._integer_cells
+
+    def counting(rows, p):
+        nonlocal calls
+        calls += 1
+        return convert(rows, p)
+
+    monkeypatch.setattr(table_mod, "_integer_cells", counting)
+    t = _table(3, 7, 1)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert calls == 1
+    assert report["plancherel-identity"] == oracles.plancherel_check(t)

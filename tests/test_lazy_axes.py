@@ -1,0 +1,192 @@
+"""Table axes built from labels with closed sizes, members walked lazily.
+
+Oracle: enumerate_superclasses and enumerate_dual_orbits, which walk every
+orbit and check the cover.  The lazy axes of build_table must agree with
+them wherever both can run, a walk must check the closed size it was given,
+and the spot cross-check must walk only the rows it samples.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+
+import superchar.gf as gf_mod
+import superchar.orbits as orbits_mod
+import superchar.partitions as partitions_mod
+import superchar.table as table_mod
+from superchar import (
+    DualOrbit,
+    SupercharTable,
+    build_table,
+    enumerate_dual_orbits,
+    enumerate_superclasses,
+    field_construct,
+    plancherel,
+    verify_theory,
+)
+from superchar import cli
+from superchar.partitions import compute_SR, r_of
+
+# every config with |A| = q^(n(n-1)/2) <= 4096
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                (13, 1), (2, 4)]
+SMALL_CONFIGS = (
+    [(1, 2, 1), (1, 3, 1)]
+    + [(2, p, m) for p, m in SMALL_FIELDS]
+    + [(3, p, m) for p, m in SMALL_FIELDS]
+    + [(4, 2, 1), (4, 3, 1), (4, 2, 2), (5, 2, 1)]
+)
+
+
+def _axis(orbit):
+    return orbit.label, orbit.size, orbit.rep, orbit.members
+
+
+@pytest.mark.parametrize("n,p,m", SMALL_CONFIGS)
+def test_lazy_axes_equal_walked_enumerators(n, p, m):
+    f = field_construct(p, m)
+    t = build_table(n, f, validate="off")
+    assert [_axis(o) for o in t.dual_orbits] == [
+        _axis(o) for o in enumerate_dual_orbits(n, f)
+    ]
+    assert [_axis(k) for k in t.superclasses] == [
+        _axis(k) for k in enumerate_superclasses(n, f)
+    ]
+
+
+@pytest.mark.parametrize("n,p,m", [(3, 7, 1), (4, 3, 1), (5, 2, 1), (5, 3, 1)])
+def test_spot_plancherel_equals_walked(n, p, m):
+    f = field_construct(p, m)
+    spot = build_table(n, f, validate="spot")
+    walked = SupercharTable(
+        n, f, enumerate_dual_orbits(n, f), enumerate_superclasses(n, f), spot.values
+    )
+    assert plancherel(spot) == plancherel(walked)
+
+
+def test_spot_walks_only_sampled_rows(monkeypatch):
+    walks = []
+    sampled = []
+    walk = orbits_mod.orbit_states
+    bruteforce = table_mod.sch_bruteforce
+
+    def counting_walk(n, field, start, dual=False, check=None):
+        walks.append((start, dual))
+        return walk(n, field, start, dual, check)
+
+    def recording_bruteforce(orbit, g):
+        sampled.append(orbit)
+        return bruteforce(orbit, g)
+
+    monkeypatch.setattr(orbits_mod, "orbit_states", counting_walk)
+    monkeypatch.setattr(table_mod, "sch_bruteforce", recording_bruteforce)
+    t = build_table(5, field_construct(3, 1), validate="spot")
+    assert len(sampled) == table_mod._SPOT_CHECKS
+    rows = {id(o): o for o in sampled}.values()
+    assert not [s for s, dual in walks if not dual]  # no superclass walk
+    assert sorted(s for s, _ in walks) == sorted(o.rep.dense() for o in rows)
+    assert len(rows) < t.size
+
+
+def test_given_members_are_kept():
+    t = build_table(3, field_construct(2, 1), validate="off")
+    o = t.dual_orbits[-1]
+    tampered = DualOrbit(o.label, o.rep, 1, (o.members[0],))
+    assert tampered.members == (o.members[0],)
+
+
+# -- a wrong closed size is caught wherever an orbit is walked ---------------
+
+
+def _bump_r(monkeypatch):
+    """r_of one too large on partitions with two or more arcs."""
+    wrong = lambda pi: r_of(pi) + (len(pi.arcs()) >= 2)  # noqa: E731
+    monkeypatch.setattr(partitions_mod, "r_of", wrong)
+    return wrong
+
+
+def _bump_s(monkeypatch):
+    """|S(pi)| one too large on partitions with exactly one arc."""
+
+    def wrong(pi):
+        s, reach = compute_SR(pi)
+        return (s | {(0, 0)}, reach) if len(pi.arcs()) == 1 else (s, reach)
+
+    monkeypatch.setattr(partitions_mod, "compute_SR", wrong)
+
+
+@pytest.mark.parametrize("mutate,axis", [(_bump_r, "dual_orbits"),
+                                         (_bump_s, "superclasses")])
+def test_wrong_closed_size_raises_when_walked(monkeypatch, mutate, axis):
+    f = field_construct(3, 1)
+    mutate(monkeypatch)
+    t = build_table(4, f, validate="off")  # nothing walked, nothing checked
+    affected = [o for o in getattr(t, axis) if len(o.label.arcs()) == (
+        1 if axis == "superclasses" else 2)]
+    unaffected = [o for o in getattr(t, axis) if not o.label.arcs()]
+    assert affected and unaffected
+    with pytest.raises(AssertionError, match="walk found"):
+        affected[0].members
+    assert len(unaffected[0].members) == 1
+    with pytest.raises(AssertionError, match="walk found"):
+        verify_theory(build_table(4, f, validate="off"))
+    with pytest.raises(AssertionError, match="walk found"):
+        build_table(4, f, validate="full")
+
+
+def test_wrong_r_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
+    _bump_r(monkeypatch)
+    with pytest.raises(AssertionError, match="walk found"):
+        build_table(5, field_construct(3, 1), validate="spot")
+    assert cli.main(["plancherel", "--n", "5", "--p", "3"]) == 1
+    assert "walk found" in capsys.readouterr().err
+
+
+def test_orbits_dual_reports_the_walked_size(monkeypatch):
+    # with r_of wrong everywhere, a closed size would match its prediction
+    wrong = _bump_r(monkeypatch)
+    monkeypatch.setattr(cli, "r_of", wrong)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["orbits", "--n", "4", "--p", "3", "--dual"]) == 0
+    rows = json.loads(buf.getvalue())["orbits"]
+    walked = [o.size for o in enumerate_dual_orbits(4, field_construct(3, 1))]
+    assert [r["size"] for r in rows] == walked
+    arcs = [sum(len(b) - 1 for b in r["label"]["blocks"]) for r in rows]
+    assert [not r["prediction_matches"] for r in rows] == [a >= 2 for a in arcs]
+    assert any(a >= 2 for a in arcs)
+
+
+def test_build_table_keeps_the_space_cap(monkeypatch):
+    # no walk runs with validate="off", yet the cap still refuses the table
+    monkeypatch.delenv("SUPERCHAR_CAP", raising=False)
+    monkeypatch.setattr(gf_mod, "_SPACE_CAP", 64)
+    assert build_table(4, field_construct(2, 1), validate="off").order == 64
+    with pytest.raises(ValueError, match="space cap"):
+        build_table(3, field_construct(5, 1), validate="off")
+
+
+@pytest.mark.parametrize("axis,one,space", [
+    ("dual_orbits", "dual orbit", "characters"),
+    ("superclasses", "superclass", "algebra elements"),
+])
+def test_verify_checks_the_cover(axis, one, space):
+    f = field_construct(3, 1)
+    t = build_table(3, f, validate="off")
+    orbits = list(getattr(t, axis))
+    first, last = orbits[0], orbits[-1]
+    kind = type(first)
+
+    def table_with(changed):
+        axes = {"dual_orbits": t.dual_orbits, "superclasses": t.superclasses, axis: changed}
+        return SupercharTable(3, f, axes["dual_orbits"], axes["superclasses"], t.values)
+
+    shared = tuple(sorted(first.members + last.members[:1]))
+    overlapping = [kind(first.label, first.rep, 2, shared)] + orbits[1:]
+    with pytest.raises(AssertionError, match=f"{one} of .* overlaps an earlier one"):
+        verify_theory(table_with(overlapping))
+    short = orbits[:-1] + [kind(last.label, last.rep, last.size - 1, last.members[1:])]
+    with pytest.raises(AssertionError, match=f"cover 26 of 27 {space}"):
+        verify_theory(table_with(short))

@@ -21,6 +21,8 @@ from superchar import (
     RouteDisagreement,
     SupercharTable,
     build_table,
+    enumerate_dual_orbits,
+    enumerate_superclasses,
     field_construct,
     sch_bruteforce,
     verify_theory,
@@ -174,7 +176,7 @@ def test_full_cross_check_reports_the_average(monkeypatch):
     with pytest.raises(RouteDisagreement) as info:
         build_table(3, f, validate="full")
     err = info.value
-    orbit = next(o for o in table_mod.enumerate_dual_orbits(3, f) if o.label == err.row_label)
-    cls = next(k for k in table_mod.enumerate_superclasses(3, f) if k.label == err.col_label)
+    orbit = next(o for o in enumerate_dual_orbits(3, f) if o.label == err.row_label)
+    cls = next(k for k in enumerate_superclasses(3, f) if k.label == err.col_label)
     assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
     assert err.closed != err.brute
