@@ -26,7 +26,6 @@ from .gf import (
     field_cap,
     field_construct,
     field_embed,
-    field_enumerate,
     field_trace,
     space_cap,
     trace_lift,
@@ -34,9 +33,6 @@ from .gf import (
 from .nilpotent import (
     GroupElement,
     NilMatrix,
-    PatternAlgebra,
-    elementary_generators,
-    enumerate_algebra,
     format_matrix,
     group_inv,
     group_mul,

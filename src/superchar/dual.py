@@ -22,7 +22,7 @@ from .nilpotent import GroupElement, NilMatrix, group_inv, positions
 from .orbits import (
     _add_into,
     _images,
-    _index_arith,
+    _move_rows,
     _Orbit,
     _verge_label,
     check_cover,
@@ -88,13 +88,13 @@ def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
     b = NilMatrix.from_dense(n, field, state)
     one = GroupElement.identity(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
-    add, rows = _index_arith(field)
+    rows = _move_rows(field)
     for i, left, pairs, sign in programs:
         for k, row in enumerate(rows[sign]):
             alpha = field.element_by_index(field.p**k)
             g = GroupElement(NilMatrix.single(n, field, i, i + 1, alpha))
             moved = dual_act(g, one, b) if left else dual_act(one, g, b)
-            fast = _images(state, [(pairs, [row])], add) or [state]
+            fast = _images(state, [(pairs, [row])], field) or [state]
             if fast[0] != moved.dense():
                 raise AssertionError(
                     f"compiled dual move ({i},{i + 1}) alpha={alpha} disagrees "

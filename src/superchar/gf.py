@@ -8,6 +8,25 @@ enumeration index k has the base-p digits of k as coefficients, constant
 term first.  Subfield embeddings send the generator to the
 enumeration-smallest root of the subfield modulus and are fixed once per
 (subfield, superfield) pair, never composed through intermediate fields.
+
+All arithmetic runs on enumeration indices through three O(q) tables over
+a primitive element g, the enumeration-smallest generator of the
+multiplicative group, chosen apart from the modulus: x need not be
+primitive (it is not modulo x^2 + 1 over GF(3), nor modulo
+x^8 + x^7 + x^5 + x^4 + 1, the GF(256) modulus).  With n = q - 1:
+
+- exp[k] is the index of g^(k mod n) for 0 <= k < 2n, and 0 for
+  2n <= k < 3n;
+- log[i] is the k < n with g^k = element i, and log[0] = 2n, so a sum of
+  logs with one log of zero lands on 0 through exp;
+- zech[k] = log(1 + g^k) for 0 <= k < n (2n where 1 + g^k = 0), read at
+  negative k as Python does, at k + n.
+
+So a*b is exp[log a + log b], and a + b for nonzero a, b is
+exp[log a + zech[log b - log a]] (Zech logarithms; Lidl and Niederreiter,
+Finite Fields, ch. 2 and sec. 9).  No structure is O(q^2); polynomial
+products serve only the irreducibility test and the walk that builds the
+tables.
 """
 
 from __future__ import annotations
@@ -15,10 +34,10 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
+from operator import mul
 
 _FIELD_CAP = 1 << 16
 _SPACE_CAP = 1 << 20
-_TABLE_LIMIT = 256  # full operation tables are precomputed up to this order
 
 
 def field_cap() -> int:
@@ -63,26 +82,23 @@ def _poly_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+            for k, bj in enumerate(b, i):
+                out[k] += ai * bj
+    return _poly_trim([c % p for c in out])
 
 
 def _poly_mod(a, b, p):
     # b must be nonzero; leading coefficient inverted mod p
     a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv_lead = pow(lead, p - 2, p)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        factor = (a[-1] * inv_lead) % p
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-        a.pop()
-    return _poly_trim(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    for top in range(len(a) - 1, db - 1, -1):
+        factor = (a[top] * inv_lead) % p
+        if factor:
+            shift = top - db
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * bi) % p
+    return _poly_trim(a[:db])
 
 
 def _is_irreducible(poly, p):
@@ -104,6 +120,66 @@ def _smallest_irreducible(p, m):
         if _is_irreducible(poly, p):
             return poly
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")
+
+
+# -- log, antilog and Zech tables ---------------------------------------------
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _poly_pow(a, e: int, modulus, p):
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _poly_mod(_poly_mul(result, a, p), modulus, p)
+        a = _poly_mod(_poly_mul(a, a, p), modulus, p)
+        e >>= 1
+    return result
+
+
+def _primitive_element(p: int, m: int, modulus) -> tuple[int, ...]:
+    """The enumeration-smallest generator of the multiplicative group: g
+    is primitive iff g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    n = p**m - 1
+    primes = _prime_factors(n)
+    for k in range(1, n + 1):
+        g = _poly_trim([k // p**i % p for i in range(m)])
+        if all(_poly_pow(g, n // r, modulus, p) != (1,) for r in primes):
+            return g
+    raise AssertionError(f"GF({p}^{m}) has no primitive element")
+
+
+def _log_tables(p: int, m: int, modulus) -> tuple[list, list, list]:
+    """exp, log and zech over enumeration indices; see the module docstring.
+
+    One walk of the powers of g: q - 1 polynomial products.  Adding 1 to
+    an index steps only its constant base-p digit, so zech is read off the
+    walk with no addition table.
+    """
+    n = p**m - 1
+    g = _primitive_element(p, m, modulus)
+    weights = [p**i for i in range(m)]
+    powers = []
+    power = (1,)
+    for _ in range(n):
+        powers.append(sum(map(mul, power, weights)))
+        power = _poly_mod(_poly_mul(power, g, p), modulus, p)
+    log = [2 * n] * (n + 1)
+    for k, x in enumerate(powers):
+        log[x] = k
+    zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in powers]
+    return powers + powers + [0] * n, log, zech
 
 
 # -- field and element types ------------------------------------------------
@@ -141,30 +217,26 @@ class FieldElement:
         f = self.field
         if other.field is not f and other.field != f:
             raise ValueError("mixed fields")
-        if f._add is not None:
-            return f._elts[f._add[self.index][other.index]]
-        coeffs = tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs))
-        return f._element(coeffs)
+        a, b = self.index, other.index
+        if not (a and b):
+            return f._elts[a or b]
+        la = f.log[a]
+        return f._elts[f.exp[la + f.zech[f.log[b] - la]]]
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        if f._neg is not None:
-            return f._elts[f._neg[self.index]]
-        coeffs = tuple((-a) % f.p for a in self.coeffs)
-        return f._element(coeffs)
+        f = self.field  # index p - 1 is the constant -1
+        return f._elts[f.exp[f.log[self.index] + f.log[f.p - 1]]]
 
     def __mul__(self, other):
         f = self.field
         if other.field is not f and other.field != f:
             raise ValueError("mixed fields")
-        if f._mul is not None:
-            return f._elts[f._mul[self.index][other.index]]
-        prod = _poly_mul(self.coeffs, other.coeffs, f.p)
-        red = _poly_mod(prod, f.modulus, f.p)
-        return f._element(red + (0,) * (f.m - len(red)))
+        if not (self.index and other.index):
+            return f._elts[0]
+        return f._elts[f.exp[f.log[self.index] + f.log[other.index]]]
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -173,9 +245,7 @@ class FieldElement:
         if self.index == 0:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        if f._inv is not None:
-            return f._elts[f._inv[self.index]]
-        return self ** (f.order - 2)
+        return f._elts[f.exp[f.order - 1 - f.log[self.index]]]
 
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
@@ -183,15 +253,7 @@ class FieldElement:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return f.one if e == 0 else self
-        e %= f.order - 1
-        result = f.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return f._elts[f.exp[f.log[self.index] * e % (f.order - 1)]]
 
     def lift(self) -> int:
         """Integer lift, defined for prime-field elements only."""
@@ -221,28 +283,20 @@ class FiniteField:
         self.m = m
         self.order = order
         self.modulus = _smallest_irreducible(p, m)
-        self._elts: list[FieldElement] | None = None
-        self._add = self._mul = self._neg = self._inv = None
-        self._trace_lift: dict[int, int] = {}
-        if order <= _TABLE_LIMIT:
-            self._build_tables()
+        self._elts = [
+            FieldElement(self, digits[::-1], k)
+            for k, digits in enumerate(itertools.product(range(p), repeat=m))
+        ]
+        self.exp, self.log, self.zech = _log_tables(p, m, self.modulus)
+        self._trace_lifts: list[int] | None = None
 
     # elements
-
-    def _coeffs_of_index(self, k: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(k % self.p)
-            k //= self.p
-        return tuple(out)
 
     def _element(self, coeffs: tuple[int, ...]) -> FieldElement:
         index = 0
         for c in reversed(coeffs):
             index = index * self.p + c
-        if self._elts is not None:
-            return self._elts[index]
-        return FieldElement(self, coeffs, index)
+        return self._elts[index]
 
     def element(self, coeffs) -> FieldElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -255,77 +309,30 @@ class FiniteField:
     def element_by_index(self, k: int) -> FieldElement:
         if not 0 <= k < self.order:
             raise ValueError(f"index {k} out of range for GF({self.order})")
-        if self._elts is not None:
-            return self._elts[k]
-        return FieldElement(self, self._coeffs_of_index(k), k)
+        return self._elts[k]
 
     def from_int(self, c: int) -> FieldElement:
-        return self.element((c % self.p,))
+        return self._elts[c % self.p]
 
     @property
     def zero(self) -> FieldElement:
-        return self.element_by_index(0)
+        return self._elts[0]
 
     @property
     def one(self) -> FieldElement:
-        return self.element_by_index(1)
+        return self._elts[1]
 
     @property
     def gen(self) -> FieldElement:
         """The residue class of x (zero when m == 1, where the modulus is x)."""
-        return self.element_by_index(self.p % self.order)
+        return self._elts[self.p % self.order]
 
     @property
     def elements(self) -> list[FieldElement]:
-        if self._elts is None:
-            self._elts = [
-                FieldElement(self, self._coeffs_of_index(k), k)
-                for k in range(self.order)
-            ]
         return self._elts
 
-    def _build_tables(self):
-        elts = self.elements
-        p, n = self.p, self.order
-        add = []
-        for a in elts:
-            row = []
-            ca = a.coeffs
-            for b in elts:
-                coeffs = tuple((x + y) % p for x, y in zip(ca, b.coeffs))
-                idx = 0
-                for c in reversed(coeffs):
-                    idx = idx * p + c
-                row.append(idx)
-            add.append(row)
-        mul = []
-        for a in elts:
-            row = []
-            for b in elts:
-                prod = _poly_mul(a.coeffs, b.coeffs, p)
-                red = _poly_mod(prod, self.modulus, p)
-                idx = 0
-                for c in reversed(red + (0,) * (self.m - len(red))):
-                    idx = idx * p + c
-                row.append(idx)
-            mul.append(row)
-        neg = [0] * n
-        for a in elts:
-            coeffs = tuple((-c) % p for c in a.coeffs)
-            idx = 0
-            for c in reversed(coeffs):
-                idx = idx * p + c
-            neg[a.index] = idx
-        inv = [0] * n
-        for i in range(1, n):
-            for j in range(1, n):
-                if mul[i][j] == 1:
-                    inv[i] = j
-                    break
-        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
-
     def nonzero(self) -> list[FieldElement]:
-        return self.elements[1:]
+        return self._elts[1:]
 
     # serialization
 
@@ -356,11 +363,6 @@ class FiniteField:
 @lru_cache(maxsize=None)
 def field_construct(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
-
-
-def field_enumerate(field: FiniteField) -> list[FieldElement]:
-    """All elements, zero first, in index order."""
-    return list(field.elements)
 
 
 # -- embeddings and traces ---------------------------------------------------
@@ -446,11 +448,23 @@ def field_trace(x: FieldElement, target_degree: int = 1) -> FieldElement:
     return field_embed(sub, field).preimage(acc)
 
 
+def trace_lifts(field: FiniteField) -> list[int]:
+    """lift(Tr(x)) for every element in index order, built on first use.
+
+    The absolute trace is F_p-linear, so the list is read off the traces
+    of the basis 1, x, ..., x^(m-1): index c_0 + c_1 p + ... takes
+    sum c_d lift(Tr(x^d)) mod p.
+    """
+    if field._trace_lifts is None:
+        p = field.p
+        lifts = [0]
+        for d in range(field.m):
+            t = field_trace(field._elts[p**d], 1).lift()
+            lifts = [(s + c * t) % p for c in range(p) for s in lifts]
+        field._trace_lifts = lifts
+    return field._trace_lifts
+
+
 def trace_lift(x: FieldElement) -> int:
-    """Integer lift of the absolute trace; cached per field."""
-    cache = x.field._trace_lift
-    t = cache.get(x.index)
-    if t is None:
-        t = field_trace(x, 1).lift()
-        cache[x.index] = t
-    return t
+    """Integer lift of the absolute trace, read from trace_lifts."""
+    return trace_lifts(x.field)[x.index]

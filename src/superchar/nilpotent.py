@@ -8,10 +8,9 @@ orbit bookkeeping bit-exact.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField, space_cap
+from .gf import FieldElement, FiniteField
 
 
 @lru_cache(maxsize=None)
@@ -252,63 +251,3 @@ def group_inv(x: GroupElement) -> GroupElement:
             return GroupElement(acc)
         acc = acc + power if sign > 0 else acc - power
         sign = -sign
-
-
-def elementary_generators(n: int, field: FiniteField) -> list[GroupElement]:
-    """All 1 + alpha*e_ij in (i, j, enumeration-index) order."""
-    gens = []
-    for (i, j) in positions(n):
-        for alpha in field.nonzero():
-            gens.append(GroupElement(NilMatrix.single(n, field, i, j, alpha)))
-    return gens
-
-
-def enumerate_algebra(n: int, field: FiniteField):
-    """All of A = u_n in dense-tuple lexicographic order (zero first)."""
-    count = len(positions(n))
-    if field.order**count > space_cap():
-        raise ValueError(
-            f"|A| = {field.order}^{count} exceeds the space cap {space_cap()}"
-        )
-    for indices in itertools.product(range(field.order), repeat=count):
-        yield NilMatrix.from_dense(n, field, indices)
-
-
-class PatternAlgebra:
-    """A subalgebra of u_n spanned by e_ij over a multiplicatively closed
-    position set.  Closure is checked exhaustively at construction."""
-
-    def __init__(self, n: int, field: FiniteField, pattern):
-        pattern = frozenset(pattern)
-        for (i, j) in pattern:
-            if not 1 <= i < j <= n:
-                raise ValueError(f"pattern position {(i, j)} not strictly upper")
-        for (i, j) in pattern:
-            for (k, l) in pattern:
-                if k == j and (i, l) not in pattern:
-                    raise ValueError(
-                        f"pattern not closed: ({i},{j})*({j},{l}) leaves it"
-                    )
-        self.n = n
-        self.field = field
-        self.pattern = pattern
-
-    def contains(self, a: NilMatrix) -> bool:
-        return set(a.entries) <= self.pattern
-
-    def generators(self) -> list[GroupElement]:
-        gens = []
-        for (i, j) in sorted(self.pattern):
-            for alpha in self.field.nonzero():
-                gens.append(
-                    GroupElement(NilMatrix.single(self.n, self.field, i, j, alpha))
-                )
-        return gens
-
-    def elements(self):
-        """All matrices supported on the pattern, deterministic order."""
-        pats = sorted(self.pattern)
-        if self.field.order ** len(pats) > space_cap():
-            raise ValueError("pattern space exceeds the space cap")
-        for combo in itertools.product(self.field.elements, repeat=len(pats)):
-            yield NilMatrix(self.n, self.field, dict(zip(pats, combo)))

@@ -5,9 +5,9 @@ One BFS engine, orbit_states, walks both the superclasses here and the dual
 orbits of superchar.dual.  A state is the dense tuple of field enumeration
 indices over positions(n), row-major.  Each generator of the engine is a
 move program compiled once per (n, dual): (dst_rank, src_rank) pairs plus a
-sign, applied as dst += sign * alpha * src through index tables of the
-field.  Every move keeps a strictly upper matrix strictly upper, so no
-projection is ever needed.
+sign, applied as dst += sign * alpha * src by Zech addition on the log
+tables of superchar.gf.  Every move keeps a strictly upper matrix strictly
+upper, so no projection is ever needed.
 
 An orbit object (Superclass here, DualOrbit in superchar.dual) carries its
 label, representative and size; its members are walked only on first read
@@ -74,21 +74,23 @@ def _move_programs(n: int, dual: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _index_arith(field: FiniteField) -> tuple[list, dict]:
-    """add[a][b] on enumeration indices, and per sign the rows
-    v -> sign*alpha*v for alpha over the F_p-basis 1, x, ..., x^(m-1)."""
-    elts = field.elements
-    basis = [elts[field.p**k] for k in range(field.m)]
+def _move_rows(field: FiniteField) -> dict:
+    """Per sign, the rows v -> log(sign*alpha*v) over enumeration indices
+    v, for alpha over the F_p-basis 1, x, ..., x^(m-1)."""
+    exp, log = field.exp, field.log
+    basis = [field.element_by_index(field.p**k) for k in range(field.m)]
     scalars = {1: basis, -1: [-alpha for alpha in basis]}
-    rows = {s: [[(c * x).index for x in elts] for c in cs] for s, cs in scalars.items()}
-    if field._add is not None:
-        return field._add, rows
-    return [[(x + y).index for y in elts] for x in elts], rows
+    return {
+        sign: [[log[exp[lv + log[c.index]]] for lv in log] for c in cs]
+        for sign, cs in scalars.items()
+    }
 
 
-def _images(state: tuple, moves, add) -> list[tuple]:
+def _images(state: tuple, moves, field: FiniteField) -> list[tuple]:
     """Images of one state under every move whose source entries are not
-    all zero; a move with an all-zero source fixes the state."""
+    all zero; a move with an all-zero source fixes the state.  Each entry
+    update dst += sign*alpha*src is one Zech addition on logs."""
+    exp, log, zech = field.exp, field.log, field.zech
     out = []
     for pairs, rows in moves:
         live = [(d, state[r]) for d, r in pairs if state[r]]
@@ -96,7 +98,12 @@ def _images(state: tuple, moves, add) -> list[tuple]:
             for row in rows:
                 img = list(state)
                 for d, v in live:
-                    img[d] = add[img[d]][row[v]]
+                    a = img[d]
+                    if a:
+                        la = log[a]
+                        img[d] = exp[la + zech[row[v] - la]]
+                    else:
+                        img[d] = exp[row[v]]
                 out.append(tuple(img))
     return out
 
@@ -131,9 +138,8 @@ def orbit_states(
     visited = {start}
     programs = _move_programs(n, dual)
     moves = [(pairs, sign) for _, _, pairs, sign in programs if pairs]
-    add = None  # no move, no arithmetic: n = 2 needs no tables at any q
-    if moves:
-        add, rows = _index_arith(field)
+    if moves:  # n <= 2 has no move and needs no rows
+        rows = _move_rows(field)
         moves = [(pairs, rows[sign]) for pairs, sign in moves]
     frontier = [start]
     while frontier:
@@ -141,7 +147,7 @@ def orbit_states(
         for state in frontier:
             if check is not None:
                 check(state, programs)
-            for t in _images(state, moves, add):
+            for t in _images(state, moves, field):
                 if t not in visited:
                     visited.add(t)
                     new.append(t)
@@ -245,10 +251,6 @@ class _Orbit:
                 )
             self._members = tuple(sorted(states))
         return self._members
-
-    def member_matrices(self):
-        for state in self.members:
-            yield NilMatrix.from_dense(self.rep.n, self.rep.field, state)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label!r}, size={self.size})"

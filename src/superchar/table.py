@@ -43,7 +43,7 @@ from operator import add
 
 from .cyclotomic import Cyclotomic, cyclo_root
 from .dual import DualOrbit
-from .gf import FiniteField, trace_lift
+from .gf import FiniteField, trace_lift, trace_lifts
 from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
 from .orbits import Superclass, canonical_form, check_cover, check_space
 from .partitions import (
@@ -75,11 +75,6 @@ class RouteDisagreement(AssertionError):
         )
 
 
-@lru_cache(maxsize=None)
-def _trace_lift_list(field: FiniteField) -> list[int]:
-    return [trace_lift(x) for x in field.elements]
-
-
 def _hist_to_cyclo(p: int, hist: list[int], denom: int) -> Cyclotomic:
     coeffs = [Fraction(h, denom) for h in hist[: p - 1]]
     top = hist[p - 1]
@@ -89,31 +84,20 @@ def _hist_to_cyclo(p: int, hist: list[int], denom: int) -> Cyclotomic:
 
 
 def _pairing_hist(members, a: NilMatrix) -> list[int]:
-    """Histogram of zeta exponents of <b, a> over the member states."""
+    """Histogram of zeta exponents of <b, a> over the member states.  A
+    zero entry of b has log 2(q-1), which exp sends to index 0."""
     field = a.field
     p = field.p
+    exp, log = field.exp, field.log
     rank = position_rank(a.n)
-    compiled = [(rank[pos], v.index) for pos, v in a.entries.items()]
-    trl = _trace_lift_list(field)
+    compiled = [(rank[pos], log[v.index]) for pos, v in a.entries.items()]
+    trl = trace_lifts(field)
     hist = [0] * p
-    mul = field._mul
-    if mul is not None:
-        for state in members:
-            t = 0
-            for k, aidx in compiled:
-                bidx = state[k]
-                if bidx:
-                    t += trl[mul[bidx][aidx]]
-            hist[t % p] += 1
-    else:
-        elts = field.elements
-        for state in members:
-            t = 0
-            for k, aidx in compiled:
-                bidx = state[k]
-                if bidx:
-                    t += trl[(elts[bidx] * elts[aidx]).index]
-            hist[t % p] += 1
+    for state in members:
+        t = 0
+        for k, la in compiled:
+            t += trl[exp[log[state[k]] + la]]
+        hist[t % p] += 1
     return hist
 
 
@@ -247,7 +231,7 @@ def _trace_dual_index(field: FiniteField) -> list[int]:
     trace-dual coordinates lift(Tr(x^d e_k)), d < m: the pairing
     lift(Tr(b e_k)) is the dot product of these with b's digits, mod p."""
     elts = field.elements
-    trl = _trace_lift_list(field)
+    trl = trace_lifts(field)
     basis = [elts[field.p**d] for d in range(field.m)]
     return [
         sum(trl[(x * e).index] * field.p**d for d, x in enumerate(basis))
@@ -476,6 +460,18 @@ def plancherel(table: SupercharTable) -> dict:
     }
 
 
+def _is_conjugate(cell: tuple, other: tuple, p: int) -> bool:
+    """Whether the integer cell is the complex conjugate of other, both
+    from one _integer_cells call: conjugation sends x^e to x^-e, and
+    cell(x) - other(x^-1) must have all p coordinates equal."""
+    v = [0] * p
+    for e, c in cell:
+        v[e] += c
+    for e, c in other:
+        v[-e % p] -= c
+    return v.count(v[0]) == len(v)
+
+
 def _inverse_column(table: SupercharTable, j: int) -> int:
     """Index of the superclass holding the group inverses of column j."""
     inv_body = group_inv(GroupElement(table.superclasses[j].rep)).body
@@ -503,7 +499,9 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     convolution's x^k to x^-k, which keeps the verdict, and the mirror of a
     failing (i, j) with i > j comes earlier in row-major order, so the
     first failure found is the full scan's.  Plancherel reads the same
-    integer table.
+    integer table, and so does conjugate symmetry, on which conjugation is
+    x^k -> x^-k; it finds each inverse column by canonical_form of the
+    representative's group inverse, not from the label.
 
     The constancy check needs orbit members, so a table read back by
     table_from_json, which carries labels and sizes only, is refused with
@@ -587,7 +585,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     for j in range(table.size):
         jinv = _inverse_column(table, j)
         for i in range(table.size):
-            if table.values[i][jinv] != table.values[i][j].conjugate():
+            if not _is_conjugate(rows[i][jinv], rows[i][j], field.p):
                 bad_conj = (i, j)
                 break
         if bad_conj:

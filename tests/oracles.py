@@ -1,19 +1,21 @@
 """Slow reference implementations, kept so tests can compare exactly.
 
-superchar.table checks orthogonality and super-Plancherel on integer
-vectors; the direct Cyclotomic loops those kernels replaced come first,
-then the member-by-member superclass-constancy scan that the additive
-Fourier transform replaced.  The sparse dict BFS that
+superchar.table checks orthogonality, super-Plancherel and conjugate
+symmetry on integer vectors; the direct Cyclotomic loops those kernels
+replaced come first, then the member-by-member superclass-constancy scan
+that the additive Fourier transform replaced.  The sparse dict BFS that
 superchar.orbits.orbit_states replaced follows, then the orbit scan that
-canonical_form and dual_canonical replaced.
+canonical_form and dual_canonical replaced, then the per-operation
+polynomial arithmetic that the log, antilog and Zech tables of
+superchar.gf replaced, and last the elementary generators of U_n.
 """
 
 from fractions import Fraction
 
-from superchar import Cyclotomic, NilMatrix, format_coloured
+from superchar import Cyclotomic, GroupElement, NilMatrix, format_coloured
 from superchar.nilpotent import positions
 from superchar.orbits import _add_into, _to_state, _verge_arcs
-from superchar.table import _hist_to_cyclo, _pairing_hist
+from superchar.table import _hist_to_cyclo, _inverse_column, _pairing_hist
 
 
 def inner_product(table, i, j):
@@ -80,6 +82,25 @@ def plancherel_check(table):
         "plancherel-identity", pl["identity_holds"],
         "sum of |O|/|A| xi(g) = delta_{g,1}" if pl["identity_holds"]
         else f"fails on classes {pl['failures']}",
+    )
+
+
+def conjugate_symmetry_check(table):
+    """The conjugate-symmetry triple of verify_theory, by Cyclotomic
+    conjugation and equality, cell by cell."""
+    bad = None
+    for j in range(table.size):
+        jinv = _inverse_column(table, j)
+        for i in range(table.size):
+            if table.values[i][jinv] != table.values[i][j].conjugate():
+                bad = (i, j)
+                break
+        if bad:
+            break
+    return (
+        "conjugate-symmetry", bad is None,
+        "xi(g^-1) = conj(xi(g))" if bad is None
+        else f"fails at row {bad[0]}, column {bad[1]}",
     )
 
 
@@ -211,3 +232,58 @@ def verge_state(n, states):
             found = state
     assert found is not None, "orbit holds no verge matrix"
     return found
+
+
+# -- polynomial field arithmetic ------------------------------------------------
+#
+# superchar.gf computes on enumeration indices through exp, log and Zech
+# tables.  The functions below compute one operation at a time on
+# coefficient vectors (constant term first), reducing products modulo the
+# field's monic modulus.
+
+
+def field_add(field, a, b):
+    return tuple((x + y) % field.p for x, y in zip(a, b))
+
+
+def field_neg(field, a):
+    return tuple(-x % field.p for x in a)
+
+
+def field_mul(field, a, b):
+    p, m, modulus = field.p, field.m, field.modulus
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top] % p
+        if c:
+            for k, f in enumerate(modulus):
+                prod[top - m + k] -= c * f
+    return tuple(c % p for c in prod[:m])
+
+
+def field_inv(field, a):
+    """a^(q-2), by square and multiply."""
+    result = (1,) + (0,) * (field.m - 1)
+    e = field.order - 2
+    while e:
+        if e & 1:
+            result = field_mul(field, result, a)
+        a = field_mul(field, a, a)
+        e >>= 1
+    return result
+
+
+# -- elementary generators -------------------------------------------------------
+
+
+def elementary_generators(n, field):
+    """Every 1 + alpha*e_ij, in (i, j, enumeration index of alpha) order."""
+    return [
+        GroupElement(NilMatrix.single(n, field, i, j, alpha))
+        for (i, j) in positions(n)
+        for alpha in field.nonzero()
+    ]

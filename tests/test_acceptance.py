@@ -38,7 +38,8 @@ from superchar import (
     fsc_diagnostic,
     plancherel_profile,
 )
-from superchar.nilpotent import elementary_generators, positions
+from oracles import elementary_generators
+from superchar.nilpotent import positions
 
 CONFIGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 

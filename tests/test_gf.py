@@ -1,8 +1,9 @@
-"""Field construction, enumeration order, trace, embeddings.
+"""Field construction, enumeration order, arithmetic, trace, embeddings.
 
-Oracle: the canonical modulus is recomputed here by brute force, with
+Oracles: the canonical modulus is recomputed here by brute force, with
 irreducibility decided by exhaustive factor products rather than the
-library's trial division.
+library's trial division; the arithmetic on exp, log and Zech tables is
+compared with per-operation polynomial arithmetic in tests/oracles.py.
 """
 
 import itertools
@@ -10,6 +11,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from superchar import gf
 from superchar import (
     FieldElement,
     FiniteField,
@@ -17,7 +20,6 @@ from superchar import (
     field_cap,
     field_construct,
     field_embed,
-    field_enumerate,
     field_trace,
     space_cap,
     trace_lift,
@@ -131,7 +133,7 @@ def test_enumeration_is_base_p_low_digit_first():
     f4 = field_construct(2, 2)
     assert [e.coeffs for e in f4.elements] == [(0, 0), (1, 0), (0, 1), (1, 1)]
     f9 = field_construct(3, 2)
-    assert [e.coeffs for e in field_enumerate(f9)][:4] == [
+    assert [e.coeffs for e in f9.elements][:4] == [
         (0, 0), (1, 0), (2, 0), (0, 1)]
     for f in (f4, f9):
         for i, e in enumerate(f.elements):
@@ -193,6 +195,85 @@ def test_cross_field_operations_rejected():
         f2.one + f3.one
 
 
+# ------------------------------------------------- tables against oracle
+
+# every non-prime field of order <= 256, and the prime fields up to 31
+EXHAUSTIVE_FIELDS = (
+    [(2, m) for m in range(2, 9)] + [(3, m) for m in range(2, 6)]
+    + [(5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+    + [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+)
+
+
+@pytest.mark.parametrize("p,m", EXHAUSTIVE_FIELDS)
+def test_arithmetic_matches_polynomial_oracle(p, m):
+    f = field_construct(p, m)
+    elts = f.elements
+    index = {x.coeffs: x.index for x in elts}
+    # the oracle product table; x / y is checked through (x / y) * y = x
+    prod = [[index[oracles.field_mul(f, x.coeffs, y.coeffs)] for y in elts]
+            for x in elts]
+    for x in elts:
+        assert (-x).coeffs == oracles.field_neg(f, x.coeffs)
+        if x:
+            assert x.inverse().coeffs == oracles.field_inv(f, x.coeffs)
+        for y in elts:
+            assert (x + y).coeffs == oracles.field_add(f, x.coeffs, y.coeffs)
+            assert (x - y).coeffs == oracles.field_add(
+                f, x.coeffs, oracles.field_neg(f, y.coeffs))
+            assert (x * y).index == prod[x.index][y.index]
+            if y:
+                assert prod[(x / y).index][y.index] == x.index
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(257, 1), (3, 10), (2, 16)]), st.data())
+def test_large_field_arithmetic_matches_polynomial_oracle(config, data):
+    f = field_construct(*config)
+    idx = st.integers(min_value=0, max_value=f.order - 1)
+    x = f.element_by_index(data.draw(idx))
+    y = f.element_by_index(data.draw(idx))
+    assert (x + y).coeffs == oracles.field_add(f, x.coeffs, y.coeffs)
+    assert (-x).coeffs == oracles.field_neg(f, x.coeffs)
+    assert (x - y).coeffs == oracles.field_add(
+        f, x.coeffs, oracles.field_neg(f, y.coeffs))
+    assert (x * y).coeffs == oracles.field_mul(f, x.coeffs, y.coeffs)
+    if y:
+        inv = oracles.field_inv(f, y.coeffs)
+        assert y.inverse().coeffs == inv
+        assert (x / y).coeffs == oracles.field_mul(f, x.coeffs, inv)
+
+
+def test_primitive_element_is_chosen_apart_from_the_modulus():
+    # x is not primitive modulo x^2 + 1 over GF(3), nor modulo the GF(256)
+    # modulus x^8 + x^7 + x^5 + x^4 + 1; the tables use a generator g
+    for p, m in [(3, 2), (2, 8)]:
+        f = field_construct(p, m)
+        g = f.element_by_index(f.exp[1])
+        assert g != f.gen
+        assert len({(g ** k).index for k in range(f.order - 1)}) == f.order - 1
+        assert len({(f.gen ** k).index for k in range(f.order - 1)}) < f.order - 1
+    assert field_construct(3, 2).modulus == (1, 0, 1)
+    assert field_construct(2, 8).modulus == (1, 0, 0, 0, 1, 1, 0, 1, 1)
+
+
+def test_construction_makes_linearly_many_polynomial_products(monkeypatch):
+    # a count, not a timing: the log walk makes one product per power of g,
+    # where full operation tables take one per pair of elements
+    calls = 0
+    product = gf._poly_mul
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return product(*args)
+
+    monkeypatch.setattr(gf, "_poly_mul", counting)
+    f = FiniteField(2, 8)
+    assert f.order - 1 <= calls < 4 * f.order
+    assert max(len(f.exp), len(f.log), len(f.zech)) <= 3 * f.order
+
+
 # ------------------------------------------------------------------ trace
 
 def test_trace_frozen_values_gf4():
@@ -221,6 +302,13 @@ def test_trace_is_surjective_with_balanced_fibres():
             fibres[trace_lift(x)] += 1
         assert sorted(fibres) == list(range(p))
         assert set(fibres.values()) == {p ** (m - 1)}
+
+
+def test_trace_lift_is_the_absolute_trace():
+    for p, m in [(2, 1), (2, 4), (3, 3), (5, 2), (2, 8)]:
+        f = field_construct(p, m)
+        assert [trace_lift(x) for x in f.elements] == [
+            field_trace(x, 1).lift() for x in f.elements]
 
 
 def test_trace_of_one_is_degree_mod_p():

@@ -1,7 +1,7 @@
 """The integer identity kernels of superchar.table against Fraction loops.
 
-Oracle: tests/oracles.py, the direct Cyclotomic loops for <xi_i, xi_j>
-and super-Plancherel.  Tables come from the closed formula alone
+Oracle: tests/oracles.py, the direct Cyclotomic loops for <xi_i, xi_j>,
+super-Plancherel and conjugate symmetry.  Tables come from the closed formula alone
 (validate="off"); route agreement is tested elsewhere.
 """
 
@@ -23,7 +23,7 @@ from superchar import (
     plancherel,
     verify_theory,
 )
-from superchar.table import _gram_entry
+from superchar.table import _gram_entry, _inverse_column
 
 # the table configs the other tests build, plus U_3(F_7)
 CONFIGS = [
@@ -78,6 +78,26 @@ def test_corrupted_tables_get_oracle_verdicts(config, data):
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.orthogonality_check(t)
     assert report["plancherel-identity"] == oracles.plancherel_check(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2), (3, 5, 1), (4, 2, 1)]),
+       st.data())
+def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
+    # some corruptions write the conjugate into the inverse column too,
+    # so that a corrupted table can still pass this one check
+    base = _table(*config)
+    values = [row[:] for row in base.values]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, base.size - 1))
+        j = data.draw(st.integers(0, base.size - 1))
+        v = data.draw(_non_monomial(base.field.p))
+        values[i][j] = v
+        if data.draw(st.booleans()):
+            values[i][_inverse_column(base, j)] = v.conjugate()
+    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
 
 
 def test_verify_theory_builds_few_cyclotomics(monkeypatch):

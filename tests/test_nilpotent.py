@@ -10,12 +10,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import elementary_generators
 from superchar import (
     GroupElement,
     NilMatrix,
-    PatternAlgebra,
-    elementary_generators,
-    enumerate_algebra,
     field_construct,
     format_matrix,
     group_inv,
@@ -187,25 +185,6 @@ def test_generator_order():
                     ((2, 3), 1), ((2, 3), 2)]
 
 
-# ------------------------------------------------------------ enumeration
-
-def test_enumerate_algebra_counts_and_order():
-    f = field_construct(2, 1)
-    algebra = list(enumerate_algebra(3, f))
-    assert len(algebra) == 8
-    assert algebra[0].is_zero()
-    assert len(set(algebra)) == 8
-    f9 = field_construct(3, 2)
-    assert sum(1 for _ in enumerate_algebra(2, f9)) == 9
-
-
-def test_enumerate_algebra_respects_space_cap(monkeypatch):
-    monkeypatch.delenv("SUPERCHAR_CAP", raising=False)
-    f = field_construct(2, 1)
-    with pytest.raises(ValueError):
-        list(enumerate_algebra(8, f))  # 2^28 states
-
-
 # ------------------------------------------------------- text and json io
 
 def test_format_parse_round_trip_prime_field():
@@ -245,31 +224,6 @@ def test_json_round_trip():
     blob = a.to_json()
     assert NilMatrix.from_json(blob, f9) == a
     assert blob["entries"] == {"1,4": [0, 1], "2,3": [1, 0]}
-
-
-# ---------------------------------------------------------------- pattern
-
-def test_pattern_algebra_closure():
-    f = field_construct(2, 1)
-    PatternAlgebra(4, f, {(1, 2), (1, 3), (1, 4), (2, 4)})  # closed: 12*24=14
-    with pytest.raises(ValueError):
-        PatternAlgebra(4, f, {(1, 2), (2, 4)})  # missing (1,4)
-    with pytest.raises(ValueError):
-        PatternAlgebra(3, f, {(2, 1)})
-
-
-def test_pattern_algebra_membership_and_elements():
-    f = field_construct(3, 1)
-    sub = PatternAlgebra(3, f, {(1, 3)})
-    assert sub.contains(NilMatrix.single(3, f, 1, 3, f.one))
-    assert not sub.contains(NilMatrix.single(3, f, 1, 2, f.one))
-    elems = list(sub.elements())
-    assert len(elems) == 3
-    assert len(sub.generators()) == 2
-    # centre of u_3: products vanish, group is elementary abelian
-    for a in elems:
-        for b in elems:
-            assert (a @ b).is_zero()
 
 
 @settings(max_examples=80, deadline=None)
