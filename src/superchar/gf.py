@@ -25,8 +25,8 @@ x^8 + x^7 + x^5 + x^4 + 1, the GF(256) modulus).  With n = q - 1:
 So a*b is exp[log a + log b], and a + b for nonzero a, b is
 exp[log a + zech[log b - log a]] (Zech logarithms; Lidl and Niederreiter,
 Finite Fields, ch. 2 and sec. 9).  No structure is O(q^2); polynomial
-products serve only the irreducibility test and the walk that builds the
-tables.
+products serve only the irreducibility and primitivity tests and the m
+products x^i g from which the walk that builds the tables is tabulated.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
-from operator import mul
 
 _FIELD_CAP = 1 << 16
 _SPACE_CAP = 1 << 20
@@ -102,20 +101,26 @@ def _poly_mod(a, b, p):
 
 
 def _is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = tail + (1,)
-            if not _poly_mod(poly, divisor, p):
-                return False
+    """Ben-Or's test: poly of degree m is irreducible iff it is coprime to
+    x^(p^i) - x for every i <= m/2, whose irreducible factors are those of
+    degree dividing i (Lidl and Niederreiter, Finite Fields, Thm 3.20)."""
+    xp = (0, 1)
+    for _ in range((len(poly) - 1) // 2):
+        xp = _poly_pow(xp, p, poly, p)  # x^(p^i) mod poly
+        diff = list(xp) + [0] * (2 - len(xp))
+        diff[1] = (diff[1] - 1) % p
+        a, b = poly, _poly_trim(diff)
+        while b:  # Euclid: a ends as gcd(poly, x^(p^i) - x) up to a unit
+            a, b = b, _poly_mod(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
 def _smallest_irreducible(p, m):
-    for tail in itertools.product(range(p), repeat=m):
+    # above degree 1 a zero constant term leaves the factor x
+    constants = range(p) if m == 1 else range(1, p)
+    for tail in itertools.product(constants, *[range(p)] * (m - 1)):
         poly = tail + (1,)
         if _is_irreducible(poly, p):
             return poly
@@ -163,18 +168,55 @@ def _primitive_element(p: int, m: int, modulus) -> tuple[int, ...]:
 def _log_tables(p: int, m: int, modulus) -> tuple[list, list, list]:
     """exp, log and zech over enumeration indices; see the module docstring.
 
-    One walk of the powers of g: q - 1 polynomial products.  Adding 1 to
-    an index steps only its constant base-p digit, so zech is read off the
-    walk with no addition table.
+    One walk of the powers of g.  Multiplication by g is F_p-linear, so
+    the walk needs only the m products x^i g: a power is packed with its
+    base-p digits in b-bit fields, and two lookup tables, one per half of
+    the digits, give each half's image under g and its part of the index.
+    The two images are added in one integer addition, which leaves digits
+    below 2p - 1; adding 2^(b-1) - p to every field sets the top bit of
+    exactly the digits >= p, which then lose p.  Adding 1 to an index steps
+    only its constant base-p digit, so zech is read off the walk with no
+    addition table.
     """
     n = p**m - 1
     g = _primitive_element(p, m, modulus)
-    weights = [p**i for i in range(m)]
+    b = (p - 1).bit_length() + 1  # 2^(b-1) >= p
+    ones = sum(1 << (b * i) for i in range(m))
+    high, bias = ones << (b - 1), ones * ((1 << (b - 1)) - p)
+
+    def reduce(s):  # digits below 2p - 1 -> digits mod p
+        return s - (((s + bias) & high) >> (b - 1)) * p
+
+    images = []  # x^i g, packed
+    for i in range(m):
+        image = _poly_mod(_poly_mul((0,) * i + (1,), g, p), modulus, p)
+        images.append(sum(c << (b * k) for k, c in enumerate(image)))
+
+    def half(lo, hi):
+        """{packed digits lo..hi-1, shifted down: (image under g, index part)}"""
+        table = {0: (0, 0)}
+        for i in range(lo, hi):
+            step, image = [], 0
+            for c in range(1, p):
+                image = reduce(image + images[i])
+                step.append((c << (b * (i - lo)), image, c * p**i))
+            table.update({
+                key + k: (reduce(im + v), idx + w)
+                for key, (im, idx) in list(table.items())
+                for k, v, w in step
+            })
+        return table
+
+    h = (m + 1) // 2
+    low, top = half(0, h), half(h, m)
+    mask, shift = (1 << (b * h)) - 1, b * h
     powers = []
-    power = (1,)
+    s = 1
     for _ in range(n):
-        powers.append(sum(map(mul, power, weights)))
-        power = _poly_mod(_poly_mul(power, g, p), modulus, p)
+        im, idx = low[s & mask]
+        im2, idx2 = top[s >> shift]
+        powers.append(idx + idx2)
+        s = reduce(im + im2)
     log = [2 * n] * (n + 1)
     for k, x in enumerate(powers):
         log[x] = k

@@ -7,6 +7,13 @@ otherwise a root of unity damped by q^-nesting.  The two routes share no
 code beyond field arithmetic, which is the point: build_table computes by
 the closed formula and cross-validates against the average.
 
+The closed table is integers end to end.  _closed_cells gives every cell
+as a sparse vector in Z[x]/(x^p - 1) over one denominator D = q^dmax,
+zeta^t q^-d being D q^-d x^t, and the table keeps those cells: the
+cross-check, verify_theory, plancherel and inner_product read them.  The
+Cyclotomic values are built from them only when `values` is first read,
+for export; sch_closed is the Cyclotomic view of one cell.
+
 The averaging route for every a in A and every row at once is one additive
 Fourier transform, as Diaconis and Isaacs build supercharacters: the
 histogram over b in O of lift(Tr<b, a>) is the transform of the indicator
@@ -41,9 +48,9 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .cyclotomic import Cyclotomic, cyclo_root
+from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
-from .gf import FiniteField, trace_lift, trace_lifts
+from .gf import FiniteField, trace_lifts
 from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
 from .orbits import Superclass, canonical_form, check_cover, check_space
 from .partitions import (
@@ -76,11 +83,8 @@ class RouteDisagreement(AssertionError):
 
 
 def _hist_to_cyclo(p: int, hist: list[int], denom: int) -> Cyclotomic:
-    coeffs = [Fraction(h, denom) for h in hist[: p - 1]]
-    top = hist[p - 1]
-    if top:
-        coeffs = [c - Fraction(top, denom) for c in coeffs]
-    return Cyclotomic(p, tuple(coeffs))
+    top = hist[p - 1]  # x^(p-1) folds onto the power basis as -1 - ... - z^(p-2)
+    return Cyclotomic(p, tuple(Fraction(h - top, denom) for h in hist[: p - 1]))
 
 
 def _pairing_hist(members, a: NilMatrix) -> list[int]:
@@ -111,36 +115,128 @@ def sch_bruteforce(orbit: DualOrbit, g: GroupElement) -> Cyclotomic:
 def sch_closed(
     row: ColouredPartition, col: ColouredPartition, field: FiniteField
 ) -> Cyclotomic:
-    """The closed formula on labels; never touches any orbit."""
-    p = field.p
-    pi, pip = row.partition, col.partition
+    """The closed formula on labels; never touches any orbit.  The
+    Cyclotomic view of one cell of _closed_cells, zeta^t q^-d."""
+    p, log = field.p, field.log
+    shape = _closed_shape(row.partition, col.partition)
+    if shape is None:
+        return Cyclotomic.zero(p)
+    shared, d = shape
+    trl, exp = trace_lifts(field), field.exp
+    t = sum(
+        trl[exp[log[row.colours[a].index] + log[col.colours[a].index]]] for a in shared
+    )
+    return _cell_value(((t % p, 1),), field.order**d, p)
+
+
+def _closed_shape(pi, pip):
+    """What the closed formula reads of the two partitions: None when an
+    arc of pi leaves the reach of pip, else the shared arcs, sorted, and
+    the nesting depth nest(pi, pip)."""
     if pi.n != pip.n:
         raise ValueError("label sizes differ")
     _, reach = compute_SR(pip)
     if not (pi.arcs() <= reach):
-        return Cyclotomic.zero(p)
-    t = 0
-    for arc in pi.arcs() & pip.arcs():
-        t += trace_lift(row.colours[arc] * col.colours[arc])
-    value = cyclo_root(p, t % p)
-    depth = nest(pi, pip)
-    if depth:
-        value = value.scale(Fraction(1, field.order**depth))
-    return value
+        return None
+    return sorted(pi.arcs() & pip.arcs()), nest(pi, pip)
+
+
+def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]]]:
+    """The closed formula on every (row, column) pair of labels, as integer
+    cells over one denominator D = q^dmax, in the shape of _integer_cells:
+    a zero cell is (), and zeta^t q^-d is ((t, q^(dmax - d)),).
+
+    _closed_shape depends only on the two partitions, so it runs once per
+    partition pair, at most Bell(n)^2 of them.  A cell then only sums
+    t = lift(Tr(a b)) over the shared arcs, through the log and antilog
+    tables, mod p.  Cells are interned: besides () there are at most
+    p (dmax + 1) distinct tuples.
+    """
+    p, q = field.p, field.order
+    exp, log, trl = field.exp, field.log, trace_lifts(field)
+
+    def partitions_of(labels):  # distinct partitions, and each label's index
+        index: dict = {}
+        return index, [index.setdefault(lab.partition, len(index)) for lab in labels]
+
+    row_parts, row_of = partitions_of(rows)
+    col_parts, col_of = partitions_of(cols)
+    shapes = [[_closed_shape(pi, pip) for pip in col_parts] for pi in row_parts]
+    dmax = max((s[1] for line in shapes for s in line if s), default=0)
+    cell = [[((t, q ** (dmax - d)),) for d in range(dmax + 1)] for t in range(p)]
+    col_logs = [{arc: log[v.index] for arc, v in col.colours.items()} for col in cols]
+    out = []
+    for row, a in zip(rows, row_of):
+        row_log = {arc: log[v.index] for arc, v in row.colours.items()}
+        line = []
+        for b, col_log in zip(col_of, col_logs):
+            shape = shapes[a][b]
+            if shape is None:
+                line.append(())
+                continue
+            shared, d = shape
+            t = 0
+            for arc in shared:
+                t += trl[exp[row_log[arc] + col_log[arc]]]
+            line.append(cell[t % p][d])
+        out.append(line)
+    return q**dmax, out
+
+
+def _dense(cell: tuple, p: int) -> list[int]:
+    """The p coordinates of a sparse integer cell."""
+    vec = [0] * p
+    for e, c in cell:
+        vec[e] += c
+    return vec
+
+
+def _cell_value(cell: tuple, denom: int, p: int) -> Cyclotomic:
+    """The Cyclotomic of an integer cell over denom."""
+    return _hist_to_cyclo(p, _dense(cell, p), denom)
 
 
 class SupercharTable:
     """Rows are dual orbits, columns are superclasses, both in canonical
-    label order; values are exact cyclotomics normalized to xi(1) = 1."""
+    label order; values are exact cyclotomics normalized to xi(1) = 1.
 
-    def __init__(self, n, field, dual_orbits, superclasses, values):
+    build_table hands over the integer cells of _closed_cells, and the
+    checks read those; `values`, the rows of Cyclotomics, is built from
+    them on first read, for export.  A table given values (tests,
+    table_from_json), or whose values have been read, takes them as the
+    truth: integer_cells converts them afresh on every call, so the checks
+    see any edit made to values.
+    """
+
+    def __init__(self, n, field, dual_orbits, superclasses, values=None, cells=None):
+        if (values is None) == (cells is None):
+            raise ValueError("a table takes either values or integer cells")
         self.n = n
         self.field = field
         self.dual_orbits = dual_orbits
         self.superclasses = superclasses
-        self.values = values
+        self._values = values
+        self._cells = cells  # (D, rows) of _closed_cells until values is read
         self.order = field.order ** len(positions(n))
         self._route = None  # _averaging_route, computed once from the members
+
+    @property
+    def values(self) -> list[list[Cyclotomic]]:
+        if self._values is None:
+            denom, rows = self._cells
+            p = self.field.p
+            built = {c: _cell_value(c, denom, p) for row in rows for c in row}
+            self._values = [[built[c] for c in row] for row in rows]
+            self._cells = None
+        return self._values
+
+    def integer_cells(self, rows=None) -> tuple[int, list[list[tuple]]]:
+        """(D, the given rows, all by default, as integer cells over D)."""
+        idx = range(self.size) if rows is None else rows
+        if self._values is None:
+            denom, cells = self._cells
+            return denom, [cells[i] for i in idx]
+        return _integer_cells([self._values[i] for i in idx], self.field.p)
 
     @property
     def size(self) -> int:
@@ -172,17 +268,24 @@ class SupercharTable:
 
 
 def build_table(n: int, field: FiniteField, validate: str | None = None) -> SupercharTable:
-    """The full table by the closed formula, cross-checked against the
-    orbit average ('full' on every cell, read from the transform at each
-    column's representative; 'spot' on 64 seeded cells by sch_bruteforce;
-    'off').  The default picks full when |A| <= 2^12 and spot above.
+    """The full table by the closed formula, held as the integer cells of
+    _closed_cells, cross-checked against the orbit average ('full' on every
+    cell, read from the transform at each column's representative; 'spot'
+    on 64 seeded cells by sch_bruteforce; 'off').  The default picks full
+    when |A| <= 2^12 and spot above.  Only a failing cell, or a sampled
+    one, is built as a Cyclotomic.
 
     The axes come from the labels with closed sizes; only the cross-check
     walks orbits: 'full' every orbit of both kinds, 'spot' the dual orbits
-    of its sampled rows, 'off' none.  |A| above the space cap raises
-    ValueError whatever the mode.
+    of its sampled rows, 'off' none.  |A| above the space cap, or an
+    unknown mode, raises ValueError before any of this.
     """
     check_space(n, field)
+    if validate is None:
+        order = field.order ** len(positions(n))
+        validate = "full" if order <= _FULL_VALIDATION_LIMIT else "spot"
+    if validate not in ("full", "spot", "off"):
+        raise ValueError(f"unknown validation mode {validate!r}")
     dual_orbits = [
         DualOrbit.from_label(label, field)
         for label in enumerate_labels(n, field, dual=True)
@@ -190,21 +293,19 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     superclasses = [
         Superclass.from_label(label, field) for label in enumerate_labels(n, field)
     ]
-    values = [
-        [sch_closed(o.label, k.label, field) for k in superclasses]
-        for o in dual_orbits
-    ]
-    table = SupercharTable(n, field, dual_orbits, superclasses, values)
-    if validate is None:
-        validate = "full" if table.order <= _FULL_VALIDATION_LIMIT else "spot"
+    denom, cells = _closed_cells(
+        [o.label for o in dual_orbits], [k.label for k in superclasses], field
+    )
+    table = SupercharTable(n, field, dual_orbits, superclasses, cells=(denom, cells))
+    p = field.p
     if validate == "full":
         hists, _ = _averaging_route(table)
-        denom, cells = _integer_cells(values, field.p)
         for i, o in enumerate(dual_orbits):
             for j, k in enumerate(superclasses):
                 if not _route_matches(hists[j][i], cells[i][j], denom, o.size):
-                    brute = _hist_to_cyclo(field.p, hists[j][i], o.size)
-                    raise RouteDisagreement(o.label, k.label, values[i][j], brute)
+                    closed = _cell_value(cells[i][j], denom, p)
+                    brute = _hist_to_cyclo(p, hists[j][i], o.size)
+                    raise RouteDisagreement(o.label, k.label, closed, brute)
     elif validate == "spot":
         rng = random.Random(20240 + n * 1000 + field.order)
         pairs = [
@@ -213,12 +314,11 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
         ]
         for i, j in pairs:
             brute = sch_bruteforce(dual_orbits[i], GroupElement(superclasses[j].rep))
-            if brute != values[i][j]:
+            closed = _cell_value(cells[i][j], denom, p)
+            if brute != closed:
                 raise RouteDisagreement(
-                    dual_orbits[i].label, superclasses[j].label, values[i][j], brute
+                    dual_orbits[i].label, superclasses[j].label, closed, brute
                 )
-    elif validate != "off":
-        raise ValueError(f"unknown validation mode {validate!r}")
     return table
 
 
@@ -324,7 +424,7 @@ def _averaging_route(table: SupercharTable) -> tuple[list, list]:
 
 def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
     """Whether hist / size, read in Q(zeta_p), is the integer cell u / denom
-    of _integer_cells: hist*denom - size*u has all p coordinates equal."""
+    of the table: hist*denom - size*u has all p coordinates equal."""
     v = [h * denom for h in hist]
     for e, c in cell:
         v[e] -= size * c
@@ -383,7 +483,7 @@ def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
 
 def _gram_entry(row_i, row_j, sizes, p: int) -> list[int]:
     """sum over k of sizes[k] * u_ik(x) * u_jk(x^-1) in Z[x]/(x^p - 1), for
-    integer rows from _integer_cells: |A| D^2 <xi_i, xi_j> before folding."""
+    integer rows over D: |A| D^2 <xi_i, xi_j> before folding."""
     acc = [0] * p
     for u, v, w in zip(row_i, row_j, sizes):
         if u and v:
@@ -407,49 +507,41 @@ def _equals_rational(acc: list[int], denom: int, r) -> bool:
 def inner_product(table: SupercharTable, i: int, j: int) -> Cyclotomic:
     """<xi_i, xi_j> = (1/|G|) sum over classes of |K| xi_i(K) conj(xi_j(K)).
 
-    Exact: rows i and j become integer vectors over a shared denominator
+    Exact: rows i and j are read as integer cells over one denominator
     and the sum is an integer cyclic convolution weighted by |K|; only the
     result is built as a Cyclotomic.
     """
     p = table.field.p
-    denom, (row_i, row_j) = _integer_cells([table.values[i], table.values[j]], p)
+    denom, (row_i, row_j) = table.integer_cells([i, j])
     acc = _gram_entry(row_i, row_j, [k.size for k in table.superclasses], p)
     scale = denom * denom * table.order
     return Cyclotomic(p, tuple(Fraction(a - acc[-1], scale) for a in acc[:-1]))
 
 
-def _plancherel_failures(table: SupercharTable, columns) -> list[str]:
+def _plancherel_failures(table: SupercharTable, denom: int, rows) -> list[str]:
     """Labels of the classes where sum over rows of |O_i| xi_i(K) is not
-    |A| delta_{K,1}.  columns yields, in class order, a denominator D and
-    the column as integer cells over D (_integer_cells); each column sum is
-    compared with D |A| delta by cross-multiplication."""
+    |A| delta_{K,1}, for the table's integer cells over D; each column sum
+    is compared with D |A| delta by cross-multiplication."""
     p = table.field.p
-    sizes = [o.size for o in table.dual_orbits]
-    failures = []
-    for cls, (denom, column) in zip(table.superclasses, columns):
-        acc = [0] * p
-        for w, u in zip(sizes, column):
+    sums = [[0] * p for _ in table.superclasses]
+    for o, row in zip(table.dual_orbits, rows):
+        w = o.size
+        for acc, u in zip(sums, row):
             for e, c in u:
                 acc[e] += w * c
-        identity = not cls.label.arcs()  # the partition with no arcs
-        if not _equals_rational(acc, denom * table.order, int(identity)):
-            failures.append(format_coloured(cls.label))
-    return failures
+    return [
+        format_coloured(cls.label)
+        for cls, acc in zip(table.superclasses, sums)
+        # the identity class is the partition with no arcs
+        if not _equals_rational(acc, denom * table.order, int(not cls.label.arcs()))
+    ]
 
 
 def plancherel(table: SupercharTable) -> dict:
     """The regular-character decomposition: weights |O|/|A| against each
-    supercharacter must reproduce the delta at the identity, exactly.  Each
-    column is converted on its own, over its own denominator, so no integer
-    copy of the table is held."""
-    p = table.field.p
-
-    def columns():
-        for j in range(len(table.superclasses)):
-            denom, (column,) = _integer_cells([[row[j] for row in table.values]], p)
-            yield denom, column
-
-    failures = _plancherel_failures(table, columns())
+    supercharacter must reproduce the delta at the identity, exactly, on
+    the table's integer cells."""
+    failures = _plancherel_failures(table, *table.integer_cells())
     return {
         "weights": [
             (format_coloured(o.label), table.weight(i))
@@ -462,7 +554,7 @@ def plancherel(table: SupercharTable) -> dict:
 
 def _is_conjugate(cell: tuple, other: tuple, p: int) -> bool:
     """Whether the integer cell is the complex conjugate of other, both
-    from one _integer_cells call: conjugation sends x^e to x^-e, and
+    over one denominator: conjugation sends x^e to x^-e, and
     cell(x) - other(x^-1) must have all p coordinates equal."""
     v = [0] * p
     for e, c in cell:
@@ -490,17 +582,17 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     share their representative's packed key, and each distinct key is
     decoded and compared with the table column on integers.
 
-    Orthogonality reads only the table values and the orbit and class
-    sizes.  The table is converted once into integer vectors in
-    Z[x]/(x^p - 1) over the lcm D of its denominators; each <xi_i, xi_j>
+    Identity normalization, orthogonality, Plancherel and conjugate
+    symmetry read only the table's integer cells over D (integer_cells;
+    a table given Cyclotomic values converts them once) and the orbit and
+    class sizes.  Each <xi_i, xi_j>
     is an integer cyclic convolution weighted by |K|, compared with
     delta_ij / |O_i| by cross-multiplication after folding x^(p-1).  Only
     the entries with i <= j are computed: swapping i and j sends the
     convolution's x^k to x^-k, which keeps the verdict, and the mirror of a
     failing (i, j) with i > j comes earlier in row-major order, so the
-    first failure found is the full scan's.  Plancherel reads the same
-    integer table, and so does conjugate symmetry, on which conjugation is
-    x^k -> x^-k; it finds each inverse column by canonical_form of the
+    first failure found is the full scan's.  On the cells conjugation is
+    x^k -> x^-k; conjugate symmetry finds each inverse column by canonical_form of the
     representative's group inverse, not from the label.
 
     The constancy check needs orbit members, so a table read back by
@@ -534,14 +626,14 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
         ("dual-sizes-sum", total == table.order, f"{total} vs |A°| = {table.order}")
     )
 
+    denom, rows = table.integer_cells()
     id_ok = (
         not table.superclasses[0].label.arcs()
         and table.superclasses[0].size == 1
-        and all(row[0] == Cyclotomic.one(field.p) for row in table.values)
+        and all(_equals_rational(_dense(row[0], field.p), denom, 1) for row in rows)
     )
     checks.append(("identity-normalization", id_ok, "xi(1) = 1 on every row"))
 
-    denom, rows = _integer_cells(table.values, field.p)
     bad = _constancy_failure(table, rows, denom)
     tested = sum(len(k.members) for k in table.superclasses) * table.size
     checks.append(
@@ -571,10 +663,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
          else f"fails at rows {bad_pair}")
     )
 
-    failures = _plancherel_failures(
-        table,
-        ((denom, [row[j] for row in rows]) for j in range(len(table.superclasses))),
-    )
+    failures = _plancherel_failures(table, denom, rows)
     checks.append(
         ("plancherel-identity", not failures,
          "sum of |O|/|A| xi(g) = delta_{g,1}" if not failures

@@ -1,21 +1,45 @@
 """Slow reference implementations, kept so tests can compare exactly.
 
-superchar.table checks orthogonality, super-Plancherel and conjugate
-symmetry on integer vectors; the direct Cyclotomic loops those kernels
-replaced come first, then the member-by-member superclass-constancy scan
-that the additive Fourier transform replaced.  The sparse dict BFS that
-superchar.orbits.orbit_states replaced follows, then the orbit scan that
-canonical_form and dual_canonical replaced, then the per-operation
-polynomial arithmetic that the log, antilog and Zech tables of
-superchar.gf replaced, and last the elementary generators of U_n.
+superchar.table builds the closed table as integer cells; the closed
+formula cell by cell in Fraction-coordinate Cyclotomics, which that kernel
+replaced, comes first.  superchar.table checks orthogonality,
+super-Plancherel and conjugate symmetry on integer vectors; the direct
+Cyclotomic loops those kernels replaced come next, then the
+member-by-member superclass-constancy scan that the additive Fourier
+transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
+replaced follows, then the orbit scan that canonical_form and
+dual_canonical replaced, then the per-operation polynomial arithmetic that
+the log, antilog and Zech tables of superchar.gf replaced, and last the
+elementary generators of U_n.
 """
 
 from fractions import Fraction
 
-from superchar import Cyclotomic, GroupElement, NilMatrix, format_coloured
+from superchar import Cyclotomic, GroupElement, NilMatrix, cyclo_root, format_coloured
+from superchar.gf import trace_lift
 from superchar.nilpotent import positions
 from superchar.orbits import _add_into, _to_state, _verge_arcs
+from superchar.partitions import compute_SR, nest
 from superchar.table import _hist_to_cyclo, _inverse_column, _pairing_hist
+
+
+def sch_closed(row, col, field):
+    """The closed formula on labels, one Cyclotomic per cell."""
+    p = field.p
+    pi, pip = row.partition, col.partition
+    if pi.n != pip.n:
+        raise ValueError("label sizes differ")
+    _, reach = compute_SR(pip)
+    if not (pi.arcs() <= reach):
+        return Cyclotomic.zero(p)
+    t = 0
+    for arc in pi.arcs() & pip.arcs():
+        t += trace_lift(row.colours[arc] * col.colours[arc])
+    value = cyclo_root(p, t % p)
+    depth = nest(pi, pip)
+    if depth:
+        value = value.scale(Fraction(1, field.order**depth))
+    return value
 
 
 def inner_product(table, i, j):

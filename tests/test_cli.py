@@ -5,6 +5,7 @@ in test_table before being frozen here; these tests pin the serialized
 form and the exit-code contract.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -40,6 +41,19 @@ def test_table_json_golden_u2_f3(tmp_path):
     code, got = _run_to_file(tmp_path, "t.json", ["table", "--n", "2", "--p", "3"])
     assert code == 0
     assert got == (GOLDEN / "u2f3_table.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,digest", [
+    # U_4(F_3) has cells damped by nest depth 1
+    (["table", "--n", "4", "--p", "3"],
+     "88384ba4f1ad5c791abdf13d3fa64e43fc5a8edaafb354f30eed58939d83eee9"),
+    (["table", "--n", "3", "--p", "7", "--format", "csv"],
+     "d73f1667520ddd77c4a8e75144049e64514daa0e794044bdf118061c455c1262"),
+])
+def test_table_export_sha256(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_deterministic_across_runs(tmp_path):

@@ -258,8 +258,9 @@ def test_primitive_element_is_chosen_apart_from_the_modulus():
 
 
 def test_construction_makes_linearly_many_polynomial_products(monkeypatch):
-    # a count, not a timing: the log walk makes one product per power of g,
-    # where full operation tables take one per pair of elements
+    # a count, not a timing: full operation tables take one product per
+    # pair of elements, and a walk by polynomial products one per power of
+    # g; the walk by lookup tables takes m, the rest go to choosing g
     calls = 0
     product = gf._poly_mul
 
@@ -270,8 +271,11 @@ def test_construction_makes_linearly_many_polynomial_products(monkeypatch):
 
     monkeypatch.setattr(gf, "_poly_mul", counting)
     f = FiniteField(2, 8)
-    assert f.order - 1 <= calls < 4 * f.order
+    assert calls < 4 * f.order
     assert max(len(f.exp), len(f.log), len(f.zech)) <= 3 * f.order
+    calls = 0
+    FiniteField(2, 16)
+    assert calls <= 2_000
 
 
 # ------------------------------------------------------------------ trace

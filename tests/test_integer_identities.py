@@ -100,21 +100,36 @@ def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
     assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
 
 
-def test_verify_theory_builds_few_cyclotomics(monkeypatch):
-    # a count, not a timing: the Fraction loops built ~700k values here
-    t = _table(3, 7, 1)
-    built = 0
+def _count_cyclotomics(monkeypatch):
+    """A list whose one entry counts the Cyclotomics built from now on."""
+    built = [0]
     init = Cyclotomic.__init__
 
     def counting_init(self, *args):
-        nonlocal built
-        built += 1
+        built[0] += 1
         init(self, *args)
 
     monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+    return built
+
+
+def test_verify_theory_builds_few_cyclotomics(monkeypatch):
+    # a count, not a timing: the Fraction loops built ~700k values here,
+    # and the closed table as Cyclotomics 3,025 more, one per cell
+    built = _count_cyclotomics(monkeypatch)
+    t = build_table(3, field_construct(7, 1))  # |A| = 343: full cross-check
     report = verify_theory(t)
     assert all(ok for _, ok, _ in report)
-    assert built < 50_000
+    assert built[0] == 0
+
+
+def test_plancherel_builds_only_the_spot_cyclotomics(monkeypatch):
+    # 64 averages from sch_bruteforce and 64 sampled closed cells; the
+    # other 65,985 cells of U_5(F_3) stay integers
+    built = _count_cyclotomics(monkeypatch)
+    report = plancherel(build_table(5, field_construct(3, 1), validate="spot"))
+    assert report["identity_holds"]
+    assert built[0] <= 128
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,7 +172,11 @@ def test_verify_theory_converts_the_table_once(monkeypatch):
         return convert(rows, p)
 
     monkeypatch.setattr(table_mod, "_integer_cells", counting)
-    t = _table(3, 7, 1)
-    report = {c[0]: c for c in verify_theory(t)}
+    f = field_construct(7, 1)
+    t = build_table(3, f, validate="off")  # holds its integer cells
+    assert all(ok for _, ok, _ in verify_theory(t))
+    assert calls == 0
+    given = SupercharTable(t.n, f, t.dual_orbits, t.superclasses, t.values)
+    report = {c[0]: c for c in verify_theory(given)}
     assert calls == 1
-    assert report["plancherel-identity"] == oracles.plancherel_check(t)
+    assert report["plancherel-identity"] == oracles.plancherel_check(given)

@@ -165,13 +165,19 @@ def test_no_member_by_member_evaluations(monkeypatch):
 
 
 def test_full_cross_check_reports_the_average(monkeypatch):
-    uncorrupted = table_mod.sch_closed
+    uncorrupted = table_mod._closed_cells
 
-    def corrupted(row, col, field):
-        v = uncorrupted(row, col, field)
-        return v.conjugate() if col.arcs() and row.arcs() else v
+    def corrupted(rows, cols, field):
+        # conjugate where both labels have arcs: zeta^t becomes zeta^-t
+        denom, cells = uncorrupted(rows, cols, field)
+        p = field.p
+        return denom, [
+            [tuple((-e % p, c) for e, c in cell) if col.arcs() and row.arcs() else cell
+             for col, cell in zip(cols, line)]
+            for row, line in zip(rows, cells)
+        ]
 
-    monkeypatch.setattr(table_mod, "sch_closed", corrupted)
+    monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
     f = field_construct(3, 1)
     with pytest.raises(RouteDisagreement) as info:
         build_table(3, f, validate="full")

@@ -2,7 +2,8 @@
 
 Oracle: the orbit-averaging route.  The golden 5x5 table below is
 regenerated cell by cell from sch_bruteforce (never sch_closed) before the
-closed route is compared against it.
+closed route is compared against it.  The integer closed table is compared
+cell by cell with the Cyclotomic closed formula of tests/oracles.py.
 """
 
 import json
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from superchar import (
     Cyclotomic,
     GroupElement,
@@ -34,6 +36,7 @@ from superchar import (
     verify_theory,
 )
 from superchar.nilpotent import positions
+from test_route import ROUTE_CONFIGS
 
 
 def _rational(v):
@@ -115,21 +118,55 @@ def test_closed_matches_brute_on_smaller_configs():
                 assert closed == brute
 
 
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS + [(5, 3, 1), (6, 2, 1)])
+def test_integer_closed_table_equals_the_cyclotomic_oracle(n, p, m):
+    # in Q(zeta_p): D * oracle - cell has all p coordinates equal, since
+    # the p = 2 cells need not take _integer_cells' representative
+    f = field_construct(p, m)
+    t = build_table(n, f, validate="off")
+    denom, rows = t.integer_cells()
+    for o, row in zip(t.dual_orbits, rows):
+        for k, cell in zip(t.superclasses, row):
+            diff = [denom * c for c in oracles.sch_closed(o.label, k.label, f).coeffs]
+            diff.append(0)
+            for e, c in cell:
+                diff[e] -= c
+            assert diff.count(diff[0]) == p, (o.label, k.label)
+
+
 def test_route_disagreement_is_loud(monkeypatch):
     import superchar.table as table_mod
 
-    def corrupted(row, col, field):
-        v = _uncorrupted(row, col, field)
-        if col.arcs():
-            return v + Cyclotomic.one(field.p)
-        return v
+    def corrupted(rows, cols, field):
+        # +1 on every column with arcs: D more at exponent 0
+        denom, cells = _uncorrupted(rows, cols, field)
+        return denom, [
+            [cell + ((0, denom),) if col.arcs() else cell
+             for col, cell in zip(cols, line)]
+            for line in cells
+        ]
 
-    _uncorrupted = table_mod.sch_closed
-    monkeypatch.setattr(table_mod, "sch_closed", corrupted)
+    _uncorrupted = table_mod._closed_cells
+    monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
     f = field_construct(2, 1)
     with pytest.raises(RouteDisagreement) as info:
         build_table(3, f, validate="full")
     assert "closed" in str(info.value)
+
+
+def test_unknown_validation_mode_fails_before_any_work(monkeypatch):
+    import superchar.table as table_mod
+
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+
+    monkeypatch.setattr(table_mod, "_closed_cells", counting)
+    with pytest.raises(ValueError, match="unknown validation mode 'bogus'"):
+        build_table(5, field_construct(3, 1), validate="bogus")
+    assert calls == 0
 
 
 # ------------------------------------------------------------- the tables
@@ -201,6 +238,13 @@ def test_verify_theory_detects_corruption():
     report = verify_theory(t)
     failed = {name for (name, ok, _) in report if not ok}
     assert "orthogonality" in failed or "plancherel-identity" in failed
+
+
+def test_identity_normalization_checks_every_row():
+    t = build_table(3, field_construct(3, 1))
+    t.values[-1][0] = cyclo_root(3)  # the last row, at the identity class
+    report = {name: (ok, detail) for name, ok, detail in verify_theory(t)}
+    assert report["identity-normalization"] == (False, "xi(1) = 1 on every row")
 
 
 def test_inner_products_worked_examples():
