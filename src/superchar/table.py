@@ -36,8 +36,9 @@ for a superclass and q^r(pi) for a dual orbit.  Members are walked lazily,
 only when a validator reads them, and a walk that does not find the closed
 size raises AssertionError.  The full cross-check and verify_theory read
 every member of both axes and check that each axis covers A disjointly;
-the spot cross-check walks only the dual orbits of the rows it samples;
-plancherel and the closed table walk nothing.
+the spot cross-check averages each sampled cell over the smaller of its
+two orbits by closed size, so it walks only those; plancherel and the
+closed table walk nothing.
 """
 
 from __future__ import annotations
@@ -105,8 +106,15 @@ def _pairing_hist(members, a: NilMatrix) -> list[int]:
     return hist
 
 
-def sch_bruteforce(orbit: DualOrbit, g: GroupElement) -> Cyclotomic:
-    """The averaging formula: mean of theta_b(g - 1) over the orbit."""
+def sch_bruteforce(orbit: DualOrbit | Superclass, g: GroupElement) -> Cyclotomic:
+    """The averaging formula, from either side of a cell.
+
+    For a dual orbit O: the mean of theta_b(g - 1) over b in O.  For a
+    superclass K, with g - 1 a pairing matrix b: the mean of theta_b(a)
+    over a in K.  The pairing lift(Tr sum b_ij a_ij) is symmetric, and
+    double counting the sum over O x K of theta_b(a) makes both means the
+    cell xi_O(K) when g - 1 lies in the other orbit.
+    """
     a = g.body
     hist = _pairing_hist(orbit.members, a)
     return _hist_to_cyclo(a.field.p, hist, orbit.size)
@@ -267,6 +275,15 @@ class SupercharTable:
         )
 
 
+def _spot_pairs(table: SupercharTable) -> list[tuple[int, int]]:
+    """The seeded (row, column) cells of the spot cross-check."""
+    rng = random.Random(20240 + table.n * 1000 + table.field.order)
+    return [
+        (rng.randrange(table.size), rng.randrange(len(table.superclasses)))
+        for _ in range(_SPOT_CHECKS)
+    ]
+
+
 def build_table(n: int, field: FiniteField, validate: str | None = None) -> SupercharTable:
     """The full table by the closed formula, held as the integer cells of
     _closed_cells, cross-checked against the orbit average ('full' on every
@@ -275,9 +292,13 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     when |A| <= 2^12 and spot above.  Only a failing cell, or a sampled
     one, is built as a Cyclotomic.
 
+    A sampled cell is averaged over the smaller of its dual orbit and its
+    superclass by closed size, ties to the dual orbit, at the other's
+    representative; sch_bruteforce says why the two means agree.
+
     The axes come from the labels with closed sizes; only the cross-check
-    walks orbits: 'full' every orbit of both kinds, 'spot' the dual orbits
-    of its sampled rows, 'off' none.  |A| above the space cap, or an
+    walks orbits: 'full' every orbit of both kinds, 'spot' the smaller
+    orbit of each sampled cell, 'off' none.  |A| above the space cap, or an
     unknown mode, raises ValueError before any of this.
     """
     check_space(n, field)
@@ -307,18 +328,15 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
                     brute = _hist_to_cyclo(p, hists[j][i], o.size)
                     raise RouteDisagreement(o.label, k.label, closed, brute)
     elif validate == "spot":
-        rng = random.Random(20240 + n * 1000 + field.order)
-        pairs = [
-            (rng.randrange(table.size), rng.randrange(table.size))
-            for _ in range(_SPOT_CHECKS)
-        ]
-        for i, j in pairs:
-            brute = sch_bruteforce(dual_orbits[i], GroupElement(superclasses[j].rep))
+        for i, j in _spot_pairs(table):
+            orbit, cls = dual_orbits[i], superclasses[j]
+            if orbit.size <= cls.size:
+                brute = sch_bruteforce(orbit, GroupElement(cls.rep))
+            else:
+                brute = sch_bruteforce(cls, GroupElement(orbit.rep))
             closed = _cell_value(cells[i][j], denom, p)
             if brute != closed:
-                raise RouteDisagreement(
-                    dual_orbits[i].label, superclasses[j].label, closed, brute
-                )
+                raise RouteDisagreement(orbit.label, cls.label, closed, brute)
     return table
 
 

@@ -3,7 +3,8 @@
 Oracle: enumerate_superclasses and enumerate_dual_orbits, which walk every
 orbit and check the cover.  The lazy axes of build_table must agree with
 them wherever both can run, a walk must check the closed size it was given,
-and the spot cross-check must walk only the rows it samples.
+and the spot cross-check must walk only the smaller orbit of each cell it
+samples.
 """
 
 import io
@@ -66,28 +67,36 @@ def test_spot_plancherel_equals_walked(n, p, m):
     assert plancherel(spot) == plancherel(walked)
 
 
-def test_spot_walks_only_sampled_rows(monkeypatch):
+def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
     walks = []
-    sampled = []
+    averaged = []
     walk = orbits_mod.orbit_states
     bruteforce = table_mod.sch_bruteforce
 
     def counting_walk(n, field, start, dual=False, check=None):
-        walks.append((start, dual))
-        return walk(n, field, start, dual, check)
+        states = walk(n, field, start, dual, check)
+        walks.append((start, dual, len(states)))
+        return states
 
     def recording_bruteforce(orbit, g):
-        sampled.append(orbit)
+        averaged.append((orbit, g.body))
         return bruteforce(orbit, g)
 
     monkeypatch.setattr(orbits_mod, "orbit_states", counting_walk)
     monkeypatch.setattr(table_mod, "sch_bruteforce", recording_bruteforce)
     t = build_table(5, field_construct(3, 1), validate="spot")
-    assert len(sampled) == table_mod._SPOT_CHECKS
-    rows = {id(o): o for o in sampled}.values()
-    assert not [s for s, dual in walks if not dual]  # no superclass walk
-    assert sorted(s for s, _ in walks) == sorted(o.rep.dense() for o in rows)
-    assert len(rows) < t.size
+    pairs = table_mod._spot_pairs(t)
+    assert len(averaged) == len(pairs) == table_mod._SPOT_CHECKS
+    for (i, j), (orbit, at) in zip(pairs, averaged):
+        row, col = t.dual_orbits[i], t.superclasses[j]
+        # ties go to the dual orbit
+        smaller, other = (row, col) if row.size <= col.size else (col, row)
+        assert orbit is smaller and at is other.rep
+    chosen = {id(o): o for o, _ in averaged}.values()
+    assert sorted(walks) == sorted((o.rep.dense(), o.dual, o.size) for o in chosen)
+    assert {o.dual for o in chosen} == {True, False}
+    # the dual orbits of the sampled rows alone hold 14,703 states
+    assert sum(size for _, _, size in walks) == 3379
 
 
 def test_given_members_are_kept():
@@ -138,6 +147,15 @@ def test_wrong_closed_size_raises_when_walked(monkeypatch, mutate, axis):
 
 def test_wrong_r_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
     _bump_r(monkeypatch)
+    with pytest.raises(AssertionError, match="walk found"):
+        build_table(5, field_construct(3, 1), validate="spot")
+    assert cli.main(["plancherel", "--n", "5", "--p", "3"]) == 1
+    assert "walk found" in capsys.readouterr().err
+
+
+def test_wrong_s_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
+    # the spot cross-check walks the superclasses it averages over
+    _bump_s(monkeypatch)
     with pytest.raises(AssertionError, match="walk found"):
         build_table(5, field_construct(3, 1), validate="spot")
     assert cli.main(["plancherel", "--n", "5", "--p", "3"]) == 1

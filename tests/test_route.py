@@ -4,7 +4,9 @@ Oracles: _pairing_hist, which sums the pairing character over the orbit
 members one cell at a time, and the member-by-member constancy scan in
 tests/oracles.py.  The transform must reproduce the first on every cell
 and the second's verdict and detail on tables whose dual orbits have been
-tampered with.
+tampered with.  The average over a cell's superclass, which the spot
+cross-check takes where that is the smaller orbit, must equal the average
+over its dual orbit.
 """
 
 import random
@@ -27,7 +29,12 @@ from superchar import (
     sch_bruteforce,
     verify_theory,
 )
-from superchar.table import _additive_fourier, _averaging_route, _pairing_hist
+from superchar.table import (
+    _additive_fourier,
+    _averaging_route,
+    _pairing_hist,
+    _spot_pairs,
+)
 
 # every config with |A| = q^(n(n-1)/2) <= 4096 and q <= 16
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
@@ -184,5 +191,55 @@ def test_full_cross_check_reports_the_average(monkeypatch):
     err = info.value
     orbit = next(o for o in enumerate_dual_orbits(3, f) if o.label == err.row_label)
     cls = next(k for k in enumerate_superclasses(3, f) if k.label == err.col_label)
+    assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
+    assert err.closed != err.brute
+
+
+# -- the spot cross-check averages over either orbit of a cell ----------------
+
+
+def _both_sides(orbit, cls):
+    return (sch_bruteforce(cls, GroupElement(orbit.rep)),
+            sch_bruteforce(orbit, GroupElement(cls.rep)))
+
+
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
+def test_superclass_average_equals_dual_average_on_every_cell(n, p, m):
+    t = _table(n, p, m)
+    for orbit in t.dual_orbits:
+        for cls in t.superclasses:
+            by_class, by_orbit = _both_sides(orbit, cls)
+            assert by_class == by_orbit, (orbit.label, cls.label)
+
+
+def test_superclass_average_equals_dual_average_on_the_spot_cells():
+    t = build_table(5, field_construct(3, 1), validate="off")
+    for i, j in _spot_pairs(t):
+        by_class, by_orbit = _both_sides(t.dual_orbits[i], t.superclasses[j])
+        assert by_class == by_orbit, (i, j)
+
+
+def test_spot_cross_check_catches_a_cell_averaged_over_its_superclass(monkeypatch):
+    f = field_construct(3, 1)
+    t = build_table(5, f, validate="off")
+    i, j = next(
+        (i, j) for i, j in _spot_pairs(t)
+        if t.dual_orbits[i].size > t.superclasses[j].size
+    )
+    uncorrupted = table_mod._closed_cells
+
+    def corrupted(rows, cols, field):
+        # one cell: zeta^t becomes zeta^(t+1), and zero becomes one
+        denom, cells = uncorrupted(rows, cols, field)
+        cell = cells[i][j]
+        cells[i][j] = tuple(((e + 1) % field.p, c) for e, c in cell) or ((0, denom),)
+        return denom, cells
+
+    monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
+    with pytest.raises(RouteDisagreement) as info:
+        build_table(5, f, validate="spot")
+    err = info.value
+    orbit, cls = t.dual_orbits[i], t.superclasses[j]
+    assert (err.row_label, err.col_label) == (orbit.label, cls.label)
     assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
     assert err.closed != err.brute
