@@ -42,18 +42,15 @@ from .tower import (
 )
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    """The JSON form of the values the reports hold besides JSON types."""
     if isinstance(obj, Cyclotomic):
         return obj.to_json()
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, FieldElement):
         return list(obj.coeffs)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _group_json(n: int, field: FiniteField) -> dict:
@@ -75,7 +72,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
-    _emit(json.dumps(_jsonify(obj), indent=2) + "\n", output)
+    _emit(json.dumps(obj, indent=2, default=_json_default) + "\n", output)
 
 
 def _field(args) -> FiniteField:

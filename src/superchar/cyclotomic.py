@@ -1,57 +1,86 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p), p prime.
 
-Elements are stored on the power basis 1, z, ..., z^(p-2) with Fraction
-coordinates, using z^(p-1) = -(1 + z + ... + z^(p-2)).  This basis makes
-equality a coordinate comparison, so all identities in the library are
-checked exactly.
+A value is p integers num over a positive integer den, the element
+(num_0 + num_1 x + ... + num_(p-1) x^(p-1)) / den of Z[x]/(x^p - 1) read at
+x = zeta_p: the form of zeta^t q^-d and of an orbit's histogram of zeta
+exponents over |O|.  Since 1 + x + ... + x^(p-1) reads as 0, __init__
+keeps one normal form: it subtracts num_(p-1) from every coordinate,
+leaving the power-basis coordinates of 1, z, ..., z^(p-2), then divides
+out the gcd.  Equality compares (p, num, den); arithmetic is on integers.
+coeffs is the read-only Fraction view that to_json and basis_str print.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .gf import is_prime
 
 
 class Cyclotomic:
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
-    def __init__(self, p: int, coeffs: tuple[Fraction, ...]):
-        # callers must pass exactly p-1 Fractions; use the constructors below
+    def __init__(self, p: int, num, den: int = 1):
+        """num / den: p integers, the coefficients of x^0, ..., x^(p-1),
+        over a nonzero integer den."""
+        if len(num) != p:
+            raise ValueError(f"{len(num)} coordinates for p = {p}")
+        if not den:
+            raise ZeroDivisionError("cyclotomic value over 0")
+        top = num[-1]
+        vec = [c - top for c in num]
+        g = gcd(den, *vec)
+        if den < 0:
+            g = -g
         self.p = p
-        self.coeffs = coeffs
+        self.num = tuple(c // g for c in vec)
+        self.den = den // g
 
     # constructors
 
     @classmethod
     def zero(cls, p: int) -> "Cyclotomic":
-        return cls(p, (Fraction(0),) * (p - 1))
+        return cls(p, (0,) * p)
 
     @classmethod
     def one(cls, p: int) -> "Cyclotomic":
-        return cls.from_rational(p, Fraction(1))
+        return cls.from_rational(p, 1)
 
     @classmethod
     def from_rational(cls, p: int, r) -> "Cyclotomic":
-        r = Fraction(r)
-        return cls(p, (r,) + (Fraction(0),) * (p - 2))
+        """r, an int or a Fraction, in Q(zeta_p)."""
+        return cls(p, (r.numerator,) + (0,) * (p - 1), r.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The p - 1 power-basis coordinates."""
+        return tuple(Fraction(c, self.den) for c in self.num[:-1])
+
+    def _is_rational(self) -> bool:
+        return not any(self.num[1:])
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            return self.p == other.p and self.coeffs == other.coeffs
+            return (self.p, self.num, self.den) == (other.p, other.num, other.den)
         if isinstance(other, (int, Fraction)):
-            return self == Cyclotomic.from_rational(self.p, other)
+            # both sides are in lowest terms with a positive denominator
+            return (
+                self._is_rational()
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         # a rational value equals the int or Fraction it holds, so it must
         # hash like it
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+        if self._is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.p, self.num, self.den))
 
     # arithmetic
 
@@ -59,40 +88,34 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.den, other.den
         return Cyclotomic(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.p, [x * b + y * a for x, y in zip(self.num, other.num)], a * b
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.p, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.p, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         p = self.p
-        # accumulate exponents mod p, then fold z^(p-1) back onto the basis
-        acc = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
+        acc = [0] * p  # a cyclic convolution: exponents add mod p
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     if b:
                         acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        if top:
-            return Cyclotomic(p, tuple(c - top for c in acc[: p - 1]))
-        return Cyclotomic(p, tuple(acc[: p - 1]))
+        return Cyclotomic(p, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -106,28 +129,23 @@ class Cyclotomic:
         return NotImplemented
 
     def scale(self, r) -> "Cyclotomic":
-        r = Fraction(r)
-        return Cyclotomic(self.p, tuple(r * c for c in self.coeffs))
+        """The value times r, an int or a Fraction."""
+        k = r.numerator
+        return Cyclotomic(self.p, [k * c for c in self.num], self.den * r.denominator)
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, z -> z^(p-1)."""
+        """Complex conjugation, x^k -> x^-k."""
         p = self.p
-        acc = [Fraction(0)] * p
-        for k, c in enumerate(self.coeffs):
-            acc[(p - k) % p] += c
-        top = acc[p - 1]
-        if top:
-            return Cyclotomic(p, tuple(c - top for c in acc[: p - 1]))
-        return Cyclotomic(p, tuple(acc[: p - 1]))
+        return Cyclotomic(p, [self.num[-k % p] for k in range(p)], self.den)
 
     def norm_squared(self) -> "Cyclotomic":
         return self * self.conjugate()
 
     def rational_part(self) -> Fraction:
         """The value as a rational, failing if any z-coordinate is nonzero."""
-        if any(self.coeffs[1:]):
+        if not self._is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # presentation
 
@@ -155,23 +173,24 @@ class Cyclotomic:
     @classmethod
     def from_json(cls, obj: dict) -> "Cyclotomic":
         p = int(obj["p"])
-        coeffs = tuple(Fraction(int(n), int(d)) for n, d in obj["coeffs"])
-        if len(coeffs) != p - 1:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        pairs = [(int(n), int(d)) for n, d in obj["coeffs"]]
+        if len(pairs) != p - 1:
             raise ValueError("wrong coordinate count")
-        return cls(p, coeffs)
+        if not all(d for _, d in pairs):
+            raise ValueError("zero denominator")
+        den = lcm(*(d for _, d in pairs))
+        return cls(p, [n * (den // d) for n, d in pairs] + [0], den)
 
 
 def cyclo_root(p: int, k: int = 1) -> Cyclotomic:
     """zeta_p^k as an exact element of Q(zeta_p)."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    k %= p
-    if k < p - 1:
-        coeffs = tuple(
-            Fraction(1) if i == k else Fraction(0) for i in range(p - 1)
-        )
-        return Cyclotomic(p, coeffs)
-    return Cyclotomic(p, (Fraction(-1),) * (p - 1))
+    num = [0] * p
+    num[k % p] = 1
+    return Cyclotomic(p, num)
 
 
 def cyclo_approx(x: Cyclotomic) -> tuple[complex, float]:
@@ -185,8 +204,8 @@ def cyclo_approx(x: Cyclotomic) -> tuple[complex, float]:
     p = x.p
     value = 0j
     maxabs = 0.0
-    for k, c in enumerate(x.coeffs):
-        fc = float(c)
+    for k, c in enumerate(x.num[:-1]):
+        fc = c / x.den
         maxabs = max(maxabs, abs(fc))
         value += fc * cmath.exp(2j * cmath.pi * k / p)
     bound = (p - 1) * maxabs * 2.0**-50

@@ -29,11 +29,6 @@ from .partitions import (
     partition_from_arcs,
 )
 
-def _to_state(n: int, entries: dict) -> tuple[int, ...]:
-    return tuple(
-        entries[p].index if p in entries else 0 for p in positions(n)
-    )
-
 
 def _add_into(b: dict, key, term) -> None:
     cur = b.get(key)

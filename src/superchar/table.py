@@ -9,10 +9,11 @@ the closed formula and cross-validates against the average.
 
 The closed table is integers end to end.  _closed_cells gives every cell
 as a sparse vector in Z[x]/(x^p - 1) over one denominator D = q^dmax,
-zeta^t q^-d being D q^-d x^t, and the table keeps those cells: the
-cross-check, verify_theory, plancherel and inner_product read them.  The
-Cyclotomic values are built from them only when `values` is first read,
-for export; sch_closed is the Cyclotomic view of one cell.
+zeta^t q^-d being D q^-d x^t, and the table holds only those cells: the
+cross-check, verify_theory, plancherel and inner_product read them.  A
+Cyclotomic is the same kind of value, p integers in Z[x]/(x^p - 1) over a
+denominator, so a cell becomes one by a constructor call: for the `values`
+view, built once, for a failing or sampled cell, and in sch_closed.
 
 The averaging route for every a in A and every row at once is one additive
 Fourier transform, as Diaconis and Isaacs build supercharacters: the
@@ -45,7 +46,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import lcm
 from operator import add
 
@@ -83,11 +85,6 @@ class RouteDisagreement(AssertionError):
         )
 
 
-def _hist_to_cyclo(p: int, hist: list[int], denom: int) -> Cyclotomic:
-    top = hist[p - 1]  # x^(p-1) folds onto the power basis as -1 - ... - z^(p-2)
-    return Cyclotomic(p, tuple(Fraction(h - top, denom) for h in hist[: p - 1]))
-
-
 def _pairing_hist(members, a: NilMatrix) -> list[int]:
     """Histogram of zeta exponents of <b, a> over the member states.  A
     zero entry of b has log 2(q-1), which exp sends to index 0."""
@@ -116,8 +113,7 @@ def sch_bruteforce(orbit: DualOrbit | Superclass, g: GroupElement) -> Cyclotomic
     cell xi_O(K) when g - 1 lies in the other orbit.
     """
     a = g.body
-    hist = _pairing_hist(orbit.members, a)
-    return _hist_to_cyclo(a.field.p, hist, orbit.size)
+    return Cyclotomic(a.field.p, _pairing_hist(orbit.members, a), orbit.size)
 
 
 def sch_closed(
@@ -134,7 +130,7 @@ def sch_closed(
     t = sum(
         trl[exp[log[row.colours[a].index] + log[col.colours[a].index]]] for a in shared
     )
-    return _cell_value(((t % p, 1),), field.order**d, p)
+    return Cyclotomic(p, _dense(((t % p, 1),), p), field.order**d)
 
 
 def _closed_shape(pi, pip):
@@ -199,52 +195,50 @@ def _dense(cell: tuple, p: int) -> list[int]:
     return vec
 
 
-def _cell_value(cell: tuple, denom: int, p: int) -> Cyclotomic:
-    """The Cyclotomic of an integer cell over denom."""
-    return _hist_to_cyclo(p, _dense(cell, p), denom)
-
-
 class SupercharTable:
     """Rows are dual orbits, columns are superclasses, both in canonical
-    label order; values are exact cyclotomics normalized to xi(1) = 1.
+    label order; each cell is a value xi_O(K) in Q(zeta_p), normalized to
+    xi(1) = 1.
 
-    build_table hands over the integer cells of _closed_cells, and the
-    checks read those; `values`, the rows of Cyclotomics, is built from
-    them on first read, for export.  A table given values (tests,
-    table_from_json), or whose values have been read, takes them as the
-    truth: integer_cells converts them afresh on every call, so the checks
-    see any edit made to values.
+    The table holds one representation, integer cells over one shared
+    denominator D: each cell is a sparse vector in Z[x]/(x^p - 1), a tuple
+    of (exponent, coefficient) pairs.  build_table hands over the cells of
+    _closed_cells; a table given Cyclotomic values (table_from_json, tests)
+    converts them once, here.  Every check reads the cells.  `values`, the
+    rows of Cyclotomics for export, is built on first read, one Cyclotomic
+    per distinct cell, and is a tuple of tuples: a table is changed by
+    building another.  Anything but rows x columns cells is refused with
+    ValueError.
     """
 
     def __init__(self, n, field, dual_orbits, superclasses, values=None, cells=None):
         if (values is None) == (cells is None):
             raise ValueError("a table takes either values or integer cells")
+        if cells is None:
+            cells = _integer_cells(values, field.p)
+        self._denom, self._cells = cells
+        rows, cols = len(dual_orbits), len(superclasses)
+        if len(self._cells) != rows or any(len(line) != cols for line in self._cells):
+            raise ValueError(f"the table values are not {rows} rows x {cols} columns")
         self.n = n
         self.field = field
         self.dual_orbits = dual_orbits
         self.superclasses = superclasses
-        self._values = values
-        self._cells = cells  # (D, rows) of _closed_cells until values is read
         self.order = field.order ** len(positions(n))
         self._route = None  # _averaging_route, computed once from the members
 
-    @property
-    def values(self) -> list[list[Cyclotomic]]:
-        if self._values is None:
-            denom, rows = self._cells
-            p = self.field.p
-            built = {c: _cell_value(c, denom, p) for row in rows for c in row}
-            self._values = [[built[c] for c in row] for row in rows]
-            self._cells = None
-        return self._values
+    @cached_property
+    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        p, denom = self.field.p, self._denom
+        built = {
+            c: Cyclotomic(p, _dense(c, p), denom)
+            for c in dict.fromkeys(chain.from_iterable(self._cells))
+        }
+        return tuple(tuple(map(built.__getitem__, row)) for row in self._cells)
 
-    def integer_cells(self, rows=None) -> tuple[int, list[list[tuple]]]:
-        """(D, the given rows, all by default, as integer cells over D)."""
-        idx = range(self.size) if rows is None else rows
-        if self._values is None:
-            denom, cells = self._cells
-            return denom, [cells[i] for i in idx]
-        return _integer_cells([self._values[i] for i in idx], self.field.p)
+    def integer_cells(self) -> tuple[int, list[list[tuple]]]:
+        """(D, every row as integer cells over D), as held."""
+        return self._denom, self._cells
 
     @property
     def size(self) -> int:
@@ -324,8 +318,8 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
         for i, o in enumerate(dual_orbits):
             for j, k in enumerate(superclasses):
                 if not _route_matches(hists[j][i], cells[i][j], denom, o.size):
-                    closed = _cell_value(cells[i][j], denom, p)
-                    brute = _hist_to_cyclo(p, hists[j][i], o.size)
+                    closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
+                    brute = Cyclotomic(p, hists[j][i], o.size)
                     raise RouteDisagreement(o.label, k.label, closed, brute)
     elif validate == "spot":
         for i, j in _spot_pairs(table):
@@ -334,7 +328,7 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
                 brute = sch_bruteforce(orbit, GroupElement(cls.rep))
             else:
                 brute = sch_bruteforce(cls, GroupElement(orbit.rep))
-            closed = _cell_value(cells[i][j], denom, p)
+            closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
             if brute != closed:
                 raise RouteDisagreement(orbit.label, cls.label, closed, brute)
     return table
@@ -476,21 +470,23 @@ def _constancy_failure(table: SupercharTable, cells: list, denom: int):
 
 
 def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
-    """Every cell of rows as a sparse integer vector in Z[x]/(x^p - 1) over
-    one shared denominator D, the lcm of the cell denominators.
+    """Every Cyclotomic of rows as a sparse integer cell over one shared
+    denominator D, the lcm of their denominators.
 
-    A cell becomes a tuple of (exponent, coefficient) pairs.  The power
-    basis leaves x^(p-1) at 0; subtracting the commonest coordinate, a
-    multiple of 1 + x + ... + x^(p-1) and so 0 in Q(zeta_p), keeps the
-    support small: zeta^(p-1), stored as (-1, ..., -1), becomes x^(p-1).
+    A cell is a tuple of (exponent, coefficient) pairs.  The normal form
+    leaves x^(p-1) at 0; subtracting the commonest coordinate, a multiple
+    of 1 + x + ... + x^(p-1) and so 0 in Q(zeta_p), keeps the support
+    small: zeta^(p-1), stored as (-1, ..., -1, 0), becomes x^(p-1).  A
+    value outside Q(zeta_p) raises ValueError.
     """
-    denom = lcm(*{c.denominator for row in rows for v in row for c in v.coeffs})
+    if any(v.p != p for row in rows for v in row):
+        raise ValueError(f"a table value lies outside Q(zeta_{p})")
+    denom = lcm(*{v.den for row in rows for v in row})
     out = []
     for row in rows:
         cells = []
         for v in row:
-            vec = [c.numerator * (denom // c.denominator) for c in v.coeffs]
-            vec.append(0)
+            vec = [c * (denom // v.den) for c in v.num]
             shift = max(vec, key=vec.count)
             cells.append(
                 tuple((e, c - shift) for e, c in enumerate(vec) if c != shift)
@@ -530,10 +526,9 @@ def inner_product(table: SupercharTable, i: int, j: int) -> Cyclotomic:
     result is built as a Cyclotomic.
     """
     p = table.field.p
-    denom, (row_i, row_j) = table.integer_cells([i, j])
-    acc = _gram_entry(row_i, row_j, [k.size for k in table.superclasses], p)
-    scale = denom * denom * table.order
-    return Cyclotomic(p, tuple(Fraction(a - acc[-1], scale) for a in acc[:-1]))
+    denom, rows = table.integer_cells()
+    acc = _gram_entry(rows[i], rows[j], [k.size for k in table.superclasses], p)
+    return Cyclotomic(p, acc, denom * denom * table.order)
 
 
 def _plancherel_failures(table: SupercharTable, denom: int, rows) -> list[str]:
@@ -601,17 +596,16 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     decoded and compared with the table column on integers.
 
     Identity normalization, orthogonality, Plancherel and conjugate
-    symmetry read only the table's integer cells over D (integer_cells;
-    a table given Cyclotomic values converts them once) and the orbit and
-    class sizes.  Each <xi_i, xi_j>
-    is an integer cyclic convolution weighted by |K|, compared with
-    delta_ij / |O_i| by cross-multiplication after folding x^(p-1).  Only
-    the entries with i <= j are computed: swapping i and j sends the
-    convolution's x^k to x^-k, which keeps the verdict, and the mirror of a
-    failing (i, j) with i > j comes earlier in row-major order, so the
-    first failure found is the full scan's.  On the cells conjugation is
-    x^k -> x^-k; conjugate symmetry finds each inverse column by canonical_form of the
-    representative's group inverse, not from the label.
+    symmetry read only the table's integer cells over D and the orbit and
+    class sizes.  Each <xi_i, xi_j> is an integer cyclic convolution
+    weighted by |K|, compared with delta_ij / |O_i| by cross-multiplication
+    after folding x^(p-1).  Only the entries with i <= j are computed:
+    swapping i and j sends the convolution's x^k to x^-k, which keeps the
+    verdict, and the mirror of a failing (i, j) with i > j comes earlier in
+    row-major order, so the first failure found is the full scan's.  On
+    the cells conjugation is x^k -> x^-k; conjugate symmetry finds each
+    inverse column by canonical_form of the representative's group
+    inverse, not from the label.
 
     The constancy check needs orbit members, so a table read back by
     table_from_json, which carries labels and sizes only, is refused with

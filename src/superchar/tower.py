@@ -15,18 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
+from .dual import DualOrbit
 from .gf import FieldElement, FiniteField, field_construct, field_embed, trace_lift
 from .nilpotent import positions
-from .orbits import _to_state, orbit_states
+from .orbits import Superclass
 from .partitions import (
     ColouredPartition,
     SetPartition,
-    compute_SR,
     enumerate_labels,
     format_coloured,
     nest,
 )
-from .table import sch_closed
+from .table import _closed_shape, sch_closed
 
 
 class FieldTower:
@@ -214,11 +214,9 @@ def limit_value(label: TowerLabel, col: ColouredPartition) -> Cyclotomic:
     """Zero unless every row arc survives the column shadow with zero
     nesting; otherwise the pairing product, frozen at the first level
     where both the label and the column are defined."""
-    p = label.tower.p
-    pi, pip = label.partition, col.partition
-    _, reach = compute_SR(pip)
-    if not (pi.arcs() <= reach) or nest(pi, pip) > 0:
-        return Cyclotomic.zero(p)
+    shape = _closed_shape(label.partition, col.partition)
+    if shape is None or shape[1] > 0:
+        return Cyclotomic.zero(label.tower.p)
     level = max(label.m0, _column_level(label.tower, col))
     return tower_supercharacter(label, level, _embed_column(label.tower, col, level))
 
@@ -295,17 +293,15 @@ def _level_feasible(n: int, field: FiniteField) -> bool:
 
 
 def _size_scan(n: int, tower: FieldTower, levels, dual: bool) -> list[tuple]:
-    """Orbit sizes per level for every level-1 canonical label."""
-    base = tower.fields[0]
+    """Orbit sizes per level for every level-1 canonical label, each walked
+    as an orbit object, whose walk checks the closed size."""
+    kind = DualOrbit if dual else Superclass
     out = []
-    for label in enumerate_labels(n, base, dual=dual):
-        sizes = []
-        for m in levels:
-            field = tower.field(m)
-            entries = {
-                arc: tower.embed(v, m) for arc, v in label.colours.items()
-            }
-            sizes.append(len(orbit_states(n, field, _to_state(n, entries), dual)))
+    for label in enumerate_labels(n, tower.fields[0], dual=dual):
+        sizes = [
+            len(kind.from_label(_embed_column(tower, label, m), tower.field(m)).members)
+            for m in levels
+        ]
         out.append((label, sizes))
     return out
 
@@ -389,9 +385,12 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         field = tower.field(m)
         total = field.order ** len(positions(n))
         qualifying = Fraction(0)
-        for label, sizes in _size_scan_level_dual(n, tower, m):
+        # dual labels of the level's own field, not embedded from level 1:
+        # higher levels have more colours than level 1 offers
+        for label in enumerate_labels(n, field, dual=True):
+            size = len(DualOrbit.from_label(label, field).members)
             if set(label.arcs()) <= fsc_arcs:
-                qualifying += Fraction(sizes, total)
+                qualifying += Fraction(size, total)
         profile.append({"level": m, "q": field.order, "weight": qualifying})
     weights = [entry["weight"] for entry in profile]
     increasing = all(a < b for a, b in zip(weights, weights[1:]))
@@ -404,13 +403,3 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         "profile": profile,
         "strictly_increasing": increasing,
     }
-
-
-def _size_scan_level_dual(n: int, tower: FieldTower, level: int):
-    """Dual labels at one level with their orbit sizes, enumerated at that
-    level's own field (not embedded from level 1: higher levels have more
-    colours than level 1 offers)."""
-    field = tower.field(level)
-    for label in enumerate_labels(n, field, dual=True):
-        start = _to_state(n, label.colours)
-        yield label, len(orbit_states(n, field, start, dual=True))

@@ -1,8 +1,10 @@
 """Slow reference implementations, kept so tests can compare exactly.
 
-superchar.table builds the closed table as integer cells; the closed
-formula cell by cell in Fraction-coordinate Cyclotomics, which that kernel
-replaced, comes first.  superchar.table checks orthogonality,
+superchar.cyclotomic holds a value as p integers in Z[x]/(x^p - 1) over
+one denominator; the Fraction-coordinate class it replaced comes first,
+with the closed formula cell by cell in that class, which the integer
+kernel of superchar.table replaced, and a table view whose values are
+such cells, for comparing exports.  superchar.table checks orthogonality,
 super-Plancherel and conjugate symmetry on integer vectors; the direct
 Cyclotomic loops those kernels replaced come next, then the
 member-by-member superclass-constancy scan that the additive Fourier
@@ -14,32 +16,196 @@ elementary generators of U_n.
 """
 
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
-from superchar import Cyclotomic, GroupElement, NilMatrix, cyclo_root, format_coloured
-from superchar.gf import trace_lift
+from superchar import Cyclotomic, GroupElement, NilMatrix, format_coloured
+from superchar.gf import is_prime, trace_lift
 from superchar.nilpotent import positions
-from superchar.orbits import _add_into, _to_state, _verge_arcs
+from superchar.orbits import _add_into, _verge_arcs
 from superchar.partitions import compute_SR, nest
-from superchar.table import _hist_to_cyclo, _inverse_column, _pairing_hist
+from superchar.table import _inverse_column, _pairing_hist
+
+
+# -- Fraction-coordinate cyclotomics --------------------------------------------
+#
+# Elements on the power basis 1, z, ..., z^(p-2) with p - 1 Fraction
+# coordinates, using z^(p-1) = -(1 + z + ... + z^(p-2)).
+
+
+class FractionCyclotomic:
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p, coeffs):
+        # exactly p-1 Fractions
+        self.p = p
+        self.coeffs = coeffs
+
+    @classmethod
+    def zero(cls, p):
+        return cls(p, (Fraction(0),) * (p - 1))
+
+    @classmethod
+    def one(cls, p):
+        return cls.from_rational(p, Fraction(1))
+
+    @classmethod
+    def from_rational(cls, p, r):
+        r = Fraction(r)
+        return cls(p, (r,) + (Fraction(0),) * (p - 2))
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return self.p == other.p and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == FractionCyclotomic.from_rational(self.p, other)
+        return NotImplemented
+
+    def __hash__(self):
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
+        return hash((self.p, self.coeffs))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionCyclotomic(
+            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.p, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        p = self.p
+        # accumulate exponents mod p, then fold z^(p-1) back onto the basis
+        acc = [Fraction(0)] * p
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                acc[(i + j) % p] += a * b
+        top = acc[p - 1]
+        return FractionCyclotomic(p, tuple(c - top for c in acc[: p - 1]))
+
+    __rmul__ = __mul__
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            if other.p != self.p:
+                raise ValueError("mixed cyclotomic fields")
+            return other
+        return FractionCyclotomic.from_rational(self.p, other)
+
+    def scale(self, r):
+        r = Fraction(r)
+        return FractionCyclotomic(self.p, tuple(r * c for c in self.coeffs))
+
+    def conjugate(self):
+        """Complex conjugation, z -> z^(p-1)."""
+        p = self.p
+        acc = [Fraction(0)] * p
+        for k, c in enumerate(self.coeffs):
+            acc[(p - k) % p] += c
+        top = acc[p - 1]
+        return FractionCyclotomic(p, tuple(c - top for c in acc[: p - 1]))
+
+    def rational_part(self):
+        if any(self.coeffs[1:]):
+            raise ValueError(f"not rational: {self.basis_str()}")
+        return self.coeffs[0]
+
+    def basis_str(self):
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if k == 0:
+                terms.append(str(c))
+            elif k == 1:
+                terms.append(f"{c}*z")
+            else:
+                terms.append(f"{c}*z^{k}")
+        return " + ".join(terms)
+
+    def to_json(self):
+        return {
+            "p": self.p,
+            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        p = int(obj["p"])
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        coeffs = tuple(Fraction(int(n), int(d)) for n, d in obj["coeffs"])
+        if len(coeffs) != p - 1:
+            raise ValueError("wrong coordinate count")
+        return cls(p, coeffs)
+
+
+def fraction_root(p, k=1):
+    """zeta_p^k as a FractionCyclotomic."""
+    k %= p
+    if k < p - 1:
+        return FractionCyclotomic(
+            p, tuple(Fraction(int(i == k)) for i in range(p - 1))
+        )
+    return FractionCyclotomic(p, (Fraction(-1),) * (p - 1))
+
+
+def cyclotomic(p, coeffs):
+    """The Cyclotomic with the given p - 1 power-basis coordinates."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return Cyclotomic(p, [int(c * den) for c in coeffs] + [0], den)
 
 
 def sch_closed(row, col, field):
-    """The closed formula on labels, one Cyclotomic per cell."""
+    """The closed formula on labels, one FractionCyclotomic per cell."""
     p = field.p
     pi, pip = row.partition, col.partition
     if pi.n != pip.n:
         raise ValueError("label sizes differ")
     _, reach = compute_SR(pip)
     if not (pi.arcs() <= reach):
-        return Cyclotomic.zero(p)
+        return FractionCyclotomic.zero(p)
     t = 0
     for arc in pi.arcs() & pip.arcs():
         t += trace_lift(row.colours[arc] * col.colours[arc])
-    value = cyclo_root(p, t % p)
+    value = fraction_root(p, t % p)
     depth = nest(pi, pip)
     if depth:
         value = value.scale(Fraction(1, field.order**depth))
     return value
+
+
+def closed_view(table):
+    """The table's axes and weights with values from the sch_closed oracle,
+    for table_to_json and table_to_csv."""
+    field = table.field
+    return SimpleNamespace(
+        n=table.n,
+        field=field,
+        order=table.order,
+        dual_orbits=table.dual_orbits,
+        superclasses=table.superclasses,
+        weight=table.weight,
+        values=[
+            [sch_closed(o.label, k.label, field) for k in table.superclasses]
+            for o in table.dual_orbits
+        ],
+    )
+
+
+# -- direct Cyclotomic loops -------------------------------------------------
 
 
 def inner_product(table, i, j):
@@ -139,8 +305,7 @@ def constancy_check(table):
         for state in cls.members:
             a = NilMatrix.from_dense(n, field, state)
             for i, orbit in enumerate(table.dual_orbits):
-                hist = _pairing_hist(orbit.members, a)
-                got = _hist_to_cyclo(field.p, hist, orbit.size)
+                got = Cyclotomic(field.p, _pairing_hist(orbit.members, a), orbit.size)
                 tested += 1
                 if got != table.values[i][j]:
                     bad = (i, j, state)
@@ -162,6 +327,11 @@ def constancy_check(table):
 # programs for the superdiagonal generators only.  The loops below are the
 # sparse entry-dict BFS it replaced: every elementary move 1 + alpha*e_ij
 # with every nonzero alpha, in FieldElement arithmetic.
+
+
+def to_state(n, entries):
+    """The dense state of an entry dict."""
+    return tuple(entries[p].index if p in entries else 0 for p in positions(n))
 
 
 def _expand(n, field, a):
@@ -225,13 +395,13 @@ def _dual_expand(n, field, b):
 def dict_orbit_states(n, field, start, dual=False):
     """Dense states of the orbit of the entry dict start, by the dict BFS."""
     expand = _dual_expand if dual else _expand
-    visited = {_to_state(n, start)}
+    visited = {to_state(n, start)}
     frontier = [start]
     while frontier:
         new = []
         for a in frontier:
             for b in expand(n, field, a):
-                key = _to_state(n, b)
+                key = to_state(n, b)
                 if key not in visited:
                     visited.add(key)
                     new.append(b)

@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic on the power basis of Q(zeta_p)."""
+"""Exact cyclotomic arithmetic in Q(zeta_p), against the Fraction-coordinate
+class of tests/oracles.py where the two are compared."""
 
 import cmath
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from superchar import Cyclotomic, cyclo_approx, cyclo_root
 
 
@@ -139,8 +141,7 @@ _RATIONALS = st.fractions(
 
 
 def _cyclo(p, data):
-    coeffs = tuple(data.draw(_RATIONALS) for _ in range(p - 1))
-    return Cyclotomic(p, coeffs)
+    return oracles.cyclotomic(p, [data.draw(_RATIONALS) for _ in range(p - 1)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,3 +186,71 @@ def test_hash_agrees_with_equality_on_rationals():
     assert len({half, Fraction(1, 2), Fraction(1, 2) * Cyclotomic.one(5)}) == 1
     z = cyclo_root(5)
     assert len({z, z + 0, z.conjugate().conjugate()}) == 1
+
+
+def test_from_json_refuses_a_p_that_is_not_prime():
+    blob = {"p": 4, "coeffs": [["1", "1"], ["0", "1"], ["0", "1"]]}
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        Cyclotomic.from_json(blob)
+    with pytest.raises(ValueError, match="zero denominator"):
+        Cyclotomic.from_json({"p": 3, "coeffs": [["1", "0"], ["0", "1"]]})
+
+
+def test_normal_form_folds_the_top_coordinate():
+    # 1 + x + ... + x^(p-1) is 0, so raising every coordinate keeps the value
+    # and the gcd comes out, leaving a positive denominator
+    z = Cyclotomic(5, [3, 1, 1, 1, 1], 4)
+    assert (z.num, z.den) == ((1, 0, 0, 0, 0), 2)
+    assert z == Fraction(1, 2) and z == Cyclotomic(5, [1, 0, 0, 0, 0], 2)
+    w = Cyclotomic(3, [0, 0, -6], -4)  # 3/2 z^2
+    assert (w.num, w.den) == ((-3, -3, 0), 2)
+    assert w == Fraction(3, 2) * cyclo_root(3, 2)
+
+
+def _pair(p, data):
+    """One value drawn twice: as a Cyclotomic and as the Fraction oracle."""
+    coeffs = tuple(data.draw(_RATIONALS) for _ in range(p - 1))
+    return oracles.cyclotomic(p, coeffs), oracles.FractionCyclotomic(p, coeffs)
+
+
+def _agree(value, oracle):
+    assert value.coeffs == oracle.coeffs
+    assert value.to_json() == oracle.to_json()
+    assert value.basis_str() == oracle.basis_str()
+    assert bool(value) == bool(oracle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_integer_cyclotomic_equals_the_fraction_oracle(p, data):
+    (a, fa), (b, fb) = _pair(p, data), _pair(p, data)
+    r = data.draw(_RATIONALS)
+    k = data.draw(st.integers(-9, 9))
+    _agree(a, fa)
+    _agree(a + b, fa + fb)
+    _agree(a - b, fa - fb)
+    _agree(a * b, fa * fb)
+    _agree(a + k, fa + k)
+    _agree(r - a, r - fa)
+    _agree(a * r, fa * r)
+    _agree(-a, -fa)
+    _agree(a.conjugate(), fa.conjugate())
+    _agree(a.scale(r), fa.scale(r))
+    _agree(a * cyclo_root(p, k), fa * oracles.fraction_root(p, k))
+    back = Cyclotomic.from_json(fa.to_json())
+    _agree(back, oracles.FractionCyclotomic.from_json(a.to_json()))
+    assert back == a and hash(back) == hash(a)
+    assert (a == b) == (fa == fb)
+    for x in (r, k, a.coeffs[0]):
+        assert (a == x) == (fa == x)
+        assert (a.scale(0) + x == x) and hash(a.scale(0) + x) == hash(x)
+    if a == b:
+        assert hash(a) == hash(b)
+    try:
+        expected = fa.rational_part()
+    except ValueError:
+        with pytest.raises(ValueError, match="not rational"):
+            a.rational_part()
+    else:
+        assert a.rational_part() == expected and a == expected
+        assert hash(a) == hash(expected)

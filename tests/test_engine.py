@@ -15,7 +15,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dict_orbit_states, verge_state
+from oracles import dict_orbit_states, to_state, verge_state
 from superchar import (
     NilMatrix,
     build_e,
@@ -29,7 +29,7 @@ from superchar import (
 )
 from superchar import orbits
 from superchar.nilpotent import positions
-from superchar.orbits import _to_state, orbit_states
+from superchar.orbits import orbit_states
 
 
 def closed_size(label, q):
@@ -150,7 +150,7 @@ def test_elimination_matches_orbit_scan_on_every_matrix(n, p, m, dual):
         label = canonical(NilMatrix.from_dense(n, f, start))
         assert label.dual == dual
         verge = verge_state(n, orbit_states(n, f, start, dual))
-        assert _to_state(n, label.colours) == verge, start
+        assert to_state(n, label.colours) == verge, start
 
 
 # n <= 5 and q in {2, 3, 4, 5}, leaving out U_5(F_4), whose typical orbit
@@ -173,5 +173,5 @@ def test_dual_elimination_matches_orbit_scan_from_random_starts(config, data):
     )
     label = dual_canonical(NilMatrix.from_dense(n, f, start))
     states = orbit_states(n, f, start, dual=True)
-    assert _to_state(n, label.colours) == verge_state(n, states)
+    assert to_state(n, label.colours) == verge_state(n, states)
     assert closed_size(label, f.order) == len(states)

@@ -59,7 +59,7 @@ def _non_monomial(p):
         st.just(cyclo_root(p, p - 1)),  # (-1, ..., -1) on the power basis
         st.just(half_plus_zeta),
         st.lists(coords, min_size=p - 1, max_size=p - 1).map(
-            lambda cs: Cyclotomic(p, tuple(cs))
+            lambda cs: oracles.cyclotomic(p, cs)
         ),
     )
 
@@ -69,7 +69,7 @@ def _non_monomial(p):
 def test_corrupted_tables_get_oracle_verdicts(config, data):
     base = _table(*config)
     p = base.field.p
-    values = [row[:] for row in base.values]
+    values = [list(row) for row in base.values]
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, base.size - 1))
         j = data.draw(st.integers(0, base.size - 1))
@@ -87,7 +87,7 @@ def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
     # some corruptions write the conjugate into the inverse column too,
     # so that a corrupted table can still pass this one check
     base = _table(*config)
-    values = [row[:] for row in base.values]
+    values = [list(row) for row in base.values]
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, base.size - 1))
         j = data.draw(st.integers(0, base.size - 1))
@@ -152,7 +152,7 @@ def test_half_gram_finds_the_full_scan_failure(config, data):
     # corrupt cells below the diagonal too, where the full scan would meet
     # a failing (i, j) with i > j only after its mirror (j, i)
     base = _table(*config)
-    values = [row[:] for row in base.values]
+    values = [list(row) for row in base.values]
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(1, base.size - 1))
         j = data.draw(st.integers(0, i))

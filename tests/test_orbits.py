@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from oracles import verge_state
+from oracles import to_state, verge_state
 from superchar import (
     GroupElement,
     NilMatrix,
@@ -25,7 +25,7 @@ from superchar import (
     superclass_orbit,
 )
 from superchar.nilpotent import positions
-from superchar.orbits import _to_state, orbit_states
+from superchar.orbits import orbit_states
 
 
 # ---------------------------------------------------------------- oracles
@@ -118,7 +118,7 @@ def test_canonical_form_matches_orbit_scan_oracle():
         for _ in range(30):
             a = _random_matrix(n, f, rng)
             verge = verge_state(n, orbit_states(n, f, a.dense()))
-            assert _to_state(n, canonical_form(a).colours) == verge
+            assert to_state(n, canonical_form(a).colours) == verge
 
 
 def test_canonical_form_constant_on_orbits():

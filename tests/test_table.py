@@ -2,8 +2,9 @@
 
 Oracle: the orbit-averaging route.  The golden 5x5 table below is
 regenerated cell by cell from sch_bruteforce (never sch_closed) before the
-closed route is compared against it.  The integer closed table is compared
-cell by cell with the Cyclotomic closed formula of tests/oracles.py.
+closed route is compared against it.  The integer closed table, and its
+JSON and CSV export, are compared cell by cell with the closed formula in
+the Fraction-coordinate cyclotomics of tests/oracles.py.
 """
 
 import json
@@ -41,6 +42,10 @@ from test_route import ROUTE_CONFIGS
 
 def _rational(v):
     return v.rational_part()
+
+
+def _with_values(t, values):
+    return SupercharTable(t.n, t.field, t.dual_orbits, t.superclasses, values)
 
 
 GOLDEN_U3_F2 = [
@@ -196,7 +201,7 @@ def test_build_table_u2_f3_is_cyclic_character_table():
     z = cyclo_root(3)
     z2 = cyclo_root(3, 2)
     one = Cyclotomic.one(3)
-    assert t.values == [[one, one, one], [one, z, z2], [one, z2, z]]
+    assert t.values == ((one, one, one), (one, z, z2), (one, z2, z))
     assert all(sc.size == 1 for sc in t.superclasses)
 
 
@@ -234,16 +239,19 @@ def test_verify_theory_counts_u3():
 def test_verify_theory_detects_corruption():
     f = field_construct(2, 1)
     t = build_table(3, f)
-    t.values[4][4] = Cyclotomic.one(2)  # break the (1,3) cell
-    report = verify_theory(t)
+    values = [list(row) for row in t.values]
+    values[4][4] = Cyclotomic.one(2)  # break the (1,3) cell
+    report = verify_theory(_with_values(t, values))
     failed = {name for (name, ok, _) in report if not ok}
     assert "orthogonality" in failed or "plancherel-identity" in failed
 
 
 def test_identity_normalization_checks_every_row():
     t = build_table(3, field_construct(3, 1))
-    t.values[-1][0] = cyclo_root(3)  # the last row, at the identity class
-    report = {name: (ok, detail) for name, ok, detail in verify_theory(t)}
+    values = [list(row) for row in t.values]
+    values[-1][0] = cyclo_root(3)  # the last row, at the identity class
+    checks = verify_theory(_with_values(t, values))
+    report = {name: (ok, detail) for name, ok, detail in checks}
     assert report["identity-normalization"] == (False, "xi(1) = 1 on every row")
 
 
@@ -311,6 +319,35 @@ def test_json_round_trip():
     assert back == t
     text = json.dumps(blob)
     assert table_from_json(json.loads(text)) == t
+
+
+@pytest.mark.parametrize("cut", ["last column", "last row"])
+def test_json_values_of_the_wrong_shape_are_refused(cut):
+    # unchecked, a dropped column's class is skipped by plancherel, which
+    # then reports the identity as holding, and a dropped row IndexErrors
+    blob = table_to_json(build_table(3, field_construct(3, 1)))
+    if cut == "last column":
+        blob["values"] = [row[:-1] for row in blob["values"]]
+    else:
+        blob["values"] = blob["values"][:-1]
+    with pytest.raises(ValueError, match="not 11 rows x 11 columns"):
+        table_from_json(blob)
+
+
+def test_json_values_outside_the_table_field_are_refused():
+    blob = table_to_json(build_table(2, field_construct(3, 1)))
+    blob["values"][1][1] = cyclo_root(5).to_json()
+    with pytest.raises(ValueError, match="outside Q\\(zeta_3\\)"):
+        table_from_json(blob)
+
+
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
+def test_export_equals_the_fraction_oracle_rendering(n, p, m):
+    # the same axes with every value from the Fraction-coordinate oracle
+    t = build_table(n, field_construct(p, m), validate="off")
+    view = oracles.closed_view(t)
+    assert table_to_json(t) == table_to_json(view)
+    assert table_to_csv(t) == table_to_csv(view)
 
 
 def test_parsed_table_plancherel_and_verify():

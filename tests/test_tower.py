@@ -307,3 +307,20 @@ def test_plancherel_profile_u3_frozen():
 def test_plancherel_profile_rejects_single_level():
     with pytest.raises(ValueError):
         plancherel_profile(3, _tw(), levels=[2])
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_tower_walks_check_the_closed_size(monkeypatch, dual):
+    # each tower walk is an orbit object's, so a wrong closed size fails it
+    import superchar.orbits as orbits_mod
+
+    closed = orbits_mod.closed_size
+
+    def off_by_one(label, q):
+        return closed(label, q) + (label.dual == dual and q == 4)
+
+    monkeypatch.setattr(orbits_mod, "closed_size", off_by_one)
+    with pytest.raises(AssertionError, match="the walk found"):
+        fsc_diagnostic(3, _tw())
+    with pytest.raises(AssertionError, match="the walk found"):
+        plancherel_profile(3, _tw())
