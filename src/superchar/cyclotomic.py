@@ -12,10 +12,14 @@ coeffs is the read-only Fraction view that to_json and basis_str print.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from .gf import is_prime
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 class Cyclotomic:
@@ -76,11 +80,20 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        # a rational value equals the int or Fraction it holds, so it must
-        # hash like it
-        if self._is_rational():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.p, self.num, self.den))
+        """A rational value equals the int or Fraction it holds, so it
+        hashes by the interpreter's numeric rule: |num| / den modulo the
+        prime sys.hash_info.modulus, hash_info.inf when den has no inverse
+        there, the sign of num, and -1 read as -2."""
+        if not self._is_rational():
+            return hash((self.p, self.num, self.den))
+        num, den = self.num[0], self.den
+        if den % _HASH_MODULUS:
+            h = abs(num) % _HASH_MODULUS * pow(den, -1, _HASH_MODULUS) % _HASH_MODULUS
+        else:
+            h = _HASH_INF
+        if num < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     # arithmetic
 

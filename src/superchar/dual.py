@@ -5,11 +5,13 @@ pairing matrix b, where tau is the standardized base character
 tau(x) = zeta_p^lift(Tr(x)).  In pairing coordinates the contragredient
 action of (g, h) transports b to the strictly upper part of
 (g^{-1})^T b h^T.  For a superdiagonal generator this is a single row or
-column move, which superchar.orbits.orbit_states applies to dense states
-with dual=True; validate=True replays every compiled move against dual_act
-and the defining property.  dual_canonical walks no orbit: it reaches the
-verge member by elimination with the same moves, as canonical_form does for
-superclasses.
+column move, so its root subgroup moves a state along one coset
+{b + beta*v(b) : beta in F_q}, which superchar.orbits.orbit_states
+generates once per coset on dense states with dual=True; validate=True
+replays every compiled move at every nonzero scalar against dual_act and
+the defining property.  dual_canonical walks no orbit: it reaches the
+verge member by elimination with the same moves, as canonical_form does
+for superclasses.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .gf import FieldElement, FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, positions
 from .orbits import (
     _add_into,
-    _images,
-    _move_rows,
+    _coset,
     _Orbit,
+    _sum_rows,
     _verge_label,
     check_cover,
     orbit_states,
@@ -81,21 +83,23 @@ def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
 
 
 def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
-    """Check one BFS state: the image under each compiled dual move must
-    equal the image under the generic transport action of the same
-    generator, and the transport itself must obey the defining property on
-    a basis of A."""
+    """Check one BFS state: for every compiled program and every nonzero
+    scalar beta, the image the coset walk gives at beta must equal the
+    transport of the state by 1 + sign*beta*e_{i,i+1}, and the transport
+    itself must obey the defining property on a basis of A."""
     b = NilMatrix.from_dense(n, field, state)
     one = GroupElement.identity(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
-    rows = _move_rows(field)
+    rows = _sum_rows(field)
+    # beta = g^j in the order _coset generates its images
+    scalars = [field.element_by_index(field.exp[j]) for j in range(field.order - 1)]
     for i, left, pairs, sign in programs:
-        for k, row in enumerate(rows[sign]):
-            alpha = field.element_by_index(field.p**k)
+        images = _coset(state, pairs, field, rows) or [state] * len(scalars)
+        for beta, fast in zip(scalars, images):
+            alpha = field.from_int(sign) * beta
             g = GroupElement(NilMatrix.single(n, field, i, i + 1, alpha))
             moved = dual_act(g, one, b) if left else dual_act(one, g, b)
-            fast = _images(state, [(pairs, [row])], field) or [state]
-            if fast[0] != moved.dense():
+            if fast != moved.dense():
                 raise AssertionError(
                     f"compiled dual move ({i},{i + 1}) alpha={alpha} disagrees "
                     "with the transport action"

@@ -3,11 +3,13 @@ reduction of any matrix to its canonical coloured-set-partition label.
 
 One BFS engine, orbit_states, walks both the superclasses here and the dual
 orbits of superchar.dual.  A state is the dense tuple of field enumeration
-indices over positions(n), row-major.  Each generator of the engine is a
-move program compiled once per (n, dual): (dst_rank, src_rank) pairs plus a
-sign, applied as dst += sign * alpha * src by Zech addition on the log
-tables of superchar.gf.  Every move keeps a strictly upper matrix strictly
-upper, so no projection is ever needed.
+indices over positions(n), row-major.  Each superdiagonal root subgroup
+acts through a move program compiled once per (n, dual): (dst_rank,
+src_rank) pairs plus a sign, so 1 + alpha*e_{i,i+1} sets
+dst += sign * alpha * src.  The walk closes an orbit one root-subgroup
+coset at a time, generating each coset's q - 1 other members once by Zech
+addition on the log tables of superchar.gf.  Every move keeps a strictly
+upper matrix strictly upper, so no projection is ever needed.
 
 An orbit object (Superclass here, DualOrbit in superchar.dual) carries its
 label, representative and size; its members are walked only on first read
@@ -69,37 +71,55 @@ def _move_programs(n: int, dual: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _move_rows(field: FiniteField) -> dict:
-    """Per sign, the rows v -> log(sign*alpha*v) over enumeration indices
-    v, for alpha over the F_p-basis 1, x, ..., x^(m-1)."""
-    exp, log = field.exp, field.log
-    basis = [field.element_by_index(field.p**k) for k in range(field.m)]
-    scalars = {1: basis, -1: [-alpha for alpha in basis]}
-    return {
-        sign: [[log[exp[lv + log[c.index]]] for lv in log] for c in cs]
-        for sign, cs in scalars.items()
-    }
+def _sum_rows(field: FiniteField) -> list:
+    """rows[a][u], the index of a + g^u for 0 <= u < 2(q-1), two periods
+    of O(q) per field element a.  rows[0] is read off exp; a row for
+    a != 0 is built by _sum_row the first time a walk adds to an entry a
+    (None until then)."""
+    rows = [None] * field.order
+    rows[0] = field.exp[: 2 * (field.order - 1)]
+    return rows
 
 
-def _images(state: tuple, moves, field: FiniteField) -> list[tuple]:
-    """Images of one state under every move whose source entries are not
-    all zero; a move with an all-zero source fixes the state.  Each entry
-    update dst += sign*alpha*src is one Zech addition on logs."""
-    exp, log, zech = field.exp, field.log, field.zech
+def _sum_row(rows: list, a: int, field: FiniteField) -> list:
+    """Fill rows[a]: a + g^u = g^la (1 + g^(u - la)), one rotation of the
+    Zech table read through exp."""
+    exp, zech, la, n = field.exp, field.zech, field.log[a], field.order - 1
+    row = [exp[la + z] for z in zech[n - la:] + zech[:n - la]]
+    rows[a] = row + row
+    return rows[a]
+
+
+def _coset(state: tuple, pairs, field: FiniteField, rows: list) -> list[tuple]:
+    """The q - 1 images state + beta*v for beta = g^0, ..., g^(q-2), where
+    v holds the program's source entries at their destinations (pairs are
+    (dst_rank, src_rank)), or [] when every source entry is zero.  Entry d
+    of the image at g^j is state[d] + g^(j + log v_d), a slice of the row
+    of state[d] in rows = _sum_rows(field)."""
+    log, n = field.log, field.order - 1
+    cols = []
+    for d, r in pairs:
+        v = state[r]
+        if v:
+            a = state[d]
+            row = rows[a] or _sum_row(rows, a, field)
+            lv = log[v]
+            cols.append((d, row[lv:lv + n]))
     out = []
-    for pairs, rows in moves:
-        live = [(d, state[r]) for d, r in pairs if state[r]]
-        if live:
-            for row in rows:
-                img = list(state)
-                for d, v in live:
-                    a = img[d]
-                    if a:
-                        la = log[a]
-                        img[d] = exp[la + zech[row[v] - la]]
-                    else:
-                        img[d] = exp[row[v]]
-                out.append(tuple(img))
+    if not cols:
+        return out
+    img = list(state)
+    if len(cols) == 1:  # the common case, without the zip: 2-4x faster
+        d, col = cols[0]
+        for c in col:
+            img[d] = c
+            out.append(tuple(img))
+        return out
+    dsts = [d for d, _ in cols]
+    for values in zip(*[col for _, col in cols]):
+        for d, c in zip(dsts, values):
+            img[d] = c
+        out.append(tuple(img))
     return out
 
 
@@ -117,35 +137,48 @@ def orbit_states(
     """Dense states of the two-sided orbit of start: the superclass G a G,
     or with dual=True the contragredient orbit of the pairing matrix.
 
-    The generators are the superdiagonal 1 + alpha*e_{i,i+1} with alpha over
-    the F_p-basis 1, x, ..., x^(m-1) of F_q, on either side: 2(n-1)m moves
-    per state.  They generate U_n(F_q): e_{i,i+1}^2 = 0 gives
-    (1 + alpha e)(1 + beta e) = 1 + (alpha + beta) e, so each superdiagonal
-    root subgroup is reached from the basis; the commutator of 1 + alpha
-    e_{i,j} and 1 + beta e_{j,j+1} is 1 + alpha*beta e_{i,j+1}, so each
-    diagonal above is reached from the one below; and the root subgroups
-    generate U_n.  An orbit is closed under any generating set of the
-    acting group, so these orbits are the orbits under every elementary
-    move.  check(state, programs), when given, runs on every state before
-    it expands, with the compiled programs the engine applies.
+    The acting subgroups are the superdiagonal root subgroups
+    X = {1 + alpha*e_{i,i+1} : alpha in F_q}, one per side and i.  They
+    generate U_n(F_q): the commutator of 1 + alpha e_{i,j} and
+    1 + beta e_{j,j+1} is 1 + alpha*beta e_{i,j+1}, so each diagonal above
+    is reached from the one below, and the root subgroups generate U_n.
+    An orbit is closed under any generating set of the acting group, so
+    these orbits are the orbits under every elementary move.
+
+    A compiled program reads sources disjoint from its destinations, so
+    X.s = {s + beta*v(s) : beta in F_q}, v(s) the source entries at their
+    destinations, whatever the program's sign, and every member of that
+    coset has the same coset.  The walk therefore expands each coset once:
+    a state not yet expanded carries the bits of the subgroups whose coset
+    through it is already generated, and its expansion generates the
+    q - 1 images of every other coset with a nonzero v by Zech addition.
+    That is at most 2(n-1)|O| images per orbit, one per state and
+    subgroup.  check(state, programs), when given, runs on every state
+    before it expands, with the compiled programs of the walk.
     """
     check_space(n, field)
-    visited = {start}
     programs = _move_programs(n, dual)
-    moves = [(pairs, sign) for _, _, pairs, sign in programs if pairs]
-    if moves:  # n <= 2 has no move and needs no rows
-        rows = _move_rows(field)
-        moves = [(pairs, rows[sign]) for pairs, sign in moves]
+    moves = [(1 << k, pairs) for k, (_, _, pairs, _) in enumerate(programs) if pairs]
+    rows = _sum_rows(field)
+    visited = {start}
+    closed = {start: 0}  # states not yet expanded -> bits of their generated cosets
     frontier = [start]
     while frontier:
         new = []
         for state in frontier:
             if check is not None:
                 check(state, programs)
-            for t in _images(state, moves, field):
-                if t not in visited:
-                    visited.add(t)
-                    new.append(t)
+            done = closed.pop(state)
+            for bit, pairs in moves:
+                if done & bit:
+                    continue
+                for t in _coset(state, pairs, field, rows):
+                    if t in closed:
+                        closed[t] |= bit
+                    elif t not in visited:
+                        visited.add(t)
+                        closed[t] = bit
+                        new.append(t)
         frontier = new
     return visited
 

@@ -121,15 +121,21 @@ def sch_closed(
 ) -> Cyclotomic:
     """The closed formula on labels; never touches any orbit.  The
     Cyclotomic view of one cell of _closed_cells, zeta^t q^-d."""
-    p, log = field.p, field.log
     shape = _closed_shape(row.partition, col.partition)
     if shape is None:
-        return Cyclotomic.zero(p)
+        return Cyclotomic.zero(field.p)
     shared, d = shape
-    trl, exp = trace_lifts(field), field.exp
-    t = sum(
-        trl[exp[log[row.colours[a].index] + log[col.colours[a].index]]] for a in shared
+    return _closed_value(
+        [(row.colours[a], col.colours[a]) for a in shared], d, field
     )
+
+
+def _closed_value(pairs, d: int, field: FiniteField) -> Cyclotomic:
+    """zeta^t q^-d, where t sums lift(Tr(a b)) over the (a, b) colour
+    pairs of the shared arcs: the closed formula once _closed_shape has
+    found the shared arcs and the nesting depth d."""
+    p, log, exp, trl = field.p, field.log, field.exp, trace_lifts(field)
+    t = sum(trl[exp[log[a.index] + log[b.index]]] for a, b in pairs)
     return Cyclotomic(p, _dense(((t % p, 1),), p), field.order**d)
 
 

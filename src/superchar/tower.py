@@ -13,10 +13,18 @@ first fully-defined level.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
-from .gf import FieldElement, FiniteField, field_construct, field_embed, trace_lift
+from .gf import (
+    FieldElement,
+    FiniteField,
+    field_construct,
+    field_embed,
+    field_trace,
+    trace_lifts,
+)
 from .nilpotent import positions
 from .orbits import Superclass
 from .partitions import (
@@ -26,7 +34,7 @@ from .partitions import (
     format_coloured,
     nest,
 )
-from .table import _closed_shape, sch_closed
+from .table import _closed_shape, _closed_value, sch_closed
 
 
 class FieldTower:
@@ -65,17 +73,49 @@ class FieldTower:
         return f"FieldTower(p={self.p}, degrees={self.degrees})"
 
 
+@lru_cache(maxsize=None)
+def _relative_traces(sub: FiniteField, sup: FiniteField) -> list[int]:
+    """The index in sub of the relative trace of x from sup down to sub,
+    for every x of sup in index order.  The trace is F_p-linear, so the
+    list is read off the traces of the basis 1, x, ..., x^(M-1) of sup, as
+    trace_lifts is: index c_0 + c_1 p + ... takes sum c_d Tr(x^d)."""
+    traces = [sub.zero]
+    for d in range(sup.m):
+        t = field_trace(sup.element_by_index(sup.p**d), sub.m)
+        multiples = [sub.zero]
+        for _ in range(sup.p - 1):
+            multiples.append(multiples[-1] + t)
+        traces = [s + c for c in multiples for s in traces]
+    return [t.index for t in traces]
+
+
+@lru_cache(maxsize=None)
+def _embedded_indices(sub: FiniteField, sup: FiniteField) -> list[int]:
+    """The index in sup of the fixed embedding of every element of sub."""
+    emb = field_embed(sub, sup)
+    return [emb(x).index for x in sub.elements]
+
+
 def char_extend(beta: FieldElement, sup: FiniteField) -> FieldElement:
     """The enumeration-smallest element of sup whose trace down is beta."""
     sub = beta.field
     if sup.m % sub.m != 0 or sup.p != sub.p:
         raise ValueError("not a subfield pair")
-    from .gf import field_trace
+    return sup.elements[_relative_traces(sub, sup).index(beta.index)]
 
-    for x in sup.elements:
-        if field_trace(x, sub.m) == beta:
-            return x
-    raise AssertionError("trace is surjective; no preimage found")
+
+def _restricts(lo: FiniteField, hi: FiniteField, b_lo: int, b_hi: int) -> bool:
+    """Whether the character x -> tau(b_hi x) of hi agrees with
+    x -> tau(b_lo x) at every element x of the embedded lo, on the exp,
+    log and trace-lift tables (betas and x as enumeration indices)."""
+    exp_lo, log_lo, trl_lo = lo.exp, lo.log, trace_lifts(lo)
+    exp_hi, log_hi, trl_hi = hi.exp, hi.log, trace_lifts(hi)
+    l_lo, l_hi = log_lo[b_lo], log_hi[b_hi]  # 2(q-1) for a zero beta
+    emb = _embedded_indices(lo, hi)
+    return all(
+        trl_hi[exp_hi[l_hi + log_hi[emb[x]]]] == trl_lo[exp_lo[l_lo + log_lo[x]]]
+        for x in range(1, lo.order)  # x = 0 gives 0 on both sides
+    )
 
 
 class TowerCharacter:
@@ -93,21 +133,18 @@ class TowerCharacter:
         betas = list(betas)
         if len(betas) != len(tower):
             raise ValueError("one beta per tower level required")
-        from .gf import field_trace
-
         for m, (lo, hi) in enumerate(zip(tower.fields, tower.fields[1:])):
             if betas[m].field != lo or betas[m + 1].field != hi:
                 raise ValueError(f"beta at level {m + 1} lives in the wrong field")
-            if field_trace(betas[m + 1], lo.m) != betas[m]:
+            b_lo, b_hi = betas[m].index, betas[m + 1].index
+            if _relative_traces(lo, hi)[b_hi] != b_lo:
                 raise ValueError(
                     f"trace compatibility fails between levels {m + 1} and {m + 2}"
                 )
-            emb = field_embed(lo, hi)
-            for x in lo.elements:
-                if trace_lift(betas[m + 1] * emb(x)) != trace_lift(betas[m] * x):
-                    raise AssertionError(
-                        "trace-compatible betas do not restrict as characters"
-                    )
+            if not _restricts(lo, hi, b_lo, b_hi):
+                raise AssertionError(
+                    "trace-compatible betas do not restrict as characters"
+                )
         self.tower = tower
         self.betas = betas
         self.m0 = next(
@@ -210,15 +247,34 @@ def _column_level(tower: FieldTower, col: ColouredPartition) -> int:
     raise ValueError("column colours do not live at any tower level")
 
 
+def _level_value(
+    label: TowerLabel, col: ColouredPartition, shape, level: int
+) -> Cyclotomic:
+    """The closed value at level of label against col, given at its own
+    level and embedded up; shape is _closed_shape of the two partitions."""
+    tower = label.tower
+    if shape is None:
+        return Cyclotomic.zero(tower.p)
+    shared, d = shape
+    pairs = [
+        (label.colours[a].betas[level - 1], tower.embed(col.colours[a], level))
+        for a in shared
+    ]
+    return _closed_value(pairs, d, tower.field(level))
+
+
+def _limit(label: TowerLabel, col: ColouredPartition, shape) -> Cyclotomic:
+    if shape is None or shape[1] > 0:
+        return Cyclotomic.zero(label.tower.p)
+    level = max(label.m0, _column_level(label.tower, col))
+    return _level_value(label, col, shape, level)
+
+
 def limit_value(label: TowerLabel, col: ColouredPartition) -> Cyclotomic:
     """Zero unless every row arc survives the column shadow with zero
     nesting; otherwise the pairing product, frozen at the first level
     where both the label and the column are defined."""
-    shape = _closed_shape(label.partition, col.partition)
-    if shape is None or shape[1] > 0:
-        return Cyclotomic.zero(label.tower.p)
-    level = max(label.m0, _column_level(label.tower, col))
-    return tower_supercharacter(label, level, _embed_column(label.tower, col, level))
+    return _limit(label, col, _closed_shape(label.partition, col.partition))
 
 
 def convergence_report(
@@ -227,13 +283,16 @@ def convergence_report(
     """Exact level values against the predicted limit.
 
     The column is given at its own level and embedded upward.  Levels
-    below m0 or below the column's level are reported as undefined.
+    below m0 or below the column's level are reported as undefined.  The
+    closed shape of the two partitions is found once; every level and the
+    limit read it.
     """
     tower = label.tower
     top = len(tower) if max_level is None else min(max_level, len(tower))
     first = max(label.m0, _column_level(tower, col))
-    depth = nest(label.partition, col.partition)
-    limit = limit_value(label, col)
+    shape = _closed_shape(label.partition, col.partition)
+    depth = nest(label.partition, col.partition) if shape is None else shape[1]
+    limit = _limit(label, col, shape)
     levels = []
     values = []
     for m in range(1, top + 1):
@@ -241,7 +300,7 @@ def convergence_report(
         if m < first:
             levels.append({"level": m, "q": q, "defined": False})
             continue
-        v = tower_supercharacter(label, m, _embed_column(tower, col, m))
+        v = _level_value(label, col, shape, m)
         values.append(v)
         abs2 = (v * v.conjugate()).rational_part()
         levels.append(

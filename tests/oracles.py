@@ -9,7 +9,8 @@ super-Plancherel and conjugate symmetry on integer vectors; the direct
 Cyclotomic loops those kernels replaced come next, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
-replaced follows, then the orbit scan that canonical_form and
+replaced follows, with the basis-scalar walk that its coset walk replaced,
+then the orbit scan that canonical_form and
 dual_canonical replaced, then the per-operation polynomial arithmetic that
 the log, antilog and Zech tables of superchar.gf replaced, and last the
 elementary generators of U_n.
@@ -19,10 +20,17 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from superchar import Cyclotomic, GroupElement, NilMatrix, format_coloured
-from superchar.gf import is_prime, trace_lift
+from superchar import (
+    ColouredPartition,
+    Cyclotomic,
+    GroupElement,
+    NilMatrix,
+    format_coloured,
+    tower_supercharacter,
+)
+from superchar.gf import field_trace, is_prime, trace_lift
 from superchar.nilpotent import positions
-from superchar.orbits import _add_into, _verge_arcs
+from superchar.orbits import _add_into, _move_programs, _verge_arcs
 from superchar.partitions import compute_SR, nest
 from superchar.table import _inverse_column, _pairing_hist
 
@@ -409,6 +417,68 @@ def dict_orbit_states(n, field, start, dual=False):
     return visited
 
 
+# -- basis-scalar BFS -----------------------------------------------------------
+#
+# superchar.orbits.orbit_states generates each root-subgroup coset once, all
+# q - 1 of its other members at a time.  The walk below is the one it
+# replaced: every state applies each compiled program with alpha over the
+# F_p-basis 1, x, ..., x^(m-1) only, 2(n-1)m moves per state, one Zech
+# addition per entry.
+
+
+def _basis_rows(field):
+    """Per sign, the rows v -> log(sign*alpha*v) over enumeration indices
+    v, for alpha over the F_p-basis."""
+    exp, log = field.exp, field.log
+    basis = [field.element_by_index(field.p**k) for k in range(field.m)]
+    scalars = {1: basis, -1: [-alpha for alpha in basis]}
+    return {
+        sign: [[log[exp[lv + log[c.index]]] for lv in log] for c in cs]
+        for sign, cs in scalars.items()
+    }
+
+
+def _basis_images(state, moves, field):
+    exp, log, zech = field.exp, field.log, field.zech
+    out = []
+    for pairs, rows in moves:
+        live = [(d, state[r]) for d, r in pairs if state[r]]
+        if live:
+            for row in rows:
+                img = list(state)
+                for d, v in live:
+                    a = img[d]
+                    if a:
+                        la = log[a]
+                        img[d] = exp[la + zech[row[v] - la]]
+                    else:
+                        img[d] = exp[row[v]]
+                out.append(tuple(img))
+    return out
+
+
+def basis_orbit_states(n, field, start, dual=False):
+    """Dense states of the orbit of the dense state start, by the
+    basis-scalar BFS over the compiled programs."""
+    rows = _basis_rows(field)
+    moves = [
+        (pairs, rows[sign])
+        for _, _, pairs, sign in _move_programs(n, dual)
+        if pairs
+    ]
+    visited = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for state in frontier:
+            for t in _basis_images(state, moves, field):
+                if t not in visited:
+                    visited.add(t)
+                    new.append(t)
+        frontier = new
+    return visited
+
+
 # -- verge scan ----------------------------------------------------------------
 #
 # canonical_form and dual_canonical reach the verge member by elimination.
@@ -426,6 +496,87 @@ def verge_state(n, states):
             found = state
     assert found is not None, "orbit holds no verge matrix"
     return found
+
+
+# -- tower reports, level by level ------------------------------------------------
+#
+# superchar.tower finds relative traces in one index list per field pair,
+# and convergence_report evaluates the closed formula on the shape of the
+# two partitions found once.  Below, char_extend scans the superfield with
+# one field_trace per element, and the report builds each level's label
+# and embedded column and calls sch_closed on them at every level.
+
+
+def char_extend_scan(beta, sup):
+    """The enumeration-smallest element of sup whose trace down is beta."""
+    for x in sup.elements:
+        if field_trace(x, beta.field.m) == beta:
+            return x
+    raise AssertionError("trace is surjective; no preimage found")
+
+
+def _embedded_column(tower, col, level):
+    return ColouredPartition(
+        col.partition,
+        {arc: tower.embed(v, level) for arc, v in col.colours.items()},
+        dual=col.dual,
+    )
+
+
+def _column_level(tower, col):
+    if not col.colours:
+        return 1
+    f = next(iter(col.colours.values())).field
+    return tower.fields.index(f) + 1
+
+
+def convergence_report_by_levels(label, col, max_level=None):
+    """convergence_report with each level's label and column rebuilt and
+    every value, the limit included, read from sch_closed."""
+    tower = label.tower
+    top = len(tower) if max_level is None else min(max_level, len(tower))
+    first = max(label.m0, _column_level(tower, col))
+    depth = nest(label.partition, col.partition)
+    _, reach = compute_SR(col.partition)
+    if not label.partition.arcs() <= reach or depth > 0:
+        limit = Cyclotomic.zero(tower.p)
+    else:
+        limit = tower_supercharacter(label, first, _embedded_column(tower, col, first))
+    levels = []
+    values = []
+    for m in range(1, top + 1):
+        q = tower.field(m).order
+        if m < first:
+            levels.append({"level": m, "q": q, "defined": False})
+            continue
+        v = tower_supercharacter(label, m, _embedded_column(tower, col, m))
+        values.append(v)
+        abs2 = (v * v.conjugate()).rational_part()
+        levels.append({"level": m, "q": q, "defined": True, "value": v, "abs2": abs2})
+    if not values:
+        stabilized = False
+        verdict = "no defined levels in range"
+    elif limit:
+        stabilized = all(v == limit for v in values)
+        verdict = f"stabilized at level {first}" if stabilized else "not stabilized"
+    elif all(not v for v in values):
+        verdict = f"stabilized at level {first}"
+        stabilized = True
+    else:
+        for entry in levels:
+            if entry["defined"]:
+                assert entry["abs2"] == Fraction(1, entry["q"] ** (2 * depth))
+        verdict = f"norm decays as q_m^-{depth}"
+        stabilized = False
+    return {
+        "m0": label.m0,
+        "first_defined_level": first,
+        "nest": depth,
+        "levels": levels,
+        "limit": limit,
+        "stabilized": stabilized,
+        "verdict": verdict,
+    }
 
 
 # -- polynomial field arithmetic ------------------------------------------------

@@ -2,6 +2,7 @@
 class of tests/oracles.py where the two are compared."""
 
 import cmath
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,25 @@ def test_hash_agrees_with_equality_on_rationals():
     assert len({half, Fraction(1, 2), Fraction(1, 2) * Cyclotomic.one(5)}) == 1
     z = cyclo_root(5)
     assert len({z, z + 0, z.conjugate().conjugate()}) == 1
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    num=st.integers(-(1 << 70), 1 << 70)
+    | st.sampled_from([-1, -2, 0, _MODULUS - 1, 1 - _MODULUS, _MODULUS, -_MODULUS]),
+    den=st.integers(1, 1 << 70) | st.integers(1, 5).map(lambda k: k * _MODULUS),
+)
+def test_rational_hash_is_the_numeric_hash(p, num, den):
+    # the interpreter's rule, not a Fraction built per call: equal numbers
+    # hash equal across int, Fraction and Cyclotomic
+    r = Fraction(num, den)
+    assert hash(Cyclotomic.from_rational(p, r)) == hash(r)
+    assert hash(Cyclotomic(p, [num] + [0] * (p - 1))) == hash(num)
+    assert hash(Cyclotomic(p, [num] + [0] * (p - 1), den)) == hash(r)
 
 
 def test_from_json_refuses_a_p_that_is_not_prime():

@@ -3,8 +3,10 @@ shortcuts that stand in for it: closed orbit sizes and the eliminations.
 
 Oracles: the sparse dict BFS in tests/oracles.py, which applies every
 elementary move 1 + alpha*e_ij with every nonzero alpha in FieldElement
-arithmetic.  The engine applies compiled programs for the superdiagonal
-generators only, so equal orbit sets also check the generation argument.
+arithmetic, and the basis-scalar walk that the coset walk replaced, which
+applies the compiled programs with alpha over the F_p-basis only.  The
+engine generates whole superdiagonal root-subgroup cosets, so equal orbit
+sets also check the generation argument.
 The engine's orbits in turn are the oracle for the closed sizes
 q^|S(pi)| and q^r(pi), and, scanned by verge_state, for the labels that
 canonical_form and dual_canonical find by elimination.
@@ -15,8 +17,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dict_orbit_states, to_state, verge_state
+from oracles import basis_orbit_states, dict_orbit_states, to_state, verge_state
 from superchar import (
+    ColouredPartition,
     NilMatrix,
     build_e,
     canonical_form,
@@ -24,6 +27,7 @@ from superchar import (
     dual_canonical,
     enumerate_dual_orbits,
     enumerate_labels,
+    enumerate_partitions,
     field_construct,
     r_of,
 )
@@ -84,7 +88,7 @@ def test_engine_matches_dict_bfs_from_random_starts(config, dual, data):
     assert orbit_states(n, f, start, dual) == dict_orbit_states(n, f, entries, dual)
 
 
-@pytest.mark.parametrize("corruption", ["sign", "destination"])
+@pytest.mark.parametrize("corruption", ["sign", "destination", "swap"])
 def test_corrupted_move_program_fails_validation(monkeypatch, corruption):
     compiled = orbits._move_programs
 
@@ -94,6 +98,8 @@ def test_corrupted_move_program_fails_validation(monkeypatch, corruption):
         i, left, pairs, sign = programs[k]
         if corruption == "sign":
             programs[k] = (i, left, pairs, -sign)
+        elif corruption == "swap":  # source and destination exchanged
+            programs[k] = (i, left, tuple((s, d) for d, s in pairs), sign)
         else:
             (dst, src), rest = pairs[0], pairs[1:]
             other = next(r for r in range(len(positions(n))) if r not in (dst, src))
@@ -122,21 +128,77 @@ def test_field_without_index_tables(monkeypatch):
 
 
 def test_images_bounded_by_superdiagonal_moves(monkeypatch):
-    # a deterministic cost guard: the engine generates at most 2(n-1)m images
-    # per state, where every elementary move would give up to n(n-1)(q-1)
+    # a deterministic cost guard: each superdiagonal root-subgroup coset is
+    # generated once, so a walk makes at most 2(n-1)|O| images (one per state
+    # and subgroup), where the basis-scalar walk made up to 2(n-1)m|O| and
+    # every elementary move up to n(n-1)(q-1)|O|; every state but the start
+    # is an image
     images = []
-    expand = orbits._images
+    expand = orbits._coset
 
     def counting(*args):
         out = expand(*args)
         images.append(len(out))
         return out
 
-    monkeypatch.setattr(orbits, "_images", counting)
-    n, f = 4, field_construct(3, 1)
-    states = sum(o.size for o in enumerate_dual_orbits(n, f))
-    assert states == len(images) == 3 ** 6
-    assert 0 < sum(images) <= states * 2 * (n - 1) * f.m
+    monkeypatch.setattr(orbits, "_coset", counting)
+    for n, p, m in [(4, 3, 1), (4, 2, 2), (3, 3, 2)]:
+        f = field_construct(p, m)
+        for dual in (False, True):
+            for label in enumerate_labels(n, f, dual=dual):
+                images.clear()
+                size = len(orbit_states(n, f, build_e(label, f).dense(), dual))
+                assert size - 1 <= sum(images) <= 2 * (n - 1) * size, label
+                assert all(k in (0, f.order - 1) for k in images)
+
+
+def _one_label_per_partition(n, f, dual):
+    """A label on every set partition of [n], its arc colours spread over
+    F_q^* and away from the F_p-basis."""
+    out = []
+    for pi in enumerate_partitions(n):
+        arcs = sorted(pi.arcs())
+        colours = {
+            arc: f.element_by_index(f.exp[(5 * k + 3) % (f.order - 1)])
+            for k, arc in enumerate(arcs)
+        }
+        out.append(ColouredPartition(pi, colours, dual=dual))
+    return out
+
+
+# n = 3 and 4 over the extension fields up to GF(16); U_4(F_16) needs a
+# raised space cap.  The dict BFS, about 0.3 ms a state over GF(16), runs
+# on the orbits of at most 1024 states
+EXTENSION_CONFIGS = [(3, 2, 2), (4, 2, 2), (3, 2, 3), (4, 2, 3), (3, 3, 2),
+                     (4, 3, 2), (3, 2, 4), (4, 2, 4)]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["superclass", "dual"])
+@pytest.mark.parametrize("n,p,m", EXTENSION_CONFIGS)
+def test_coset_walk_matches_basis_and_dict_bfs(monkeypatch, n, p, m, dual):
+    monkeypatch.setenv("SUPERCHAR_CAP", str(1 << 24))
+    f = field_construct(p, m)
+    for label in _one_label_per_partition(n, f, dual):
+        rep = build_e(label, f)
+        got = orbit_states(n, f, rep.dense(), dual)
+        assert got == basis_orbit_states(n, f, rep.dense(), dual), label
+        assert len(got) == closed_size(label, f.order), label
+        if len(got) <= 1024:
+            assert got == dict_orbit_states(n, f, dict(rep.entries), dual), label
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["superclass", "dual"])
+def test_coset_walk_over_gf64(dual):
+    f = field_construct(2, 6)
+    # the largest orbit: the chain 1-2-3 (64 states) or the dual 1,3/2 (4096)
+    label = max(
+        _one_label_per_partition(3, f, dual), key=lambda lab: closed_size(lab, 64)
+    )
+    rep = build_e(label, f)
+    got = orbit_states(3, f, rep.dense(), dual)
+    assert got == basis_orbit_states(3, f, rep.dense(), dual)
+    assert got == dict_orbit_states(3, f, dict(rep.entries), dual)
+    assert len(got) == closed_size(label, f.order)
 
 
 @pytest.mark.parametrize(

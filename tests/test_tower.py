@@ -3,11 +3,16 @@
 Oracle: trace compatibility is replayed as a character identity (the
 TowerCharacter constructor itself recomputes it against every subfield
 element), and the level magnitudes are checked against frozen rationals.
+The relative-trace index lists stand against the linear scan with one
+field_trace per element, and convergence_report against the report that
+rebuilds every level's label and column (tests/oracles.py).
 """
 
 from fractions import Fraction
 
 import pytest
+
+from oracles import char_extend_scan, convergence_report_by_levels
 
 from superchar import (
     ColouredPartition,
@@ -19,8 +24,10 @@ from superchar import (
     char_restrict,
     convergence_report,
     cyclo_root,
+    enumerate_partitions,
     field_construct,
     field_trace,
+    format_partition,
     fsc_diagnostic,
     limit_value,
     parse_coloured,
@@ -28,6 +35,7 @@ from superchar import (
     plancherel_profile,
     tower_supercharacter,
 )
+from superchar.tower import _relative_traces
 
 
 def _tw(degrees=(1, 2), p=2):
@@ -74,6 +82,17 @@ def test_char_extend_worked_examples():
     for beta in f4.elements:
         lifted = char_extend(beta, field_construct(2, 4))
         assert field_trace(lifted, 2) == beta
+
+
+@pytest.mark.parametrize("p,degrees", [(2, (1, 2, 4, 8)), (2, (1, 3, 6)), (3, (1, 2, 4))])
+def test_relative_traces_match_the_scan(p, degrees):
+    tw = FieldTower(p, degrees)
+    for k, lo in enumerate(tw.fields):
+        for hi in tw.fields[k + 1:]:
+            traces = _relative_traces(lo, hi)
+            assert traces == [field_trace(x, lo.m).index for x in hi.elements]
+            for beta in lo.elements:
+                assert char_extend(beta, hi) == char_extend_scan(beta, hi)
 
 
 def test_char_restrict_worked_examples():
@@ -259,6 +278,27 @@ def test_nest_zero_labels_stabilize_from_first_defined_level():
                 assert rep["stabilized"], (row, col)
                 defined = [e["value"] for e in rep["levels"] if e["defined"]]
                 assert all(v == rep["limit"] for v in defined)
+
+
+def test_convergence_report_matches_level_by_level_oracle():
+    # every (row, column) pair of the tower chain p = 2, degrees 1,2,4,8 at
+    # n = 4: each row partition with an arc, all colours 1
+    tw = FieldTower(2, (1, 2, 4, 8))
+    f2 = tw.field(1)
+    pairs = 0
+    for pi in enumerate_partitions(4):
+        if not pi.arcs():
+            continue
+        lab = TowerLabel.from_level1(
+            tw, ColouredPartition(pi, dict.fromkeys(pi.arcs(), f2.one), dual=True)
+        )
+        for pip in enumerate_partitions(4):
+            col = ColouredPartition(pip, dict.fromkeys(pip.arcs(), f2.one))
+            assert convergence_report(lab, col) == convergence_report_by_levels(
+                lab, col
+            ), (format_partition(pi), format_partition(pip))
+            pairs += 1
+    assert pairs == 210
 
 
 # ------------------------------------------------------------ diagnostics
