@@ -8,10 +8,10 @@ or identity check failed, 2 unusable input or an enumeration cap was hit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cyclotomic import Cyclotomic
 from .dual import dual_canonical, enumerate_dual_orbits
@@ -19,6 +19,7 @@ from .gf import FieldElement, FiniteField, field_construct
 from .nilpotent import parse_matrix, format_matrix
 from .orbits import canonical_form, enumerate_superclasses
 from .partitions import (
+    ColouredPartition,
     closed_size,
     format_coloured,
     parse_coloured,
@@ -71,8 +72,76 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def json_text(obj) -> str:
+    """obj as JSON with a two-space indent: byte-identical to
+    json.dumps(obj, indent=2, default=_json_default), without the
+    pure-Python encoder that indent forces on json.dumps.
+
+    Strings and keys go through the C ASCII escaper, ints through
+    int.__repr__, and every other value through _json_default.  A float
+    value or a non-str key raises TypeError; no report holds either.
+    """
+    out: list[str] = []
+    _write(obj, out.append, "\n")
+    return "".join(out)
+
+
+def _write(obj, emit, nl: str) -> None:
+    """Emit obj, a value whose first line is already placed and whose
+    closing bracket goes after nl, the newline and indent of its line."""
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, float):
+        raise TypeError("float values are not written")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            # the two leaf types of most cells, inline; the rest recurse
+            if type(value) is str:
+                emit(sep + _quote(value))
+            elif type(value) is int:
+                emit(sep + int.__repr__(value))
+            else:
+                emit(sep)
+                _write(value, emit, inner)
+            sep = "," + inner
+        emit(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(value) is str:
+                emit(sep + _quote(key) + ": " + _quote(value))
+            elif type(value) is int:
+                emit(sep + _quote(key) + ": " + int.__repr__(value))
+            else:
+                emit(sep + _quote(key) + ": ")
+                _write(value, emit, inner)
+            sep = "," + inner
+        emit(nl + "}")
+    else:
+        _write(_json_default(obj), emit, nl)
+
+
 def _emit_json(obj, output: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, default=_json_default) + "\n", output)
+    _emit(json_text(obj) + "\n", output)
 
 
 def _field(args) -> FiniteField:
@@ -207,8 +276,6 @@ def cmd_tower(args) -> int:
             return 2
         pi = parse_partition(args.pi, args.n)
         colours = parse_colours(args.colours or "", base)
-        from .partitions import ColouredPartition
-
         label = TowerLabel.from_level1(
             tower, ColouredPartition(pi, colours, dual=True)
         )
@@ -242,10 +309,16 @@ def _matrix_size(text: str) -> int:
     return n
 
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The six-subcommand parser, built once per process on first use: not
     at import, where it would cost every process that only imports."""
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=1)
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its subcommand parsers by name.  Each subcommand
+    parser sets command itself, so both give the same Namespace."""
     parser = argparse.ArgumentParser(
         prog="superchar",
         description="Exact supercharacter tables of unitriangular groups, "
@@ -277,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="route cross-check density (default: full up to |A|=4096, then spot)",
     )
-    p.set_defaults(handler=cmd_table)
+    p.set_defaults(handler=cmd_table, command="table")
 
     p = sub.add_parser("classify", help="canonical label of a matrix or character")
     common(p)
@@ -287,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read the matrix as a character pairing matrix",
     )
-    p.set_defaults(handler=cmd_classify)
+    p.set_defaults(handler=cmd_classify, command="classify")
 
     p = sub.add_parser("orbits", help="list superclasses or dual orbits with sizes")
     common(p)
@@ -298,18 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="off",
         help="check dual BFS moves against the defining property",
     )
-    p.set_defaults(handler=cmd_orbits)
+    p.set_defaults(handler=cmd_orbits, command="orbits")
 
     p = sub.add_parser("verify", help="run the axiom and identity suite")
     common(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--validate", choices=["full", "spot", "off"], default=None)
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_verify, command="verify")
 
     p = sub.add_parser("plancherel", help="regular-character weights and identity")
     common(p)
     p.add_argument("--validate", choices=["full", "spot", "off"], default=None)
-    p.set_defaults(handler=cmd_plancherel)
+    p.set_defaults(handler=cmd_plancherel, command="plancherel")
 
     p = sub.add_parser("tower", help="AF-tower convergence and growth reports")
     common(p, tower_flags=True)
@@ -329,12 +402,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--levels", help="comma-separated levels for fsc/plancherel")
     p.add_argument("--max-level", type=int, default=None, dest="max_level")
-    p.set_defaults(handler=cmd_tower)
-    return parser
+    p.set_defaults(handler=cmd_tower, command="tower")
+    return parser, sub.choices
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the parser of its subcommand alone when argv[0] names
+    one and the rest parses cleanly.  Anything else (no arguments, -h, an
+    unknown command, unrecognized arguments) goes through the full parser,
+    which owns the usage line, help and exit 2 of the top level."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except AssertionError as exc:

@@ -7,7 +7,7 @@ exponents over |O|.  Since 1 + x + ... + x^(p-1) reads as 0, __init__
 keeps one normal form: it subtracts num_(p-1) from every coordinate,
 leaving the power-basis coordinates of 1, z, ..., z^(p-2), then divides
 out the gcd.  Equality compares (p, num, den); arithmetic is on integers.
-coeffs is the read-only Fraction view that to_json and basis_str print.
+coeffs is the read-only Fraction view that basis_str prints.
 """
 
 from __future__ import annotations
@@ -178,10 +178,14 @@ class Cyclotomic:
         return " + ".join(terms)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
+        """The p - 1 power-basis coordinates as [numerator, denominator]
+        strings in lowest terms, read off the integer normal form."""
+        den = self.den
+        coeffs = []
+        for c in self.num[:-1]:
+            g = gcd(c, den)
+            coeffs.append([str(c // g), str(den // g)])
+        return {"p": self.p, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Cyclotomic":

@@ -447,8 +447,9 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         # dual labels of the level's own field, not embedded from level 1:
         # higher levels have more colours than level 1 offers
         for label in enumerate_labels(n, field, dual=True):
-            size = len(DualOrbit.from_label(label, field).members)
             if set(label.arcs()) <= fsc_arcs:
+                # the walk checks the closed size of every size read
+                size = len(DualOrbit.from_label(label, field).members)
                 qualifying += Fraction(size, total)
         profile.append({"level": m, "q": field.order, "weight": qualifying})
     weights = [entry["weight"] for entry in profile]

@@ -11,11 +11,14 @@ member-by-member superclass-constancy scan that the additive Fourier
 transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
 then the orbit scan that canonical_form and
-dual_canonical replaced, then the per-operation polynomial arithmetic that
-the log, antilog and Zech tables of superchar.gf replaced, and last the
-elementary generators of U_n.
+dual_canonical replaced, then the tower reports that read every level
+and walk every orbit, the json.dumps call that the CLI's own JSON writer
+replaced, then the per-operation polynomial arithmetic that the log,
+antilog and Zech tables of superchar.gf replaced, and last the elementary
+generators of U_n.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -23,16 +26,20 @@ from types import SimpleNamespace
 from superchar import (
     ColouredPartition,
     Cyclotomic,
+    DualOrbit,
     GroupElement,
     NilMatrix,
+    enumerate_labels,
     format_coloured,
     tower_supercharacter,
 )
+from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
 from superchar.nilpotent import positions
 from superchar.orbits import _add_into, _move_programs, _verge_arcs
 from superchar.partitions import compute_SR, nest
 from superchar.table import _inverse_column, _pairing_hist
+from superchar.tower import _level_feasible, _size_scan
 
 
 # -- Fraction-coordinate cyclotomics --------------------------------------------
@@ -577,6 +584,56 @@ def convergence_report_by_levels(label, col, max_level=None):
         "stabilized": stabilized,
         "verdict": verdict,
     }
+
+
+def plancherel_profile_walk_all(n, tower, levels=None):
+    """plancherel_profile walking every dual orbit at every level, the
+    sizes it does not read included."""
+    if levels is None:
+        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
+    for m in levels:
+        if not _level_feasible(n, tower.field(m)):
+            raise ValueError(f"level {m} exceeds the space cap for n = {n}")
+    if len(levels) < 2:
+        raise ValueError("a profile needs at least two feasible levels")
+
+    scan = _size_scan(n, tower, levels, dual=False)
+    fsc_arcs = set()
+    for label, sizes in scan:
+        if len(set(sizes)) == 1:
+            fsc_arcs |= set(label.arcs())
+
+    profile = []
+    for m in levels:
+        field = tower.field(m)
+        total = field.order ** len(positions(n))
+        qualifying = Fraction(0)
+        for label in enumerate_labels(n, field, dual=True):
+            size = len(DualOrbit.from_label(label, field).members)
+            if set(label.arcs()) <= fsc_arcs:
+                qualifying += Fraction(size, total)
+        profile.append({"level": m, "q": field.order, "weight": qualifying})
+    weights = [entry["weight"] for entry in profile]
+    return {
+        "n": n,
+        "p": tower.p,
+        "degrees": list(tower.degrees),
+        "levels": list(levels),
+        "fsc_arcs": sorted(fsc_arcs),
+        "profile": profile,
+        "strictly_increasing": all(a < b for a, b in zip(weights, weights[1:])),
+    }
+
+
+# -- the CLI's JSON text -------------------------------------------------------
+#
+# superchar.cli writes indent-2 JSON with its own recursive writer; below,
+# the json.dumps call it replaced, which indent sends through the
+# pure-Python encoder.
+
+
+def json_dumps_text(obj):
+    return json.dumps(obj, indent=2, default=_json_default)
 
 
 # -- polynomial field arithmetic ------------------------------------------------

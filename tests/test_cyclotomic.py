@@ -208,6 +208,23 @@ def test_rational_hash_is_the_numeric_hash(p, num, den):
     assert hash(Cyclotomic(p, [num] + [0] * (p - 1), den)) == hash(r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_to_json_reads_the_integer_normal_form(p, data):
+    # each coordinate reduced by its own gcd with den equals the Fraction
+    # coordinate, zeros and negatives included
+    coord = st.integers(-(1 << 40), 1 << 40) | st.sampled_from([0, -1, 1, -6, 6])
+    num = data.draw(st.lists(coord, min_size=p, max_size=p))
+    den = data.draw(st.integers(1, 1 << 40) | st.sampled_from([1, 2, 6, 12]))
+    sign = data.draw(st.sampled_from([1, -1]))
+    x = Cyclotomic(p, num, sign * den)
+    assert x.to_json() == {
+        "p": p,
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
+    }
+    assert Cyclotomic.from_json(x.to_json()) == x
+
+
 def test_from_json_refuses_a_p_that_is_not_prime():
     blob = {"p": 4, "coeffs": [["1", "1"], ["0", "1"], ["0", "1"]]}
     with pytest.raises(ValueError, match="p = 4 is not prime"):

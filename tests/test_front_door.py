@@ -1,0 +1,229 @@
+"""The CLI's front door: argv dispatch and the indent-2 JSON writer.
+
+Oracles: argv parsed by the full argparse parser, and json.dumps with
+indent=2 (tests/oracles.py).  The dispatch must give the same Namespace,
+usage text and exit code as the full parser; the writer must give the same
+bytes as json.dumps on every report the CLI writes.
+"""
+
+import importlib.util
+import json
+import pathlib
+import sys
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import json_dumps_text
+
+from superchar import build_table, cli, cyclo_root, field_construct, table_to_json
+
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+
+
+@lru_cache(maxsize=1)
+def _workloads():
+    """perfbench/workloads.py, loaded from its file: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _perfbench_ops():
+    workloads = _workloads()
+    return workloads, [
+        op for w in workloads.WORKLOADS.values() for _, op in w.ops(workloads.DEFAULT_SEED)
+    ]
+
+
+# ------------------------------------------------------------------ writer
+
+_SPECIAL = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "ζ", "\U0001d4b5", ""]
+)
+_TEXT = st.text() | st.lists(_SPECIAL).map("".join)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(1 << 200), 1 << 200)
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_TEXT, children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_writer_matches_json_dumps(obj):
+    assert cli.json_text(obj) == json_dumps_text(obj)
+
+
+def test_writer_matches_json_dumps_on_report_values():
+    # the values _json_default converts, alone and nested, at the top level
+    # and inside containers
+    field = field_construct(3, 2)
+    z = cyclo_root(5)
+    values = [
+        Fraction(-3, 4),
+        z,
+        z * 0,
+        field.elements[4],
+        {"a": [Fraction(1, 2), {"b": (z, field.elements[1])}], "c": []},
+        [{}, [], (), [[]], {"": {}}],
+    ]
+    for obj in values + [values]:
+        assert cli.json_text(obj) == json_dumps_text(obj)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"x": float("nan")}])
+def test_writer_refuses_float_values(obj):
+    with pytest.raises(TypeError, match="float"):
+        cli.json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}]])
+def test_writer_refuses_keys_that_are_not_str(obj):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli.json_text(obj)
+
+
+def test_writer_refuses_what_the_reports_never_hold():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.json_text([object()])
+
+
+def test_writer_matches_json_dumps_on_the_u4_f3_export():
+    blob = table_to_json(build_table(4, field_construct(3, 1)))
+    assert cli.json_text(blob) == json_dumps_text(blob)
+
+
+@pytest.fixture
+def checked_writer(monkeypatch):
+    """cli.json_text, checked against json.dumps at every call."""
+    written = []
+    json_text = cli.json_text
+
+    def checked(obj):
+        text = json_text(obj)
+        assert text == json_dumps_text(obj)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "json_text", checked)
+    return written
+
+
+# every JSON report kind of tests/test_cli.py
+CLI_TEST_ARGVS = [
+    ["table", "--n", "3", "--p", "2"],
+    ["table", "--n", "2", "--p", "3"],
+    ["table", "--n", "3", "--p", "2", "--degree", "2", "--validate", "full"],
+    ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1,a13=1"],
+    ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1,a13=1", "--dual"],
+    ["classify", "--n", "8", "--p", "2", "--matrix", "a13=1,a26=1", "--dual"],
+    ["classify", "--n", "3", "--p", "5", "--matrix", ""],
+    ["orbits", "--n", "4", "--p", "2", "--dual"],
+    ["orbits", "--n", "3", "--p", "2"],
+    ["verify", "--n", "3", "--p", "3", "--format", "json"],
+    ["plancherel", "--n", "3", "--p", "2"],
+    ["tower", "--n", "4", "--p", "2", "--degrees", "1,2", "--mode", "convergence",
+     "--pi", "1,4/2/3", "--colours", "1,4=1", "--superclass", "1/2,3/4 | 2,3=1"],
+    ["tower", "--n", "3", "--p", "2", "--degrees", "1,2", "--mode", "convergence",
+     "--pi", "1,3/2", "--colours", "1,3=1", "--superclass", "1,3/2 | 1,3=1"],
+    ["tower", "--n", "3", "--p", "2", "--degrees", "1,2", "--mode", "fsc"],
+    ["tower", "--n", "3", "--p", "2", "--degrees", "1,2", "--mode", "plancherel"],
+]
+
+
+def test_writer_on_the_cli_test_reports(checked_writer, capsys):
+    for argv in CLI_TEST_ARGVS:
+        assert cli.main(argv) == 0, argv
+    assert len(checked_writer) == len(CLI_TEST_ARGVS)
+    capsys.readouterr()
+
+
+def test_writer_on_the_benchmark_operations(checked_writer, capsys):
+    # every operation of both workloads at the pinned seed, through main,
+    # checked as the benchmark checks it: pinned sha256 and exit code, or
+    # the label and closed size of a classify query
+    workloads, ops = _perfbench_ops()
+    expected = workloads.load_expected()
+    for op in ops:
+        code = cli.main(op.argv)
+        out = capsys.readouterr().out
+        assert workloads.check(op, code, out, expected) is None, op.key
+    # verify writes text, every other operation one JSON report
+    assert len(checked_writer) == sum(op.argv[0] != "verify" for op in ops) > 400
+
+
+# ---------------------------------------------------------------- dispatch
+
+
+def test_dispatch_gives_the_full_parser_namespace():
+    _, ops = _perfbench_ops()
+    parser = cli.build_parser()
+    for op in ops:
+        assert vars(cli.parse_args(op.argv)) == vars(parser.parse_args(op.argv)), op.key
+
+
+def test_dispatch_skips_the_full_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    args = cli.parse_args(["classify", "--n", "3", "--p", "2", "--matrix", "a12=1"])
+    assert (args.command, args.n, args.p, args.degree) == ("classify", 3, 2, 1)
+    assert args.handler is cli.cmd_classify
+
+
+def _outcome(parse, argv, capsys):
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["classify", "--n", "0", "--p", "2", "--matrix", ""],
+    ["tower", "--n", "3", "--p", "2", "--mode", "bogus"],
+    ["classify", "--n", "3", "--p", "2"],
+    ["classify", "--n", "3", "--p", "2", "--matrix", "", "--bogus"],
+    ["classify", "--n", "3", "--p", "2", "--matrix", "", "stray"],
+    ["verify", "-h"],
+    ["table", "--n", "three", "--p", "2"],
+])
+def test_dispatch_errors_match_the_full_parser(argv, capsys):
+    direct = _outcome(cli.parse_args, argv, capsys)
+    full = _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert direct == full
+    code, out, err = direct
+    assert code in (0, 2)
+    assert (out if code == 0 else err).startswith("usage: superchar")
+
+
+def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    argv = ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1,a13=1"]
+    monkeypatch.setattr(sys, "argv", ["superchar"] + argv)
+    assert cli.main() == 0
+    from_sys_argv = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == from_sys_argv
+    assert json.loads(from_sys_argv)["orbit_size"] == 2

@@ -12,7 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import char_extend_scan, convergence_report_by_levels
+from oracles import (
+    char_extend_scan,
+    convergence_report_by_levels,
+    plancherel_profile_walk_all,
+)
 
 from superchar import (
     ColouredPartition,
@@ -342,6 +346,39 @@ def test_plancherel_profile_u3_frozen():
     for e in rep["profile"]:
         q = e["q"]
         assert e["weight"] == Fraction(1 + (q - 1) * q * q, q ** 3)
+
+
+def _dual_states_walked(monkeypatch):
+    """A list that sums the states of every dual orbit walk from now on."""
+    import superchar.orbits as orbits_mod
+
+    walked = [0]
+    walk = orbits_mod.orbit_states
+
+    def counting(n, field, start, dual=False, **kwargs):
+        states = walk(n, field, start, dual, **kwargs)
+        walked[0] += len(states) if dual else 0
+        return states
+
+    monkeypatch.setattr(orbits_mod, "orbit_states", counting)
+    return walked
+
+
+@pytest.mark.parametrize("n,p,degrees,walked_before,walked_now", [
+    # the queries workload's tower chain: levels GF(2) and GF(4) fit the cap
+    (4, 2, (1, 2, 4, 8), 64 + 4096, 17 + 769),
+    (3, 3, (1, 2), 27 + 729, 19 + 649),
+])
+def test_plancherel_profile_walks_only_the_sizes_it_reads(
+    monkeypatch, n, p, degrees, walked_before, walked_now
+):
+    tw = FieldTower(p, degrees)
+    walked = _dual_states_walked(monkeypatch)
+    old = plancherel_profile_walk_all(n, tw)
+    assert walked[0] == walked_before
+    walked[0] = 0
+    assert plancherel_profile(n, tw) == old
+    assert walked[0] == walked_now
 
 
 def test_plancherel_profile_rejects_single_level():
