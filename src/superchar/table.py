@@ -583,14 +583,52 @@ def _is_conjugate(cell: tuple, other: tuple, p: int) -> bool:
     return v.count(v[0]) == len(v)
 
 
-def _inverse_column(table: SupercharTable, j: int) -> int:
-    """Index of the superclass holding the group inverses of column j."""
-    inv_body = group_inv(GroupElement(table.superclasses[j].rep)).body
-    label = canonical_form(inv_body)
-    for k, cls in enumerate(table.superclasses):
-        if cls.label == label:
-            return k
-    raise AssertionError("inverse superclass missing from the table")
+def _inverse_columns(table: SupercharTable) -> list[int]:
+    """Per column, the index of the superclass holding the group inverses
+    of its representative, found by canonical_form of the inverse."""
+    index = {cls.label: k for k, cls in enumerate(table.superclasses)}
+    out = []
+    for cls in table.superclasses:
+        k = index.get(canonical_form(group_inv(GroupElement(cls.rep)).body))
+        if k is None:
+            raise AssertionError("inverse superclass missing from the table")
+        out.append(k)
+    return out
+
+
+def _kronecker_width(cmax: int, p: int, total: int, scale: int) -> int:
+    """The field width w, with 2^(w-1) > 2 cmax^2 p total + scale for the
+    diagonal target scale = D^2 |A|: no field the packed checks compare
+    reaches it, so none can alias."""
+    return (2 * cmax * cmax * p * total + scale).bit_length() + 1
+
+
+def _packed_columns(rows, ncols: int, p: int, width: int) -> list[list[int]]:
+    """Kronecker substitution: col[k][t] = sum of c_ik[t] << (i * width)."""
+    cols = [[0] * p for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        shift = i * width
+        for col, cell in zip(cols, row):
+            for e, c in cell:
+                col[e] += c << shift
+    return cols
+
+
+def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: int):
+    """The first row i with <xi_i, xi_j> != delta_ij / |O_i| for some j,
+    or None.  Field j of acc[r] is the x^r coordinate of |A| D^2 <xi_i, xi_j>."""
+    for i, (row, osize) in enumerate(zip(rows, osizes)):
+        acc = [0] * p
+        for cell, col, size in zip(row, cols, sizes):
+            for e, c in cell:
+                c *= size
+                for r in range(p):
+                    acc[r] += c * col[(e - r) % p]
+        top = acc[-1]
+        target, rem = divmod(scale, osize)
+        if rem or acc[1:].count(top) != p - 1 or acc[0] - top != target << (i * width):
+            return i
+    return None
 
 
 def verify_theory(table: SupercharTable) -> list[tuple]:
@@ -603,15 +641,13 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
 
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
-    class sizes.  Each <xi_i, xi_j> is an integer cyclic convolution
-    weighted by |K|, compared with delta_ij / |O_i| by cross-multiplication
-    after folding x^(p-1).  Only the entries with i <= j are computed:
-    swapping i and j sends the convolution's x^k to x^-k, which keeps the
-    verdict, and the mirror of a failing (i, j) with i > j comes earlier in
-    row-major order, so the first failure found is the full scan's.  On
-    the cells conjugation is x^k -> x^-k; conjugate symmetry finds each
-    inverse column by canonical_form of the representative's group
-    inverse, not from the label.
+    class sizes.  Orthogonality checks whole Gram rows on the columns
+    packed by Kronecker substitution.  Swapping i and j sends x^k to x^-k,
+    which keeps the verdict, so the first failing row is that of the
+    i <= j scan; only it is rescanned, for j >= i, for the detail.
+    Conjugation is x^k -> x^-k, checked on the same packed columns; only a
+    failing column is rescanned for its row.  Inverse columns come from
+    canonical_form of each representative's group inverse, not the label.
 
     The constancy check needs orbit members, so a table read back by
     table_from_json, which carries labels and sizes only, is refused with
@@ -660,21 +696,21 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
          else f"row {bad[0]}, column {bad[1]}, member {bad[2]}")
     )
 
-    sizes = [k.size for k in table.superclasses]
+    p, sizes = field.p, [k.size for k in table.superclasses]
     scale = denom * denom * table.order
+    cmax = max((abs(c) for cell in set(chain.from_iterable(rows)) for _, c in cell),
+               default=0)
+    width = _kronecker_width(cmax, p, sum(sizes), scale)
+    cols = _packed_columns(rows, len(sizes), p, width)
+    osizes = [o.size for o in table.dual_orbits]
+    i = _first_bad_gram_row(rows, cols, sizes, osizes, p, width, scale)
     bad_pair = None
-    for i in range(table.size):
-        for j in range(i, table.size):
-            expected_ip = (
-                Fraction(1, table.dual_orbits[i].size) if i == j else Fraction(0)
-            )
-            if not _equals_rational(
-                _gram_entry(rows[i], rows[j], sizes, field.p), scale, expected_ip
-            ):
-                bad_pair = (i, j)
-                break
-        if bad_pair:
-            break
+    if i is not None:  # the detail: row i's first failing (i, j), j >= i
+        bad_pair = next(
+            (i, j) for j in range(i, table.size)
+            if not _equals_rational(_gram_entry(rows[i], rows[j], sizes, p), scale,
+                                    Fraction(int(i == j), osizes[i]))
+        )
     checks.append(
         ("orthogonality", bad_pair is None,
          "<xi_i, xi_j> = delta_ij / |O_i|" if bad_pair is None
@@ -689,13 +725,13 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     )
 
     bad_conj = None
-    for j in range(table.size):
-        jinv = _inverse_column(table, j)
-        for i in range(table.size):
-            if not _is_conjugate(rows[i][jinv], rows[i][j], field.p):
-                bad_conj = (i, j)
-                break
-        if bad_conj:
+    for j, jinv in enumerate(_inverse_columns(table)):
+        conj = cols[j][:1] + cols[j][:0:-1]  # the x^-e coefficients
+        v = [a - b for a, b in zip(cols[jinv], conj)]
+        if v.count(v[0]) != p:
+            i = next(i for i, row in enumerate(rows)
+                     if not _is_conjugate(row[jinv], row[j], p))
+            bad_conj = (i, j)
             break
     checks.append(
         ("conjugate-symmetry", bad_conj is None,

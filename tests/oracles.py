@@ -6,7 +6,9 @@ with the closed formula cell by cell in that class, which the integer
 kernel of superchar.table replaced, and a table view whose values are
 such cells, for comparing exports.  superchar.table checks orthogonality,
 super-Plancherel and conjugate symmetry on integer vectors; the direct
-Cyclotomic loops those kernels replaced come next, then the
+Cyclotomic loops those kernels replaced come next, with the entry-by-entry
+i <= j Gram scan and the label scan for inverse columns that the packed
+columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
@@ -35,10 +37,10 @@ from superchar import (
 )
 from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
-from superchar.nilpotent import positions
-from superchar.orbits import _add_into, _move_programs, _verge_arcs
+from superchar.nilpotent import group_inv, positions
+from superchar.orbits import _add_into, _move_programs, _verge_arcs, canonical_form
 from superchar.partitions import compute_SR, nest
-from superchar.table import _inverse_column, _pairing_hist
+from superchar.table import _equals_rational, _gram_entry, _pairing_hist
 from superchar.tower import _level_feasible, _size_scan
 
 
@@ -280,6 +282,31 @@ def orthogonality_check(table):
     )
 
 
+def half_gram_check(table):
+    """The orthogonality triple of verify_theory, by one integer
+    convolution per entry with i <= j: the mirror (j, i) of a failing
+    (i, j) fails too, and comes later in row-major order."""
+    denom, rows = table.integer_cells()
+    sizes = [k.size for k in table.superclasses]
+    scale = denom * denom * table.order
+    bad_pair = None
+    for i in range(table.size):
+        for j in range(i, table.size):
+            expected = Fraction(1, table.dual_orbits[i].size) if i == j else Fraction(0)
+            if not _equals_rational(
+                _gram_entry(rows[i], rows[j], sizes, table.field.p), scale, expected
+            ):
+                bad_pair = (i, j)
+                break
+        if bad_pair:
+            break
+    return (
+        "orthogonality", bad_pair is None,
+        "<xi_i, xi_j> = delta_ij / |O_i|" if bad_pair is None
+        else f"fails at rows {bad_pair}",
+    )
+
+
 def plancherel_check(table):
     """The plancherel-identity triple of verify_theory, by the loop above."""
     pl = plancherel(table)
@@ -290,12 +317,22 @@ def plancherel_check(table):
     )
 
 
+def inverse_column(table, j):
+    """Index of the superclass holding the group inverses of column j, by
+    a scan of the column labels."""
+    label = canonical_form(group_inv(GroupElement(table.superclasses[j].rep)).body)
+    for k, cls in enumerate(table.superclasses):
+        if cls.label == label:
+            return k
+    raise AssertionError("inverse superclass missing from the table")
+
+
 def conjugate_symmetry_check(table):
     """The conjugate-symmetry triple of verify_theory, by Cyclotomic
     conjugation and equality, cell by cell."""
     bad = None
     for j in range(table.size):
-        jinv = _inverse_column(table, j)
+        jinv = inverse_column(table, j)
         for i in range(table.size):
             if table.values[i][jinv] != table.values[i][j].conjugate():
                 bad = (i, j)

@@ -1,8 +1,10 @@
 """The integer identity kernels of superchar.table against Fraction loops.
 
 Oracle: tests/oracles.py, the direct Cyclotomic loops for <xi_i, xi_j>,
-super-Plancherel and conjugate symmetry.  Tables come from the closed formula alone
-(validate="off"); route agreement is tested elsewhere.
+super-Plancherel and conjugate symmetry, the entry-by-entry i <= j Gram
+scan that the packed columns replaced, and the label scan for inverse
+columns.  Tables come from the closed formula alone (validate="off");
+route agreement is tested elsewhere.
 """
 
 from fractions import Fraction
@@ -23,8 +25,10 @@ from superchar import (
     plancherel,
     verify_theory,
 )
-from superchar.table import _gram_entry, _inverse_column
+from superchar.table import _gram_entry, _inverse_columns
 
+# the configs of the benchmark's verify operations, U_4(F_3) and U_3(F_7)
+BENCHMARK_CONFIGS = [(4, 3, 1), (3, 7, 1)]
 # the table configs the other tests build, plus U_3(F_7)
 CONFIGS = [
     (1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 5, 1),
@@ -65,7 +69,8 @@ def _non_monomial(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2), (2, 5, 1)]), st.data())
+@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2), (2, 5, 1)] + BENCHMARK_CONFIGS),
+       st.data())
 def test_corrupted_tables_get_oracle_verdicts(config, data):
     base = _table(*config)
     p = base.field.p
@@ -81,8 +86,8 @@ def test_corrupted_tables_get_oracle_verdicts(config, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2), (3, 5, 1), (4, 2, 1)]),
-       st.data())
+@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2), (3, 5, 1), (4, 2, 1)]
+                       + BENCHMARK_CONFIGS), st.data())
 def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
     # some corruptions write the conjugate into the inverse column too,
     # so that a corrupted table can still pass this one check
@@ -94,7 +99,7 @@ def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
         v = data.draw(_non_monomial(base.field.p))
         values[i][j] = v
         if data.draw(st.booleans()):
-            values[i][_inverse_column(base, j)] = v.conjugate()
+            values[i][_inverse_columns(base)[j]] = v.conjugate()
     t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
@@ -147,7 +152,8 @@ def test_gram_entry_is_hermitian(p, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(3, 3, 1), (3, 2, 2), (2, 5, 1), (4, 2, 1)]), st.data())
+@given(st.sampled_from([(3, 3, 1), (3, 2, 2), (2, 5, 1), (4, 2, 1)] + BENCHMARK_CONFIGS),
+       st.data())
 def test_half_gram_finds_the_full_scan_failure(config, data):
     # corrupt cells below the diagonal too, where the full scan would meet
     # a failing (i, j) with i > j only after its mirror (j, i)
@@ -160,6 +166,7 @@ def test_half_gram_finds_the_full_scan_failure(config, data):
     t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.orthogonality_check(t)
+    assert report["orthogonality"] == oracles.half_gram_check(t)
 
 
 def test_verify_theory_converts_the_table_once(monkeypatch):
@@ -180,3 +187,121 @@ def test_verify_theory_converts_the_table_once(monkeypatch):
     report = {c[0]: c for c in verify_theory(given)}
     assert calls == 1
     assert report["plancherel-identity"] == oracles.plancherel_check(given)
+
+
+def _near_bound(p):
+    # numerators up to 10^30 over denominators up to 3^12: the cells, the
+    # width and the Gram entries of the corrupted table all grow with them
+    return st.builds(
+        lambda num, k: Cyclotomic(p, num, 3**k),
+        st.lists(st.integers(-10**30, 10**30), min_size=p, max_size=p),
+        st.integers(0, 12),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 3, 1), (2, 7, 1), (3, 2, 2)] + BENCHMARK_CONFIGS), st.data())
+def test_near_bound_corruptions_get_oracle_verdicts(config, data):
+    # a corrupted row may take one huge value in every cell, which puts
+    # its Gram entries within a few bits of the width bound
+    base = _table(*config)
+    values = [list(row) for row in base.values]
+    jinv = _inverse_columns(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, base.size - 1))
+        v = data.draw(_near_bound(base.field.p))
+        if data.draw(st.booleans()):
+            values[i] = [v] * base.size
+        else:
+            j = data.draw(st.integers(0, base.size - 1))
+            values[i][j] = v
+            if data.draw(st.booleans()):
+                values[i][jinv[j]] = v.conjugate()
+    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert report["orthogonality"] == oracles.half_gram_check(t)
+    assert report["orthogonality"] == oracles.orthogonality_check(t)
+    assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
+
+
+def test_a_narrower_width_aliases(monkeypatch):
+    # U_2(F_2): |A| = 2, every orbit of size 1, cells over D = 1, so
+    # cmax = 5 and the width is bit_length(2 * 25 * 2 * 2 + 2) + 1 = 9.
+    # Row 0 (5, 3) fails at (0, 0): <xi_0, xi_0> = 34 / 2, not 1.  Its
+    # packed row holds 34 - 2 = 32 in field 0 and <xi_0, xi_1> = -1 in
+    # field 1, so at width 9 - 4 the two cancel and row 0 passes.
+    f = field_construct(2, 1)
+    base = build_table(2, f, validate="off")
+    rows = [[5, 3], [-2, 3]]
+    values = [[Cyclotomic.from_rational(2, Fraction(v)) for v in row] for row in rows]
+    t = SupercharTable(2, f, base.dual_orbits, base.superclasses, values)
+    truth = oracles.orthogonality_check(t)
+    assert truth == ("orthogonality", False, "fails at rows (0, 0)")
+    width = table_mod._kronecker_width
+    assert width(5, 2, 2, 2) == 9
+    verdicts = {}
+    for narrower in (0, 3, 4):
+        monkeypatch.setattr(table_mod, "_kronecker_width",
+                            lambda *args, k=narrower: width(*args) - k)
+        verdicts[narrower] = {c[0]: c for c in verify_theory(t)}["orthogonality"]
+    assert verdicts[0] == verdicts[3] == truth
+    assert verdicts[4] == ("orthogonality", False, "fails at rows (1, 1)")
+
+
+def test_inverse_columns_equal_the_label_scan():
+    for config in CONFIGS:
+        t = _table(*config)
+        assert _inverse_columns(t) == [
+            oracles.inverse_column(t, j) for j in range(len(t.superclasses))
+        ]
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of table_mod.<name> from now on."""
+    calls = []
+    real = getattr(table_mod, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(table_mod, name, counting)
+    return calls
+
+
+def test_packed_checks_rescan_only_the_failing_row(monkeypatch):
+    gram = _count_calls(monkeypatch, "_gram_entry")
+    conj = _count_calls(monkeypatch, "_is_conjugate")
+    base = _table(4, 3, 1)
+    assert all(ok for _, ok, _ in verify_theory(base))
+    assert gram == conj == []
+
+    # row i becomes 3/5 xi_i + 4/5 xi_j with |O_i| = |O_j| and j > i + 1:
+    # <xi_i', xi_i'> = 1 / |O_i| still, and the one failing entry is
+    # (i, j), so the rescan reads (i, i), ..., (i, j) and nothing else.
+    # The new row is conjugate-symmetric, as both of its terms are.
+    sizes = [o.size for o in base.dual_orbits]
+    i, j = next((i, j) for i in range(1, base.size) for j in range(i + 2, base.size)
+                if sizes[i] == sizes[j])
+    values = [list(row) for row in base.values]
+    values[i] = [u.scale(Fraction(3, 5)) + v.scale(Fraction(4, 5))
+                 for u, v in zip(base.values[i], base.values[j])]
+    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert report["orthogonality"] == oracles.orthogonality_check(t)
+    assert report["orthogonality"][2] == f"fails at rows {(i, j)}"
+    _, rows = t.integer_cells()
+    assert [(a, b) for a, b, *_ in gram] == [(rows[i], rows[k]) for k in range(i, j + 1)]
+    assert conj == []
+    assert report["conjugate-symmetry"][1]
+
+    # one cell off its conjugate: only the first failing column is
+    # rescanned, up to the failing row
+    gram.clear()
+    values = [list(row) for row in base.values]
+    values[i][j] = values[i][j] + cyclo_root(3)
+    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    report = {c[0]: c for c in verify_theory(t)}
+    assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
+    assert report["conjugate-symmetry"][2].startswith(f"fails at row {i}, ")
+    assert len(conj) == i + 1
