@@ -182,6 +182,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    if args.validate == "full" and not args.dual:
+        raise ValueError("--validate full replays the dual moves; add --dual")
     field = _field(args)
     rows = []
     if args.dual:
@@ -369,7 +371,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
         "--validate",
         choices=["full", "off"],
         default="off",
-        help="check dual BFS moves against the defining property",
+        help="with --dual, check dual BFS moves against the defining property",
     )
     p.set_defaults(handler=cmd_orbits, command="orbits")
 

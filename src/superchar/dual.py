@@ -9,9 +9,11 @@ column move, so its root subgroup moves a state along one coset
 {b + beta*v(b) : beta in F_q}, which superchar.orbits.orbit_states
 generates once per coset on dense states with dual=True; validate=True
 replays every compiled move at every nonzero scalar against dual_act and
-the defining property.  dual_canonical walks no orbit: it reaches the
-verge member by elimination with the same moves, as canonical_form does
-for superclasses.
+the defining property, the independent reference kept on NilMatrix.
+dual_canonical walks no orbit: it eliminates on the dense state with the
+contragredient moves from the one compiler, superchar.orbits._program,
+each step adding c = -v/pivot times the pivot's row or column to zero the
+target entry v, a move even where the program's sign is -1.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from functools import partial
 
 from .cyclotomic import Cyclotomic, cyclo_root
 from .gf import FieldElement, FiniteField, trace_lift
-from .nilpotent import GroupElement, NilMatrix, group_inv, positions
+from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
 from .orbits import (
-    _add_into,
+    _clear,
     _coset,
     _Orbit,
+    _program,
     _sum_rows,
     _verge_label,
     check_cover,
@@ -58,13 +61,12 @@ def dual_eval(b: NilMatrix, a: NilMatrix) -> Cyclotomic:
     return cyclo_root(b.field.p, pairing_exponent(b, a))
 
 
-def _mul_dicts(x: dict, y: dict) -> dict:
-    out: dict = {}
+def _mul_into(out: dict, x: dict, y: dict) -> None:
+    """out += x @ y on entry dicts; zero entries may be left in out."""
     for (i, j), u in x.items():
         for (k, l), v in y.items():
             if k == j:
-                _add_into(out, (i, l), u * v)
-    return out
+                out[i, l] = out[i, l] + u * v if (i, l) in out else u * v
 
 
 def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
@@ -73,11 +75,10 @@ def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
         raise ValueError("shape or field mismatch")
     ct = {(j, i): v for (i, j), v in group_inv(g).body.entries.items()}
     dt = {(j, i): v for (i, j), v in h.body.entries.items()}
-    total = dict(b.entries)
-    for pos, v in _mul_dicts(ct, b.entries).items():
-        _add_into(total, pos, v)
-    for pos, v in _mul_dicts(total, dt).items():
-        _add_into(total, pos, v)
+    left = dict(b.entries)
+    _mul_into(left, ct, b.entries)  # (1 + C^T) b
+    total = dict(left)
+    _mul_into(total, left, dt)  # (1 + C^T) b (1 + D^T)
     upper = {(i, j): v for (i, j), v in total.items() if i < j}
     return NilMatrix(b.n, b.field, upper)
 
@@ -128,48 +129,33 @@ def dual_orbit(b: NilMatrix, validate: bool = False) -> set[NilMatrix]:
     return {NilMatrix.from_dense(b.n, b.field, s) for s in states}
 
 
-def _left(w: dict, i: int, j: int, alpha) -> None:
-    """L(i, j, alpha), the left move by 1 + alpha*e_ij: row j -= alpha*row i
-    at the columns right of j."""
-    for (_, s), u in [it for it in w.items() if it[0][0] == i and it[0][1] > j]:
-        _add_into(w, (j, s), -(alpha * u))
-
-
-def _right(w: dict, i: int, j: int, alpha) -> None:
-    """R(i, j, alpha), the right move by 1 + alpha*e_ij: column i +=
-    alpha*column j at the rows above i."""
-    for (r, _), u in [it for it in w.items() if it[0][1] == j and it[0][0] < i]:
-        _add_into(w, (r, i), alpha * u)
-
-
 def dual_canonical(b: NilMatrix) -> ColouredPartition:
     """The unique (pi, tau) label of the orbit of theta_b.
 
-    Top-down elimination with the moves L and R, so membership is
-    structural and no orbit is walked.  For each row i, the rightmost
-    entry (i, l) is the pivot.  The column below it is cleared by L(i, j)
-    for i < j < l, which reaches only rows not yet processed.  Then the row
-    left of the pivot is cleared by R(k, l) for i < k < l, which has no
-    side effects because column l now holds only the pivot.  Nothing later
-    writes into a pivot column, so each row's entries all lie in columns
-    that hold no pivot yet.  The result is the orbit's verge member; a
-    non-verge result raises AssertionError.
+    Top-down elimination on the dense state with the contragredient moves,
+    so membership is structural and no orbit is walked.  For each row i,
+    the rightmost entry (i, l) is the pivot.  The column below it is
+    cleared by left moves 1 + alpha*e_ij for i < j < l (row j -= alpha row
+    i), which reach only rows not yet processed.  Then the row left of the
+    pivot is cleared by right moves 1 + alpha*e_kl for i < k < l (column k
+    += alpha column l), which have no side effects because column l now
+    holds only the pivot.  Nothing later writes into a pivot column, so
+    each row's entries all lie in columns that hold no pivot yet.  The
+    result is the orbit's verge member; a non-verge result raises
+    AssertionError.
     """
-    n = b.n
-    w = dict(b.entries)
+    n, field = b.n, b.field
+    state, rank = list(b.dense()), position_rank(n)
     for i in range(1, n):
-        row = sorted(s for (r, s) in w if r == i)
-        if not row:
+        l = next((l for l in range(n, i, -1) if state[rank[i, l]]), None)
+        if l is None:
             continue
-        l = row[-1]
-        pivot = w[i, l]
+        piv = rank[i, l]
         for j in range(i + 1, l):
-            v = w.get((j, l))
-            if v is not None:
-                _left(w, i, j, v / pivot)
-        for k in row[:-1]:
-            _right(w, k, l, -w[i, k] / pivot)
-    return _verge_label(n, w, dual=True)
+            _clear(state, _program(n, True, i, j, True), rank[j, l], piv, field)
+        for k in range(i + 1, l):
+            _clear(state, _program(n, True, k, l, False), rank[i, k], piv, field)
+    return _verge_label(n, field, state, dual=True)
 
 
 class DualOrbit(_Orbit):

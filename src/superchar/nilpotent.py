@@ -112,11 +112,6 @@ class NilMatrix:
                     out[(i, l)] = term if cur is None else cur + term
         return NilMatrix(self.n, self.field, out)
 
-    def scale(self, alpha: FieldElement) -> "NilMatrix":
-        return NilMatrix(
-            self.n, self.field, {p: alpha * v for p, v in self.entries.items()}
-        )
-
     def __repr__(self):
         if not self.entries:
             return f"NilMatrix({self.n}, 0)"

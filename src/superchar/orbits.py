@@ -1,15 +1,18 @@
 """Superclasses: two-sided orbits GaG in A, their BFS enumeration, and the
 reduction of any matrix to its canonical coloured-set-partition label.
 
-One BFS engine, orbit_states, walks both the superclasses here and the dual
-orbits of superchar.dual.  A state is the dense tuple of field enumeration
-indices over positions(n), row-major.  Each superdiagonal root subgroup
-acts through a move program compiled once per (n, dual): (dst_rank,
-src_rank) pairs plus a sign, so 1 + alpha*e_{i,i+1} sets
-dst += sign * alpha * src.  The walk closes an orbit one root-subgroup
-coset at a time, generating each coset's q - 1 other members once by Zech
-addition on the log tables of superchar.gf.  Every move keeps a strictly
-upper matrix strictly upper, so no projection is ever needed.
+A state is the dense tuple of field enumeration indices over positions(n),
+row-major.  One compiler, _program, turns any root subgroup 1 + alpha*e_ij
+on either side into (dst_rank, src_rank) pairs plus a sign: a move sets
+dst += sign * alpha * src, and keeps a strictly upper matrix strictly
+upper.  One BFS engine, orbit_states, walks the superclasses here and the
+dual orbits of superchar.dual on the superdiagonal programs, one
+root-subgroup coset at a time, generating each coset's q - 1 other members
+once by Zech addition on the log tables of superchar.gf.  The
+eliminations, canonical_form here and dual_canonical there, are _clear
+steps on the same states, programs and Zech rows.  Each adds c = -v/pivot
+times the pivot's row or column, the multiple that zeroes the target entry
+v; alpha ranges over all of F_q, so that is a move whatever the sign.
 
 An orbit object (Superclass here, DualOrbit in superchar.dual) carries its
 label, representative and size; its members are walked only on first read
@@ -32,50 +35,42 @@ from .partitions import (
 )
 
 
-def _add_into(b: dict, key, term) -> None:
-    cur = b.get(key)
-    if cur is None:
-        b[key] = term
-        return
-    s = cur + term
-    if s:
-        b[key] = s
+@lru_cache(maxsize=None)
+def _program(n: int, dual: bool, i: int, j: int, left: bool) -> tuple:
+    """(pairs, sign) for the root subgroup 1 + alpha*e_ij acting on one side.
+
+    pairs are (dst_rank, src_rank); a move sets dst += sign*alpha*src.
+    Superclass left: row i += alpha row j.  Superclass right: column j +=
+    alpha column i.  The contragredient action swaps each pair: dual left,
+    row j -= alpha row i, right of j; dual right, column i += alpha column
+    j, above i.
+    """
+    rank = position_rank(n)
+    if left:
+        pairs = [(rank[i, s], rank[j, s]) for s in range(j + 1, n + 1)]
     else:
-        del b[key]
+        pairs = [(rank[r, j], rank[r, i]) for r in range(1, i)]
+    if dual:
+        pairs = [(src, dst) for dst, src in pairs]
+    return tuple(pairs), -1 if dual and left else 1
 
 
 @lru_cache(maxsize=None)
 def _move_programs(n: int, dual: bool) -> tuple:
-    """(i, left, pairs, sign) for 1 + alpha*e_{i,i+1} acting on one side.
-
-    pairs are (dst_rank, src_rank); a move sets dst += sign*alpha*src.
-    Superclass left: row i += alpha row i+1.  Superclass right: column i+1
-    += alpha column i.  Dual left: row i+1 -= alpha row i, right of i+1.
-    Dual right: column i += alpha column i+1, above i.
-    """
-    rank = position_rank(n)
-    out = []
-    for i in range(1, n):
-        j = i + 1
-        right_of = range(j + 1, n + 1)
-        above = range(1, i)
-        if dual:
-            left = tuple((rank[j, s], rank[i, s]) for s in right_of)
-            right = tuple((rank[r, i], rank[r, j]) for r in above)
-            out += [(i, True, left, -1), (i, False, right, 1)]
-        else:
-            left = tuple((rank[i, s], rank[j, s]) for s in right_of)
-            right = tuple((rank[r, j], rank[r, i]) for r in above)
-            out += [(i, True, left, 1), (i, False, right, 1)]
-    return tuple(out)
+    """(i, left, pairs, sign) for the superdiagonal 1 + alpha*e_{i,i+1}."""
+    return tuple(
+        (i, left) + _program(n, dual, i, i + 1, left)
+        for i in range(1, n)
+        for left in (True, False)
+    )
 
 
 @lru_cache(maxsize=None)
 def _sum_rows(field: FiniteField) -> list:
     """rows[a][u], the index of a + g^u for 0 <= u < 2(q-1), two periods
     of O(q) per field element a.  rows[0] is read off exp; a row for
-    a != 0 is built by _sum_row the first time a walk adds to an entry a
-    (None until then)."""
+    a != 0 is built by _sum_row the first time a walk or an elimination
+    adds to an entry a (None until then)."""
     rows = [None] * field.order
     rows[0] = field.exp[: 2 * (field.order - 1)]
     return rows
@@ -88,6 +83,24 @@ def _sum_row(rows: list, a: int, field: FiniteField) -> list:
     row = [exp[la + z] for z in zech[n - la:] + zech[:n - la]]
     rows[a] = row + row
     return rows[a]
+
+
+def _clear(state: list, program, t: int, piv: int, field: FiniteField) -> None:
+    """Zero state[t], when nonzero, by one move of program, whose pairs
+    hold (t, piv): every destination gains c times its source, where
+    c = -v/pivot for v = state[t].  That is the multiple that zeroes the
+    target whatever the program's sign: it is the move at alpha = sign*c,
+    and alpha ranges over F_q."""
+    v = state[t]
+    if not v:
+        return
+    log, rows = field.log, _sum_rows(field)
+    lc = (log[field.p - 1] + log[v] - log[state[piv]]) % (field.order - 1)
+    for d, s in program[0]:
+        u = state[s]
+        if u:
+            a = state[d]
+            state[d] = (rows[a] or _sum_row(rows, a, field))[lc + log[u]]
 
 
 def _coset(state: tuple, pairs, field: FiniteField, rows: list) -> list[tuple]:
@@ -192,57 +205,46 @@ def superclass_orbit(a: NilMatrix) -> set[NilMatrix]:
 def _verge_arcs(nonzero_positions) -> frozenset | None:
     """Arc set of a verge matrix from its nonzero positions, or None if a
     row or column repeats."""
-    rows, cols = set(), set()
-    arcs = []
-    for (i, j) in nonzero_positions:
-        if i in rows or j in cols:
-            return None
-        rows.add(i)
-        cols.add(j)
-        arcs.append((i, j))
-    return frozenset(arcs)
+    arcs = frozenset(nonzero_positions)
+    if len({i for i, _ in arcs}) == len({j for _, j in arcs}) == len(arcs):
+        return arcs
+    return None
 
 
 def canonical_form(a: NilMatrix) -> ColouredPartition:
     """The unique coloured partition labelling the superclass of a.
 
-    Bottom-up elimination: rows n-1 down to 1; the leftmost entry of the
-    row is the pivot; the column above it is cleared by left
-    multiplications before the row to its right is cleared by right
-    multiplications (in that order, so the column operations touch only
-    the pivot row).  A pivot column is cleared above its pivot, so no
-    later row has an entry there.  Every operation is an orbit move, so
+    Bottom-up elimination on the dense state: rows n-1 down to 1; the
+    leftmost entry of the row is the pivot; the column above it is cleared
+    by left moves 1 + alpha*e_ki before the row to its right is cleared by
+    right moves 1 + alpha*e_jl (in that order, so the column moves touch
+    only the pivot row).  A pivot column is cleared above its pivot, so no
+    later row has an entry there.  Every step is an orbit move, so
     membership is structural; the result must be a verge, and a non-verge
     result raises AssertionError.
     """
-    n = a.n
-    w = dict(a.entries)
+    n, field = a.n, a.field
+    state, rank = list(a.dense()), position_rank(n)
     for i in range(n - 1, 0, -1):
-        pivot_j = next((j for j in range(i + 1, n + 1) if (i, j) in w), None)
-        if pivot_j is None:
+        j = next((j for j in range(i + 1, n + 1) if state[rank[i, j]]), None)
+        if j is None:
             continue
-        pivot = w[(i, pivot_j)]
+        piv = rank[i, j]
         for k in range(1, i):
-            v = w.get((k, pivot_j))
-            if v is not None:
-                lam = -v / pivot
-                for (r, s), u in [it for it in w.items() if it[0][0] == i]:
-                    _add_into(w, (k, s), lam * u)
-        for l in range(pivot_j + 1, n + 1):
-            v = w.get((i, l))
-            if v is not None:
-                lam = -v / pivot
-                for (r, s), u in [it for it in w.items() if it[0][1] == pivot_j]:
-                    _add_into(w, (r, l), lam * u)
-    return _verge_label(n, w)
+            _clear(state, _program(n, False, k, i, True), rank[k, j], piv, field)
+        for l in range(j + 1, n + 1):
+            _clear(state, _program(n, False, j, l, False), rank[i, l], piv, field)
+    return _verge_label(n, field, state)
 
 
-def _verge_label(n: int, w: dict, dual: bool = False) -> ColouredPartition:
-    """The label read off an eliminated entry dict, which must be a verge."""
-    arcs = _verge_arcs(w)
+def _verge_label(n: int, field: FiniteField, state, dual=False) -> ColouredPartition:
+    """The label read off an eliminated dense state, which must be a verge."""
+    pos = positions(n)
+    colours = {pos[k]: field.elements[v] for k, v in enumerate(state) if v}
+    arcs = _verge_arcs(colours)
     if arcs is None:
         raise AssertionError("elimination left a matrix that is not a verge")
-    return ColouredPartition(partition_from_arcs(n, arcs), w, dual=dual)
+    return ColouredPartition(partition_from_arcs(n, arcs), colours, dual=dual)
 
 
 class _Orbit:

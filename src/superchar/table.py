@@ -54,7 +54,7 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import FiniteField, trace_lifts
-from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
+from .nilpotent import GroupElement, NilMatrix, group_inv, positions
 from .orbits import Superclass, canonical_form, check_cover, check_space
 from .partitions import (
     ColouredPartition,
@@ -91,8 +91,7 @@ def _pairing_hist(members, a: NilMatrix) -> list[int]:
     field = a.field
     p = field.p
     exp, log = field.exp, field.log
-    rank = position_rank(a.n)
-    compiled = [(rank[pos], log[v.index]) for pos, v in a.entries.items()]
+    compiled = [(k, log[v]) for k, v in enumerate(a.dense()) if v]
     trl = trace_lifts(field)
     hist = [0] * p
     for state in members:

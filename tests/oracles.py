@@ -12,8 +12,9 @@ columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
-then the orbit scan that canonical_form and
-dual_canonical replaced, then the tower reports that read every level
+then the orbit scan that canonical_form and dual_canonical replaced and
+the entry-dict eliminations that their dense-state eliminations replaced,
+then the tower reports that read every level
 and walk every orbit, the json.dumps call that the CLI's own JSON writer
 replaced, then the per-operation polynomial arithmetic that the log,
 antilog and Zech tables of superchar.gf replaced, and last the elementary
@@ -38,8 +39,8 @@ from superchar import (
 from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
 from superchar.nilpotent import group_inv, positions
-from superchar.orbits import _add_into, _move_programs, _verge_arcs, canonical_form
-from superchar.partitions import compute_SR, nest
+from superchar.orbits import _move_programs, _verge_arcs, canonical_form
+from superchar.partitions import compute_SR, nest, partition_from_arcs
 from superchar.table import _equals_rational, _gram_entry, _pairing_hist
 from superchar.tower import _level_feasible, _size_scan
 
@@ -381,6 +382,19 @@ def constancy_check(table):
 # with every nonzero alpha, in FieldElement arithmetic.
 
 
+def _add_into(b, key, term):
+    """b[key] += term, deleting the key when the sum is zero."""
+    cur = b.get(key)
+    if cur is None:
+        b[key] = term
+        return
+    s = cur + term
+    if s:
+        b[key] = s
+    else:
+        del b[key]
+
+
 def to_state(n, entries):
     """The dense state of an entry dict."""
     return tuple(entries[p].index if p in entries else 0 for p in positions(n))
@@ -540,6 +554,77 @@ def verge_state(n, states):
             found = state
     assert found is not None, "orbit holds no verge matrix"
     return found
+
+
+# -- entry-dict eliminations ---------------------------------------------------
+#
+# canonical_form and dual_canonical eliminate on dense states, one _clear
+# step per entry through the compiled root-subgroup programs.  The loops
+# below are the eliminations they replaced: the same pivots and steps on
+# entry dicts, in FieldElement arithmetic, with each move written out.
+
+
+def _dict_label(n, w, dual):
+    arcs = _verge_arcs(w)
+    assert arcs is not None, "elimination left a matrix that is not a verge"
+    return ColouredPartition(partition_from_arcs(n, arcs), w, dual=dual)
+
+
+def dict_canonical_form(a):
+    """canonical_form by bottom-up elimination on the entry dict."""
+    n = a.n
+    w = dict(a.entries)
+    for i in range(n - 1, 0, -1):
+        pivot_j = next((j for j in range(i + 1, n + 1) if (i, j) in w), None)
+        if pivot_j is None:
+            continue
+        pivot = w[(i, pivot_j)]
+        for k in range(1, i):
+            v = w.get((k, pivot_j))
+            if v is not None:
+                lam = -v / pivot
+                for (r, s), u in [it for it in w.items() if it[0][0] == i]:
+                    _add_into(w, (k, s), lam * u)
+        for l in range(pivot_j + 1, n + 1):
+            v = w.get((i, l))
+            if v is not None:
+                lam = -v / pivot
+                for (r, s), u in [it for it in w.items() if it[0][1] == pivot_j]:
+                    _add_into(w, (r, l), lam * u)
+    return _dict_label(n, w, False)
+
+
+def _left(w, i, j, alpha):
+    """L(i, j, alpha), the left move by 1 + alpha*e_ij: row j -= alpha*row i
+    at the columns right of j."""
+    for (_, s), u in [it for it in w.items() if it[0][0] == i and it[0][1] > j]:
+        _add_into(w, (j, s), -(alpha * u))
+
+
+def _right(w, i, j, alpha):
+    """R(i, j, alpha), the right move by 1 + alpha*e_ij: column i +=
+    alpha*column j at the rows above i."""
+    for (r, _), u in [it for it in w.items() if it[0][1] == j and it[0][0] < i]:
+        _add_into(w, (r, i), alpha * u)
+
+
+def dict_dual_canonical(b):
+    """dual_canonical by top-down elimination on the entry dict."""
+    n = b.n
+    w = dict(b.entries)
+    for i in range(1, n):
+        row = sorted(s for (r, s) in w if r == i)
+        if not row:
+            continue
+        l = row[-1]
+        pivot = w[i, l]
+        for j in range(i + 1, l):
+            v = w.get((j, l))
+            if v is not None:
+                _left(w, i, j, v / pivot)
+        for k in row[:-1]:
+            _right(w, k, l, -w[i, k] / pivot)
+    return _dict_label(n, w, True)
 
 
 # -- tower reports, level by level ------------------------------------------------

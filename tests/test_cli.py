@@ -200,6 +200,18 @@ def test_orbits_superclass_sizes(capsys):
     assert sum(r["size"] for r in blob["orbits"]) == 8
 
 
+def test_orbits_validate_full_needs_dual(capsys):
+    # the replay checks the dual moves only; without --dual it would check
+    # nothing, so the request is refused with exit 2 before any walk
+    assert main(["orbits", "--n", "3", "--p", "2", "--validate", "full"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --validate full replays the dual moves; add --dual\n"
+    assert main(["orbits", "--n", "3", "--p", "2", "--validate", "full", "--dual"]) == 0
+    rows = json.loads(capsys.readouterr().out)["orbits"]
+    assert all(r["prediction_matches"] for r in rows)
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_text_golden(tmp_path):

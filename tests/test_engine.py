@@ -9,21 +9,34 @@ engine generates whole superdiagonal root-subgroup cosets, so equal orbit
 sets also check the generation argument.
 The engine's orbits in turn are the oracle for the closed sizes
 q^|S(pi)| and q^r(pi), and, scanned by verge_state, for the labels that
-canonical_form and dual_canonical find by elimination.
+canonical_form and dual_canonical find by elimination.  Above the space
+cap, where no orbit can be walked, the entry-dict eliminations of
+tests/oracles.py are their oracle, and the NilMatrix actions check every
+root-subgroup program the eliminations use.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import basis_orbit_states, dict_orbit_states, to_state, verge_state
+from oracles import (
+    basis_orbit_states,
+    dict_canonical_form,
+    dict_dual_canonical,
+    dict_orbit_states,
+    to_state,
+    verge_state,
+)
 from superchar import (
     ColouredPartition,
+    GroupElement,
     NilMatrix,
     build_e,
     canonical_form,
     compute_SR,
+    dual_act,
     dual_canonical,
     enumerate_dual_orbits,
     enumerate_labels,
@@ -32,6 +45,7 @@ from superchar import (
     r_of,
 )
 from superchar import orbits
+from superchar.gf import space_cap
 from superchar.nilpotent import positions
 from superchar.orbits import orbit_states
 
@@ -201,9 +215,14 @@ def test_coset_walk_over_gf64(dual):
     assert len(got) == closed_size(label, f.order)
 
 
+# both kinds; over GF(9) -1 has log 4, so c = -v/pivot differs from v/pivot
+# in the index arithmetic, and GF(8) has m = 3 with p = 2
 @pytest.mark.parametrize(
     "n,p,m,dual",
-    [(3, 3, 1, True), (4, 2, 1, True), (3, 2, 2, True), (4, 2, 1, False)],
+    [(3, 3, 1, True), (4, 2, 1, True), (3, 2, 2, True), (4, 2, 1, False)]
+    + [(3, 3, 1, False), (3, 2, 2, False)]
+    + [(n, p, m, dual) for n, p, m in [(3, 3, 2), (3, 2, 3), (3, 7, 1), (4, 3, 1)]
+       for dual in (False, True)],
 )
 def test_elimination_matches_orbit_scan_on_every_matrix(n, p, m, dual):
     f = field_construct(p, m)
@@ -216,15 +235,20 @@ def test_elimination_matches_orbit_scan_on_every_matrix(n, p, m, dual):
 
 
 # n <= 5 and q in {2, 3, 4, 5}, leaving out U_5(F_4), whose typical orbit
-# of 4^8 states takes about a second to walk, and U_5(F_5), above the space cap
+# of 4^8 states takes about a second to walk, and U_5(F_5), above the space
+# cap; then GF(64) and GF(8), where the Zech rows are long
 ELIMINATION_CONFIGS = [(2, 5, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2), (3, 5, 1),
                        (4, 2, 1), (4, 3, 1), (4, 2, 2), (4, 5, 1), (5, 2, 1),
-                       (5, 3, 1)]
+                       (5, 3, 1), (3, 2, 6), (4, 2, 3)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=st.sampled_from(ELIMINATION_CONFIGS), data=st.data())
-def test_dual_elimination_matches_orbit_scan_from_random_starts(config, data):
+@given(
+    config=st.sampled_from(ELIMINATION_CONFIGS),
+    dual=st.booleans(),
+    data=st.data(),
+)
+def test_elimination_matches_orbit_scan_from_random_starts(config, dual, data):
     n, p, m = config
     f = field_construct(p, m)
     start = tuple(
@@ -233,7 +257,59 @@ def test_dual_elimination_matches_orbit_scan_from_random_starts(config, data):
             min_size=len(positions(n)), max_size=len(positions(n)),
         ))
     )
-    label = dual_canonical(NilMatrix.from_dense(n, f, start))
-    states = orbit_states(n, f, start, dual=True)
+    canonical = dual_canonical if dual else canonical_form
+    label = canonical(NilMatrix.from_dense(n, f, start))
+    states = orbit_states(n, f, start, dual)
     assert to_state(n, label.colours) == verge_state(n, states)
     assert closed_size(label, f.order) == len(states)
+
+
+# |A| above the space cap, where no walk can check classify: the dict
+# eliminations, in FieldElement arithmetic, are the oracle
+PAST_CAP_CONFIGS = [(7, 2, 1), (8, 2, 1), (9, 2, 1), (5, 3, 2), (4, 2, 6),
+                    (4, 2, 8)]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["superclass", "dual"])
+@pytest.mark.parametrize("n,p,m", PAST_CAP_CONFIGS)
+def test_elimination_matches_dict_elimination_past_the_space_cap(n, p, m, dual):
+    f = field_construct(p, m)
+    assert f.order ** len(positions(n)) > space_cap()
+    canonical = dual_canonical if dual else canonical_form
+    oracle = dict_dual_canonical if dual else dict_canonical_form
+    rng = random.Random(17)
+    for _ in range(300):
+        density = rng.random()  # sparse and dense matrices alike
+        start = tuple(
+            rng.randrange(1, f.order) if rng.random() < density else 0
+            for _ in positions(n)
+        )
+        a = NilMatrix.from_dense(n, f, start)
+        assert canonical(a) == oracle(a), start
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["superclass", "dual"])
+@pytest.mark.parametrize("n,p,m", [(4, 3, 1), (4, 2, 2), (3, 3, 2)])
+def test_every_root_subgroup_program_matches_the_group_action(n, p, m, dual):
+    # _program compiles every 1 + alpha*e_ij, not only the superdiagonal
+    # ones the walk replays against dual_act; check each against the
+    # NilMatrix action at every nonzero alpha, from seeded random states
+    f = field_construct(p, m)
+    pos = positions(n)
+    one = GroupElement.identity(n, f)
+    rng = random.Random(5)
+    for _ in range(4):
+        b = NilMatrix.from_dense(n, f, tuple(rng.randrange(f.order) for _ in pos))
+        for (i, j), left, alpha in itertools.product(pos, (True, False), f.nonzero()):
+            pairs, sign = orbits._program(n, dual, i, j, left)
+            img = dict(b.entries)
+            for d, src in pairs:
+                step = f.from_int(sign) * alpha * b.entry(*pos[src])
+                img[pos[d]] = b.entry(*pos[d]) + step
+            e = NilMatrix.single(n, f, i, j, alpha)
+            if dual:
+                g = GroupElement(e)
+                moved = dual_act(g, one, b) if left else dual_act(one, g, b)
+            else:  # (1 + e) b or b (1 + e)
+                moved = b + (e @ b if left else b @ e)
+            assert NilMatrix(n, f, img) == moved, (i, j, left, alpha)
