@@ -219,7 +219,7 @@ def cmd_orbits(args) -> int:
         },
         args.output,
     )
-    return 0
+    return 1 if args.dual and not all(r["prediction_matches"] for r in rows) else 0
 
 
 def cmd_verify(args) -> int:

@@ -18,7 +18,7 @@ view, built once, for a failing or sampled cell, and in sch_closed.
 The averaging route for every a in A and every row at once is one additive
 Fourier transform, as Diaconis and Isaacs build supercharacters: the
 histogram over b in O of lift(Tr<b, a>) is the transform of the indicator
-of O on A = F_p^(mN), N = n(n-1)/2.  _averaging_route takes it radix p
+of O on A = F_p^(mN), N = n(n-1)/2.  _route_blocks takes it radix p
 over the mN base-p digits of the dense state index (a field index's digits
 are its F_p coordinates).  A value in Z[x]/(x^p - 1) is p packed Python
 ints, one per exponent, each holding one count per row in a field of
@@ -27,9 +27,9 @@ ints and every operation is a non-negative integer addition: about
 rows * |A| * mN * p^2 bit-packed additions, in row blocks that bound the
 memory.  The output is read at the trace-dual digits
 c_k(a) = lift(Tr(x^k a)).  The transform reads only the BFS dual-orbit
-members and the trace pairing, never a label formula.  build_table's full
-cross-check reads it at each column's representative, and verify_theory's
-superclass-constancy check at every member of every class.
+members and the trace pairing, never a label formula.  _route_failure
+compares it with the table block by block and keeps one verdict, read by
+both build_table's full cross-check and verify_theory's constancy check.
 
 build_table builds both axes from the labels alone: each orbit carries its
 label, the representative build_e(label) and its closed size, q^|S(pi)|
@@ -230,7 +230,7 @@ class SupercharTable:
         self.dual_orbits = dual_orbits
         self.superclasses = superclasses
         self.order = field.order ** len(positions(n))
-        self._route = None  # _averaging_route, computed once from the members
+        self._route = ...  # _route_failure's verdict, None included, once computed
 
     @cached_property
     def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
@@ -286,10 +286,10 @@ def _spot_pairs(table: SupercharTable) -> list[tuple[int, int]]:
 def build_table(n: int, field: FiniteField, validate: str | None = None) -> SupercharTable:
     """The full table by the closed formula, held as the integer cells of
     _closed_cells, cross-checked against the orbit average ('full' on every
-    cell, read from the transform at each column's representative; 'spot'
-    on 64 seeded cells by sch_bruteforce; 'off').  The default picks full
+    cell at every member of its superclass, by _route_failure; 'spot' on
+    64 seeded cells by sch_bruteforce; 'off').  The default picks full
     when |A| <= 2^12 and spot above.  Only a failing cell, or a sampled
-    one, is built as a Cyclotomic.
+    one, is built as a Cyclotomic, the average at its failing member.
 
     A sampled cell is averaged over the smaller of its dual orbit and its
     superclass by closed size, ties to the dual orbit, at the other's
@@ -319,13 +319,13 @@ def build_table(n: int, field: FiniteField, validate: str | None = None) -> Supe
     table = SupercharTable(n, field, dual_orbits, superclasses, cells=(denom, cells))
     p = field.p
     if validate == "full":
-        hists, _ = _averaging_route(table)
-        for i, o in enumerate(dual_orbits):
-            for j, k in enumerate(superclasses):
-                if not _route_matches(hists[j][i], cells[i][j], denom, o.size):
-                    closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
-                    brute = Cyclotomic(p, hists[j][i], o.size)
-                    raise RouteDisagreement(o.label, k.label, closed, brute)
+        bad = _route_failure(table)
+        if bad is not None:
+            i, j, state = bad
+            a = GroupElement(NilMatrix.from_dense(n, field, state))
+            closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
+            raise RouteDisagreement(dual_orbits[i].label, superclasses[j].label,
+                                    closed, sch_bruteforce(dual_orbits[i], a))
     elif validate == "spot":
         for i, j in _spot_pairs(table):
             orbit, cls = dual_orbits[i], superclasses[j]
@@ -380,19 +380,15 @@ def _additive_fourier(vec: list[list[int]], p: int, digits: int) -> list[list[in
     return vec
 
 
-def _averaging_route(table: SupercharTable) -> tuple[list, list]:
-    """The averaging route at every member of every class, for every row.
-
-    Returns (hists, deviants): hists[j][i] is the histogram of zeta
-    exponents of <b, rep_j> over b in row i; deviants[j] maps the index
-    of each member of class j whose packed key differs from the
-    representative's to {row: histogram} on the row blocks where it
-    differs.  Computed once per table, in blocks of rows whose packed
-    counts take at most _ROUTE_BLOCK_BITS bits, after checking that the
-    members of each axis cover A disjointly.
-    """
-    if table._route is not None:
-        return table._route
+def _route_blocks(table: SupercharTable):
+    """The averaging route one block of rows at a time, rows ascending,
+    once each axis's members are checked to cover A disjointly.  Yields
+    (rows, j, column, decode) per block and class: column[e] lists the
+    packed counts of exponent e at each member of class j, one width-bit
+    field per row, and decode turns a member's key (its count per
+    exponent) into its histogram on each row.  A block takes at most
+    _ROUTE_BLOCK_BITS bits, and only the consumer's last column outlives
+    it."""
     check_cover(table.dual_orbits, table.order)
     check_cover(table.superclasses, table.order)
     field, p = table.field, table.field.p
@@ -408,9 +404,6 @@ def _averaging_route(table: SupercharTable) -> tuple[list, list]:
     rows = table.dual_orbits
     block = max(1, _ROUTE_BLOCK_BITS // (width * order * p))
     cols = [[frequency(s) for s in k.members] for k in table.superclasses]
-    reps = [frequency(k.rep.dense()) for k in table.superclasses]
-    hists: list[list] = [[] for _ in cols]
-    deviants: list[dict] = [{} for _ in cols]
     for lo in range(0, len(rows), block):
         block_rows = range(lo, min(lo + block, len(rows)))
         vec = [[0] * order for _ in range(p)]
@@ -420,22 +413,50 @@ def _averaging_route(table: SupercharTable) -> tuple[list, list]:
                 vec[0][sum(v * w for v, w in zip(s, weights))] = bit
         vec = _additive_fourier(vec, p, field.m * len(weights))
 
-        def decode(key):
-            return [[(v >> (k * width)) & mask for v in key] for k in range(len(block_rows))]
+        def decode(key, fields=len(block_rows)):
+            return [[(v >> (k * width)) & mask for v in key] for k in range(fields)]
 
-        for j, (rep, members) in enumerate(zip(reps, cols)):
-            key = [v[rep] for v in vec]
-            hists[j] += decode(key)
-            if all(
-                list(map(v.__getitem__, members)).count(t) == len(members)
-                for v, t in zip(vec, key)
-            ):
-                continue
-            for idx, x in enumerate(members):
-                got = [v[x] for v in vec]
-                if got != key:
-                    deviants[j].setdefault(idx, {}).update(zip(block_rows, decode(got)))
-    table._route = hists, deviants
+        for j, c in enumerate(cols):
+            yield block_rows, j, [list(map(v.__getitem__, c)) for v in vec], decode
+
+
+def _route_failure(table: SupercharTable):
+    """The first (row, column, member) at which the averaging route is not
+    the table cell, scanning classes, then members, then rows, or None;
+    cached on the table, and computed in the row-block loop, so each
+    (row, class) pair of a valid table is decoded and compared once.
+
+    Per block and class: if every member shares member 0's packed key,
+    only it is decoded and a failure is member 0's; else each distinct key
+    is decoded once.  The block's first failing member is recorded with
+    its first failing row there.  No member below a class's smallest
+    failing member fails, so every block where it fails records it, and
+    as blocks ascend in rows its smallest row is its first failing row:
+    the smallest record gives the class, then the member, then the row.
+    """
+    if table._route is not ...:
+        return table._route
+    denom, cells = table.integer_cells()
+    sizes = [o.size for o in table.dual_orbits]
+    failures = []  # (column, member, row), one per failing block and class
+    for block_rows, j, col, decode in _route_blocks(table):
+        key = tuple(c[0] for c in col)
+        shared = all(c.count(t) == len(c) for c, t in zip(col, key))
+        first_row: dict = {}  # per distinct key, its first failing row or None
+        for m, got in enumerate([key] if shared else zip(*col)):
+            if got not in first_row:
+                first_row[got] = next(
+                    (i for i, hist in zip(block_rows, decode(got))
+                     if not _route_matches(hist, cells[i][j], denom, sizes[i])),
+                    None,
+                )
+            if first_row[got] is not None:
+                failures.append((j, m, first_row[got]))
+                break
+    table._route = None
+    if failures:
+        j, m, i = min(failures)
+        table._route = i, j, table.superclasses[j].members[m]
     return table._route
 
 
@@ -446,32 +467,6 @@ def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
     for e, c in cell:
         v[e] -= size * c
     return v.count(v[0]) == len(v)
-
-
-def _constancy_failure(table: SupercharTable, cells: list, denom: int):
-    """The first (row, column, member) whose averaging-route value differs
-    from the table cell, in scan order: classes, then members, then rows;
-    None when every member of every class matches its column on every row.
-    A member sharing the representative's packed key shares its verdict."""
-    hists, deviants = _averaging_route(table)
-    sizes = [o.size for o in table.dual_orbits]
-
-    def first_row(j, dev):
-        for i, size in enumerate(sizes):
-            if not _route_matches(dev.get(i, hists[j][i]), cells[i][j], denom, size):
-                return i
-        return None
-
-    for j, cls in enumerate(table.superclasses):
-        devs = deviants[j]
-        rep_row = first_row(j, {})
-        # when the representative passes, only deviants can fail; when it
-        # fails, the scan stops at the first member that shares its key
-        for k in sorted(devs) if rep_row is None else range(len(cls.members)):
-            i = first_row(j, devs[k]) if k in devs else rep_row
-            if i is not None:
-                return i, j, cls.members[k]
-    return None
 
 
 def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
@@ -633,10 +628,9 @@ def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: in
 def verify_theory(table: SupercharTable) -> list[tuple]:
     """The axiom and identity suite; returns (name, passed, detail) triples.
 
-    Superclass constancy reads the averaging route at every member of every
-    class from the table's one additive Fourier transform: members must
-    share their representative's packed key, and each distinct key is
-    decoded and compared with the table column on integers.
+    Superclass constancy reads _route_failure's verdict, the first
+    (row, column, member) at which the averaging route is not the cell,
+    cached on the table by build_table's full cross-check.
 
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
@@ -687,7 +681,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     )
     checks.append(("identity-normalization", id_ok, "xi(1) = 1 on every row"))
 
-    bad = _constancy_failure(table, rows, denom)
+    bad = _route_failure(table)
     tested = sum(len(k.members) for k in table.superclasses) * table.size
     checks.append(
         ("superclass-constancy", bad is None,

@@ -181,7 +181,7 @@ class TowerLabel:
         if set(colours) != set(partition.arcs()):
             raise ValueError("colour domain differs from the arc set")
         for arc, tc in colours.items():
-            if tc.tower is not tower and tc.tower.degrees != tower.degrees:
+            if (tc.tower.p, tc.tower.degrees) != (tower.p, tower.degrees):
                 raise ValueError("colour tower mismatch")
             if tc.m0 is None:
                 raise ValueError(f"arc {arc} carries the trivial character sequence")
@@ -351,6 +351,22 @@ def _level_feasible(n: int, field: FiniteField) -> bool:
     return field.order ** len(positions(n)) <= space_cap()
 
 
+def _scan_levels(n: int, tower: FieldTower, levels, what: str) -> list[int]:
+    """The levels a scan reads, every feasible one by default; ValueError
+    unless they strictly increase, are feasible and number at least two."""
+    if levels is None:
+        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
+    levels = list(levels)
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels {levels} are not strictly increasing")
+    for m in levels:
+        if not _level_feasible(n, tower.field(m)):
+            raise ValueError(f"level {m} exceeds the space cap for n = {n}")
+    if len(levels) < 2:
+        raise ValueError(f"{what} needs at least two feasible levels")
+    return levels
+
+
 def _size_scan(n: int, tower: FieldTower, levels, dual: bool) -> list[tuple]:
     """Orbit sizes per level for every level-1 canonical label, each walked
     as an orbit object, whose walk checks the closed size."""
@@ -373,13 +389,7 @@ def fsc_diagnostic(n: int, tower: FieldTower, levels=None) -> dict:
     one and the full-span arc (1, n) alone, and the stable dual orbits the
     all-superdiagonal labels; the report records whether that held.
     """
-    if levels is None:
-        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
-    for m in levels:
-        if not _level_feasible(n, tower.field(m)):
-            raise ValueError(f"level {m} exceeds the space cap for n = {n}")
-    if len(levels) < 2:
-        raise ValueError("growth needs at least two feasible levels")
+    levels = _scan_levels(n, tower, levels, "growth")
 
     def classify(scan):
         rows = []
@@ -409,7 +419,7 @@ def fsc_diagnostic(n: int, tower: FieldTower, levels=None) -> dict:
         "n": n,
         "p": tower.p,
         "degrees": list(tower.degrees),
-        "levels": list(levels),
+        "levels": levels,
         "superclasses": superclasses,
         "dual_orbits": dual_orbits,
         "stable_superclasses_match_center": sc_match,
@@ -425,13 +435,7 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
     trivial orbit concentrates on the stable classes without vanishing
     anywhere, and it must count toward the weight.
     """
-    if levels is None:
-        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
-    for m in levels:
-        if not _level_feasible(n, tower.field(m)):
-            raise ValueError(f"level {m} exceeds the space cap for n = {n}")
-    if len(levels) < 2:
-        raise ValueError("a profile needs at least two feasible levels")
+    levels = _scan_levels(n, tower, levels, "a profile")
 
     scan = _size_scan(n, tower, levels, dual=False)
     fsc_arcs: set = set()
@@ -458,7 +462,7 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         "n": n,
         "p": tower.p,
         "degrees": list(tower.degrees),
-        "levels": list(levels),
+        "levels": levels,
         "fsc_arcs": sorted(fsc_arcs),
         "profile": profile,
         "strictly_increasing": increasing,

@@ -11,7 +11,9 @@ import pathlib
 
 import pytest
 
+from superchar import cli
 from superchar.cli import main
+from superchar.partitions import r_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -192,6 +194,15 @@ def test_orbits_dual_prediction_fields(capsys):
     assert all(r["prediction_matches"] for r in blob["orbits"])
 
 
+def test_orbits_dual_failed_prediction_exits_1(capsys, monkeypatch):
+    # with r_of one too large, the q^r(pi) prediction fails on every orbit
+    # but the trivial one, and the report is still printed
+    monkeypatch.setattr(cli, "r_of", lambda pi: r_of(pi) + bool(pi.arcs()))
+    assert main(["orbits", "--n", "3", "--p", "2", "--dual"]) == 1
+    rows = json.loads(capsys.readouterr().out)["orbits"]
+    assert [r["prediction_matches"] for r in rows] == [True] + [False] * (len(rows) - 1)
+
+
 def test_orbits_superclass_sizes(capsys):
     code = main(["orbits", "--n", "3", "--p", "2"])
     assert code == 0
@@ -279,6 +290,19 @@ def test_tower_plancherel_profile(capsys):
     blob = json.loads(capsys.readouterr().out)
     assert [e["weight"] for e in blob["profile"]] == ["5/8", "49/64"]
     assert blob["strictly_increasing"] is True
+
+
+@pytest.mark.parametrize("mode,levels", [
+    ("fsc", "2,2"), ("fsc", "3,1"), ("plancherel", "3,1"), ("plancherel", "2,2"),
+])
+def test_tower_levels_not_strictly_increasing_exit_2(capsys, mode, levels):
+    code = main(["tower", "--n", "3", "--p", "2", "--degrees", "1,2,4",
+                 "--mode", mode, "--levels", levels])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    shown = levels.replace(",", ", ")
+    assert out.err == f"error: levels [{shown}] are not strictly increasing\n"
 
 
 def test_tower_convergence_requires_label_flags(capsys):

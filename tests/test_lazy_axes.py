@@ -168,7 +168,7 @@ def test_orbits_dual_reports_the_walked_size(monkeypatch):
     monkeypatch.setattr(cli, "r_of", wrong)
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert cli.main(["orbits", "--n", "4", "--p", "3", "--dual"]) == 0
+        assert cli.main(["orbits", "--n", "4", "--p", "3", "--dual"]) == 1
     rows = json.loads(buf.getvalue())["orbits"]
     walked = [o.size for o in enumerate_dual_orbits(4, field_construct(3, 1))]
     assert [r["size"] for r in rows] == walked

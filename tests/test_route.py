@@ -2,15 +2,18 @@
 
 Oracles: _pairing_hist, which sums the pairing character over the orbit
 members one cell at a time, and the member-by-member constancy scan in
-tests/oracles.py.  The transform must reproduce the first on every cell
-and the second's verdict and detail on tables whose dual orbits have been
-tampered with.  The average over a cell's superclass, which the spot
+tests/oracles.py.  The transform's row blocks must reproduce the first on
+every cell, and the verdict read by both the full cross-check and
+verify_theory must give the second's verdict and detail on tables whose
+dual orbits have been tampered with, at the default block size and at one
+row per block.  The average over a cell's superclass, which the spot
 cross-check takes where that is the smaller orbit, must equal the average
 over its dual orbit.
 """
 
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import superchar.table as table_mod
 from superchar import (
+    Cyclotomic,
     DualOrbit,
     GroupElement,
+    NilMatrix,
     RouteDisagreement,
     SupercharTable,
     build_table,
@@ -31,8 +36,9 @@ from superchar import (
 )
 from superchar.table import (
     _additive_fourier,
-    _averaging_route,
     _pairing_hist,
+    _route_blocks,
+    _route_failure,
     _spot_pairs,
 )
 
@@ -85,18 +91,13 @@ def test_additive_fourier_matches_definition(p, digits):
 
 @pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
 def test_transform_equals_pairing_hist_on_every_cell(n, p, m):
-    t = _fresh(_table(n, p, m))
-    hists, deviants = _averaging_route(t)
-    assert deviants == [{} for _ in t.superclasses]
-    for j, cls in enumerate(t.superclasses):
-        assert hists[j] == [_pairing_hist(o.members, cls.rep) for o in t.dual_orbits]
-
-
-def test_row_blocks_give_the_same_route(monkeypatch):
-    t = _table(4, 3, 1)
-    whole = _averaging_route(_fresh(t))
-    monkeypatch.setattr(table_mod, "_ROUTE_BLOCK_BITS", 1)  # one row per block
-    assert _averaging_route(_fresh(t)) == whole
+    t = _table(n, p, m)
+    for rows, j, col, decode in _route_blocks(t):
+        key = [c[0] for c in col]
+        assert all(c.count(e) == len(c) for c, e in zip(col, key))
+        rep = t.superclasses[j].rep
+        assert decode(key) == [_pairing_hist(t.dual_orbits[i].members, rep)
+                               for i in rows]
 
 
 @pytest.mark.parametrize("n,p,m", [(1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 2, 2), (2, 5, 1)])
@@ -127,6 +128,10 @@ def _tampered(t, moves):
     return _fresh(t, orbits)
 
 
+def _constancy(t):
+    return next(c for c in verify_theory(t) if c[0] == "superclass-constancy")
+
+
 def test_moved_member_is_caught():
     t = _table(4, 3, 1)
     last = t.size - 1
@@ -149,8 +154,60 @@ def test_tampered_orbits_get_oracle_verdicts(config, data):
                  min_size=1, max_size=3)
     )
     tampered = _tampered(t, moves)
-    report = {c[0]: c for c in verify_theory(tampered)}
-    assert report["superclass-constancy"] == oracles.constancy_check(tampered)
+    expected = oracles.constancy_check(tampered)
+    assert _constancy(tampered) == expected
+    with mock.patch.object(table_mod, "_ROUTE_BLOCK_BITS", 1):  # one row per block
+        assert _constancy(_fresh(tampered)) == expected
+
+
+def _first_failing_rows(t, j):
+    """Per member of class j, the first row whose average there is not the
+    table cell, or None; member by member through _pairing_hist."""
+    out = []
+    for state in t.superclasses[j].members:
+        a = NilMatrix.from_dense(t.n, t.field, state)
+        out.append(next(
+            (i for i, o in enumerate(t.dual_orbits)
+             if Cyclotomic(t.field.p, _pairing_hist(o.members, a), o.size)
+             != t.values[i][j]),
+            None,
+        ))
+    return out
+
+
+def test_row_blocks_give_the_same_route(monkeypatch):
+    monkeypatch.setattr(table_mod, "_ROUTE_BLOCK_BITS", 1)  # one row per block
+    t = _table(4, 3, 1)
+    moved = _tampered(t, [(t.size - 1, 5, 1, True)])
+    assert _route_failure(moved) is not None
+    assert _constancy(moved) == oracles.constancy_check(moved)
+    # the class's smallest failing member fails only in a later block than
+    # a larger member of the class does
+    small = _table(3, 3, 1)
+    later = _tampered(small, [(3, 173, 9, True), (6, 148, 4, True)])
+    i, j, state = _route_failure(later)
+    first = _first_failing_rows(later, j)
+    m = later.superclasses[j].members.index(state)
+    assert first[:m] == [None] * m and first[m] == i
+    assert any(r is not None and r < i for r in first[m + 1:])
+    assert _constancy(later) == oracles.constancy_check(later)
+    assert _constancy(_fresh(t)) == oracles.constancy_check(t)
+
+
+def test_full_cross_check_and_verify_compare_each_cell_once(monkeypatch):
+    calls = 0
+    uncounted = table_mod._route_matches
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return uncounted(*args)
+
+    monkeypatch.setattr(table_mod, "_route_matches", counting)
+    t = build_table(4, field_construct(3, 1), validate="full")
+    assert calls == t.size * len(t.superclasses) == 2401
+    assert all(ok for _, ok, _ in verify_theory(t))
+    assert calls == 2401
 
 
 def test_no_member_by_member_evaluations(monkeypatch):

@@ -159,6 +159,18 @@ def test_trivial_colour_rejected_in_labels():
         TowerLabel(tw, parse_partition("1,3/2", 3), {(1, 3): zero})
 
 
+def test_colour_from_a_tower_over_another_prime_is_refused():
+    tw3, tw2 = _tw(p=3), _tw(p=2)
+    own = TowerCharacter.from_level1(tw3, tw3.field(1).one)
+    other = TowerCharacter.from_level1(tw2, tw2.field(1).one)
+    pi = parse_partition("1,3/2", 3)
+    with pytest.raises(ValueError, match="colour tower mismatch"):
+        TowerLabel(tw3, pi, {(1, 3): other})
+    # a colour from an equal tower built separately is still accepted
+    lab = TowerLabel(_tw(p=3), pi, {(1, 3): own})
+    assert lab.level_label(1).colours[(1, 3)] == tw3.field(1).one
+
+
 # --------------------------------------------------------- level values
 
 def test_tower_supercharacter_worked_examples():
@@ -379,6 +391,15 @@ def test_plancherel_profile_walks_only_the_sizes_it_reads(
     walked[0] = 0
     assert plancherel_profile(n, tw) == old
     assert walked[0] == walked_now
+
+
+@pytest.mark.parametrize("levels", [[2, 2], [3, 1], [1, 3, 2]])
+def test_growth_scans_refuse_levels_not_strictly_increasing(levels):
+    tw = _tw((1, 2, 4))
+    for scan in (fsc_diagnostic, plancherel_profile):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            scan(3, tw, levels=levels)
+    assert fsc_diagnostic(3, tw, levels=[1, 3])["levels"] == [1, 3]
 
 
 def test_plancherel_profile_rejects_single_level():
