@@ -28,6 +28,7 @@ from .partitions import (
     r_of,
 )
 from .table import (
+    _group_json,
     build_table,
     plancherel,
     table_to_csv,
@@ -54,19 +55,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _group_json(n: int, field: FiniteField) -> dict:
-    return {
-        "n": n,
-        "p": field.p,
-        "m": field.m,
-        "q": field.order,
-        "modulus": list(field.modulus),
-    }
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
+        try:
+            fh = open(output, "w")
+        except OSError as exc:  # unusable input: exit 2, not a traceback
+            raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -8,6 +8,8 @@ enumeration index k has the base-p digits of k as coefficients, constant
 term first.  Subfield embeddings send the generator to the
 enumeration-smallest root of the subfield modulus and are fixed once per
 (subfield, superfield) pair, never composed through intermediate fields.
+Each such pair has one embedding index list (Embedding.images) and one
+relative-trace index list (trace_indices), built once and cached.
 
 All arithmetic runs on enumeration indices through three O(q) tables over
 a primitive element g, the enumeration-smallest generator of the
@@ -410,45 +412,40 @@ def field_construct(p: int, m: int) -> FiniteField:
 # -- embeddings and traces ---------------------------------------------------
 
 
-class Embedding:
-    """The fixed embedding GF(p^m) -> GF(p^M) for m | M."""
+def _horner(coeffs, r: FieldElement) -> FieldElement:
+    """The polynomial with coefficients coeffs over GF(p), constant term
+    first, evaluated at r."""
+    field = r.field
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * r + field.from_int(c)
+    return acc
 
-    __slots__ = ("sub", "sup", "root", "_images", "_preimages")
+
+class Embedding:
+    """The fixed embedding GF(p^m) -> GF(p^M) for m | M: x maps to
+    x(root), root the enumeration-smallest root of the subfield modulus.
+    images[k] is the index in sup of the image of element k of sub.
+    """
+
+    __slots__ = ("sub", "sup", "root", "images")
 
     def __init__(self, sub: FiniteField, sup: FiniteField):
         self.sub = sub
         self.sup = sup
-        self.root = self._find_root()
-        self._images: dict[int, FieldElement] = {}
-        self._preimages: dict[int, FieldElement] | None = None
-
-    def _find_root(self) -> FieldElement:
-        mod = self.sub.modulus
-        consts = [self.sup.from_int(c) for c in mod]
-        for r in self.sup.elements:
-            acc = self.sup.zero
-            for c in reversed(consts):
-                acc = acc * r + c
-            if not acc:
-                return r
-        raise AssertionError("subfield modulus has no root in the superfield")
+        root = next((r for r in sup.elements if not _horner(sub.modulus, r)), None)
+        if root is None:
+            raise AssertionError("subfield modulus has no root in the superfield")
+        self.root = root
+        self.images = [_horner(x.coeffs, root).index for x in sub.elements]
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        cached = self._images.get(x.index)
-        if cached is not None:
-            return cached
-        acc = self.sup.zero
-        for c in reversed(x.coeffs):
-            acc = acc * self.root + self.sup.from_int(c)
-        self._images[x.index] = acc
-        return acc
+        return self.sup._elts[self.images[x.index]]
 
     def preimage(self, y: FieldElement) -> FieldElement:
-        if self._preimages is None:
-            self._preimages = {self(x).index: x for x in self.sub.elements}
         try:
-            return self._preimages[y.index]
-        except KeyError:
+            return self.sub._elts[self.images.index(y.index)]
+        except ValueError:
             raise ValueError("element lies outside the embedded subfield") from None
 
 
@@ -490,20 +487,32 @@ def field_trace(x: FieldElement, target_degree: int = 1) -> FieldElement:
     return field_embed(sub, field).preimage(acc)
 
 
-def trace_lifts(field: FiniteField) -> list[int]:
-    """lift(Tr(x)) for every element in index order, built on first use.
+@lru_cache(maxsize=None)
+def trace_indices(sub: FiniteField, sup: FiniteField) -> list[int]:
+    """The index in sub of the relative trace from sup down to sub, for
+    every element of sup in index order.
 
-    The absolute trace is F_p-linear, so the list is read off the traces
-    of the basis 1, x, ..., x^(m-1): index c_0 + c_1 p + ... takes
-    sum c_d lift(Tr(x^d)) mod p.
+    The trace is F_p-linear, so the list is read off field_trace on the
+    basis 1, x, ..., x^(M-1) of sup: index c_0 + c_1 p + ... takes
+    sum c_d Tr(x^d).
     """
+    if sub.p != sup.p or sup.m % sub.m != 0:
+        raise ValueError("not a subfield pair")
+    traces = [sub.zero]
+    for d in range(sup.m):
+        t = field_trace(sup._elts[sup.p**d], sub.m)
+        multiples = [sub.zero]
+        for _ in range(sup.p - 1):
+            multiples.append(multiples[-1] + t)
+        traces = [s + c for c in multiples for s in traces]
+    return [t.index for t in traces]
+
+
+def trace_lifts(field: FiniteField) -> list[int]:
+    """lift(Tr(x)) for every element in index order: trace_indices down to
+    GF(p), where an element's index is its lift, held on the field."""
     if field._trace_lifts is None:
-        p = field.p
-        lifts = [0]
-        for d in range(field.m):
-            t = field_trace(field._elts[p**d], 1).lift()
-            lifts = [(s + c * t) % p for c in range(p) for s in lifts]
-        field._trace_lifts = lifts
+        field._trace_lifts = trace_indices(field_construct(field.p, 1), field)
     return field._trace_lifts
 
 

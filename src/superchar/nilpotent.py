@@ -117,24 +117,6 @@ class NilMatrix:
             return f"NilMatrix({self.n}, 0)"
         return f"NilMatrix({self.n}, {format_matrix(self)!r})"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": {
-                f"{i},{j}": list(self.entries[(i, j)].coeffs)
-                for (i, j) in sorted(self.entries)
-            },
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, field: FiniteField) -> "NilMatrix":
-        n = int(obj["n"])
-        entries = {}
-        for key, coeffs in obj["entries"].items():
-            i, j = (int(t) for t in key.split(","))
-            entries[(i, j)] = field.element(coeffs)
-        return cls(n, field, entries)
-
 
 # -- matrix text format ------------------------------------------------------
 

@@ -737,16 +737,20 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
 # -- serialization ------------------------------------------------------------
 
 
+def _group_json(n: int, field: FiniteField) -> dict:
+    """The n, p, m, q and modulus keys of a report's group object."""
+    return {
+        "n": n,
+        "p": field.p,
+        "m": field.m,
+        "q": field.order,
+        "modulus": list(field.modulus),
+    }
+
+
 def table_to_json(table: SupercharTable) -> dict:
     return {
-        "group": {
-            "n": table.n,
-            "p": table.field.p,
-            "m": table.field.m,
-            "q": table.field.order,
-            "modulus": list(table.field.modulus),
-            "order": table.order,
-        },
+        "group": {**_group_json(table.n, table.field), "order": table.order},
         "rows": [
             {
                 "label": o.label.to_json(),
@@ -780,13 +784,8 @@ class _ParsedAxis:
 
 
 def table_from_json(obj: dict) -> SupercharTable:
-    from .gf import field_construct
-
-    group = obj["group"]
-    n = int(group["n"])
-    field = field_construct(int(group["p"]), int(group["m"]))
-    if "modulus" in group and tuple(group["modulus"]) != field.modulus:
-        raise ValueError("modulus does not match the deterministic construction")
+    n = int(obj["group"]["n"])
+    field = FiniteField.from_json(obj["group"])
     rows = [
         _ParsedAxis(ColouredPartition.from_json(r["label"], n, field), int(r["size"]))
         for r in obj["rows"]

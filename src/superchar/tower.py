@@ -13,16 +13,16 @@ first fully-defined level.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import (
     FieldElement,
     FiniteField,
+    embed_into,
     field_construct,
     field_embed,
-    field_trace,
+    trace_indices,
     trace_lifts,
 )
 from .nilpotent import positions
@@ -63,45 +63,17 @@ class FieldTower:
     def embed(self, x: FieldElement, level: int) -> FieldElement:
         """Direct per-pair embedding of a lower-level element into a level."""
         target = self.field(level)
-        if x.field == target:
-            return x
         if x.field not in self.fields:
             raise ValueError("element does not belong to a tower level")
-        return field_embed(x.field, target)(x)
+        return embed_into(x, target)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, degrees={self.degrees})"
 
 
-@lru_cache(maxsize=None)
-def _relative_traces(sub: FiniteField, sup: FiniteField) -> list[int]:
-    """The index in sub of the relative trace of x from sup down to sub,
-    for every x of sup in index order.  The trace is F_p-linear, so the
-    list is read off the traces of the basis 1, x, ..., x^(M-1) of sup, as
-    trace_lifts is: index c_0 + c_1 p + ... takes sum c_d Tr(x^d)."""
-    traces = [sub.zero]
-    for d in range(sup.m):
-        t = field_trace(sup.element_by_index(sup.p**d), sub.m)
-        multiples = [sub.zero]
-        for _ in range(sup.p - 1):
-            multiples.append(multiples[-1] + t)
-        traces = [s + c for c in multiples for s in traces]
-    return [t.index for t in traces]
-
-
-@lru_cache(maxsize=None)
-def _embedded_indices(sub: FiniteField, sup: FiniteField) -> list[int]:
-    """The index in sup of the fixed embedding of every element of sub."""
-    emb = field_embed(sub, sup)
-    return [emb(x).index for x in sub.elements]
-
-
 def char_extend(beta: FieldElement, sup: FiniteField) -> FieldElement:
     """The enumeration-smallest element of sup whose trace down is beta."""
-    sub = beta.field
-    if sup.m % sub.m != 0 or sup.p != sub.p:
-        raise ValueError("not a subfield pair")
-    return sup.elements[_relative_traces(sub, sup).index(beta.index)]
+    return sup.elements[trace_indices(beta.field, sup).index(beta.index)]
 
 
 def _restricts(lo: FiniteField, hi: FiniteField, b_lo: int, b_hi: int) -> bool:
@@ -111,7 +83,7 @@ def _restricts(lo: FiniteField, hi: FiniteField, b_lo: int, b_hi: int) -> bool:
     exp_lo, log_lo, trl_lo = lo.exp, lo.log, trace_lifts(lo)
     exp_hi, log_hi, trl_hi = hi.exp, hi.log, trace_lifts(hi)
     l_lo, l_hi = log_lo[b_lo], log_hi[b_hi]  # 2(q-1) for a zero beta
-    emb = _embedded_indices(lo, hi)
+    emb = field_embed(lo, hi).images
     return all(
         trl_hi[exp_hi[l_hi + log_hi[emb[x]]]] == trl_lo[exp_lo[l_lo + log_lo[x]]]
         for x in range(1, lo.order)  # x = 0 gives 0 on both sides
@@ -137,7 +109,7 @@ class TowerCharacter:
             if betas[m].field != lo or betas[m + 1].field != hi:
                 raise ValueError(f"beta at level {m + 1} lives in the wrong field")
             b_lo, b_hi = betas[m].index, betas[m + 1].index
-            if _relative_traces(lo, hi)[b_hi] != b_lo:
+            if trace_indices(lo, hi)[b_hi] != b_lo:
                 raise ValueError(
                     f"trace compatibility fails between levels {m + 1} and {m + 2}"
                 )

@@ -14,8 +14,9 @@ transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
 then the orbit scan that canonical_form and dual_canonical replaced and
 the entry-dict eliminations that their dense-state eliminations replaced,
-then the tower reports that read every level
-and walk every orbit, the json.dumps call that the CLI's own JSON writer
+then the tower's per-element relative traces and
+Horner embeddings and the tower reports that read every level and walk
+every orbit, the json.dumps call that the CLI's own JSON writer
 replaced, then the per-operation polynomial arithmetic that the log,
 antilog and Zech tables of superchar.gf replaced, and last the elementary
 generators of U_n.
@@ -629,11 +630,13 @@ def dict_dual_canonical(b):
 
 # -- tower reports, level by level ------------------------------------------------
 #
-# superchar.tower finds relative traces in one index list per field pair,
-# and convergence_report evaluates the closed formula on the shape of the
-# two partitions found once.  Below, char_extend scans the superfield with
-# one field_trace per element, and the report builds each level's label
-# and embedded column and calls sch_closed on them at every level.
+# superchar.gf holds one relative-trace index list and one embedding index
+# list per field pair, and convergence_report evaluates the closed formula
+# on the shape of the two partitions found once.  Below, char_extend scans
+# the superfield with one field_trace per element, each element of the
+# subfield is embedded by its own Horner evaluation at the smallest root,
+# and the report builds each level's label and embedded column and calls
+# sch_closed on them at every level.
 
 
 def char_extend_scan(beta, sup):
@@ -642,6 +645,20 @@ def char_extend_scan(beta, sup):
         if field_trace(x, beta.field.m) == beta:
             return x
     raise AssertionError("trace is surjective; no preimage found")
+
+
+def horner_embed(x, sup):
+    """x evaluated, as a polynomial in the generator, at the
+    enumeration-smallest root in sup of x's field modulus."""
+
+    def at(coeffs, r):
+        acc = sup.zero
+        for c in reversed(coeffs):
+            acc = acc * r + sup.from_int(c)
+        return acc
+
+    root = next(r for r in sup.elements if not at(x.field.modulus, r))
+    return at(x.coeffs, root)
 
 
 def _embedded_column(tower, col, level):

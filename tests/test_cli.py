@@ -292,6 +292,26 @@ def test_tower_plancherel_profile(capsys):
     assert blob["strictly_increasing"] is True
 
 
+# pinned at p = 3, where every other tower test runs at p = 2: the
+# relative traces and embeddings of GF(3) < GF(9) < GF(81)
+P3_TOWER = ["tower", "--p", "3", "--degrees", "1,2,4"]
+
+
+@pytest.mark.parametrize("golden,argv", [
+    ("u3f3_tower_fsc.json", ["--n", "3", "--mode", "fsc"]),
+    ("u3f3_tower_plancherel.json", ["--n", "3", "--mode", "plancherel"]),
+    ("u3f3_tower_stabilized.json",
+     ["--n", "3", "--pi", "1,3/2", "--colours", "1,3=2", "--superclass", "1,3/2 | 1,3=1"]),
+    ("u4f3_tower_decays.json",
+     ["--n", "4", "--pi", "1,4/2/3", "--colours", "1,4=1",
+      "--superclass", "1/2,3/4 | 2,3=2"]),
+])
+def test_tower_p3_golden_bytes(tmp_path, golden, argv):
+    code, got = _run_to_file(tmp_path, golden, P3_TOWER + argv)
+    assert code == 0
+    assert got == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("mode,levels", [
     ("fsc", "2,2"), ("fsc", "3,1"), ("plancherel", "3,1"), ("plancherel", "2,2"),
 ])
@@ -324,6 +344,20 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("target,reason", [
+    ("missing/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    code = main(["classify", "--n", "3", "--p", "2", "--matrix", "a12=1",
+                 "--output", str(path)])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot write --output {path}: {reason}\n"
 
 
 def test_cap_violation_reports_error(capsys):

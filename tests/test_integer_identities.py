@@ -224,6 +224,17 @@ def test_near_bound_corruptions_get_oracle_verdicts(config, data):
     assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
 
 
+def test_gram_row_fails_where_the_orbit_size_does_not_divide_the_scale():
+    # one row holding the cell 1, one class of size 1, an orbit of size 3,
+    # D^2 |A| = 4: |A| D^2 <xi_0, xi_0> = 1 = 4 // 3, but 3 does not
+    # divide 4, so <xi_0, xi_0> = 1/4 is not 1/3 and row 0 fails.  Walked
+    # orbits never leave a remainder; a hand-built table can.
+    rows = [[((0, 1),)]]
+    width = table_mod._kronecker_width(1, 2, 1, 4)
+    cols = table_mod._packed_columns(rows, 1, 2, width)
+    assert table_mod._first_bad_gram_row(rows, cols, [1], [3], 2, width, 4) == 0
+
+
 def test_a_narrower_width_aliases(monkeypatch):
     # U_2(F_2): |A| = 2, every orbit of size 1, cells over D = 1, so
     # cmax = 5 and the width is bit_length(2 * 25 * 2 * 2 + 2) + 1 = 9.

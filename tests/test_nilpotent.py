@@ -185,7 +185,7 @@ def test_generator_order():
                     ((2, 3), 1), ((2, 3), 2)]
 
 
-# ------------------------------------------------------- text and json io
+# ------------------------------------------------------------------ text io
 
 def test_format_parse_round_trip_prime_field():
     f = field_construct(5, 1)
@@ -216,14 +216,6 @@ def test_parse_matrix_rejects_bad_input():
         parse_matrix("a14=1", 3, f)  # out of range
     with pytest.raises(ValueError):
         parse_matrix("a12", 3, f)  # no value
-
-
-def test_json_round_trip():
-    f9 = field_construct(3, 2)
-    a = NilMatrix(4, f9, {(1, 4): f9.gen, (2, 3): f9.one})
-    blob = a.to_json()
-    assert NilMatrix.from_json(blob, f9) == a
-    assert blob["entries"] == {"1,4": [0, 1], "2,3": [1, 0]}
 
 
 @settings(max_examples=80, deadline=None)

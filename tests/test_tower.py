@@ -3,9 +3,10 @@
 Oracle: trace compatibility is replayed as a character identity (the
 TowerCharacter constructor itself recomputes it against every subfield
 element), and the level magnitudes are checked against frozen rationals.
-The relative-trace index lists stand against the linear scan with one
-field_trace per element, and convergence_report against the report that
-rebuilds every level's label and column (tests/oracles.py).
+The relative-trace index lists of superchar.gf stand against the linear
+scan with one field_trace per element, its embedding index lists against
+one Horner evaluation per element, and convergence_report against the
+report that rebuilds every level's label and column (tests/oracles.py).
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from oracles import (
     char_extend_scan,
     convergence_report_by_levels,
+    horner_embed,
     plancherel_profile_walk_all,
 )
 
@@ -30,6 +32,7 @@ from superchar import (
     cyclo_root,
     enumerate_partitions,
     field_construct,
+    field_embed,
     field_trace,
     format_partition,
     fsc_diagnostic,
@@ -39,7 +42,7 @@ from superchar import (
     plancherel_profile,
     tower_supercharacter,
 )
-from superchar.tower import _relative_traces
+from superchar.gf import trace_indices
 
 
 def _tw(degrees=(1, 2), p=2):
@@ -88,15 +91,38 @@ def test_char_extend_worked_examples():
         assert field_trace(lifted, 2) == beta
 
 
-@pytest.mark.parametrize("p,degrees", [(2, (1, 2, 4, 8)), (2, (1, 3, 6)), (3, (1, 2, 4))])
+TOWER_CONFIGS = [(2, (1, 2, 4, 8)), (2, (1, 3, 6)), (3, (1, 2, 4))]
+
+
+def _field_pairs(p, degrees):
+    fields = FieldTower(p, degrees).fields
+    return [(lo, hi) for k, lo in enumerate(fields) for hi in fields[k + 1:]]
+
+
+@pytest.mark.parametrize("p,degrees", TOWER_CONFIGS)
 def test_relative_traces_match_the_scan(p, degrees):
-    tw = FieldTower(p, degrees)
-    for k, lo in enumerate(tw.fields):
-        for hi in tw.fields[k + 1:]:
-            traces = _relative_traces(lo, hi)
-            assert traces == [field_trace(x, lo.m).index for x in hi.elements]
-            for beta in lo.elements:
-                assert char_extend(beta, hi) == char_extend_scan(beta, hi)
+    for lo, hi in _field_pairs(p, degrees):
+        traces = trace_indices(lo, hi)
+        assert traces == [field_trace(x, lo.m).index for x in hi.elements]
+        for beta in lo.elements:
+            assert char_extend(beta, hi) == char_extend_scan(beta, hi)
+
+
+@pytest.mark.parametrize("p,degrees", TOWER_CONFIGS)
+def test_embedding_lists_match_horner(p, degrees):
+    for lo, hi in _field_pairs(p, degrees):
+        emb = field_embed(lo, hi)
+        assert emb.images == [horner_embed(x, hi).index for x in lo.elements]
+        for x in lo.elements:
+            assert emb(x).field == hi
+            assert emb.preimage(emb(x)) == x
+
+
+def test_trace_indices_refuse_a_non_subfield_pair():
+    with pytest.raises(ValueError, match="not a subfield pair"):
+        trace_indices(field_construct(2, 2), field_construct(2, 3))
+    with pytest.raises(ValueError, match="not a subfield pair"):
+        trace_indices(field_construct(2, 1), field_construct(3, 2))
 
 
 def test_char_restrict_worked_examples():
