@@ -269,8 +269,7 @@ def cmd_tower(args) -> int:
 
     if args.mode == "convergence":
         if not args.pi or not args.superclass:
-            print("convergence mode needs --pi and --superclass", file=sys.stderr)
-            return 2
+            raise ValueError("convergence mode needs --pi and --superclass")
         pi = parse_partition(args.pi, args.n)
         colours = parse_colours(args.colours or "", base)
         label = TowerLabel.from_level1(

@@ -7,9 +7,10 @@ action of (g, h) transports b to the strictly upper part of
 (g^{-1})^T b h^T.  For a superdiagonal generator this is a single row or
 column move, so its root subgroup moves a state along one coset
 {b + beta*v(b) : beta in F_q}, which superchar.orbits.orbit_states
-generates once per coset on dense states with dual=True; validate=True
-replays every compiled move at every nonzero scalar against dual_act and
-the defining property, the independent reference kept on NilMatrix.
+generates once per coset on dense states with dual=True.
+enumerate_dual_orbits(validate=True) replays every compiled move at every
+nonzero scalar against dual_act and the defining property, the independent
+reference kept on NilMatrix.
 dual_canonical walks no orbit: it eliminates on the dense state with the
 contragredient moves from the one compiler, superchar.orbits._program,
 each step adding c = -v/pivot times the pivot's row or column to zero the
@@ -30,10 +31,10 @@ from .orbits import (
     _program,
     _sum_rows,
     _verge_label,
-    check_cover,
+    _walked_axes,
     orbit_states,
 )
-from .partitions import ColouredPartition, build_e, enumerate_labels
+from .partitions import ColouredPartition
 
 
 def base_character(field: FiniteField, x: FieldElement) -> Cyclotomic:
@@ -117,15 +118,9 @@ def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
                     )
 
 
-def _dual_states(b: NilMatrix, validate: bool = False) -> set:
-    n, field = b.n, b.field
-    check = partial(_validate_moves, n, field) if validate else None
-    return orbit_states(n, field, b.dense(), dual=True, check=check)
-
-
-def dual_orbit(b: NilMatrix, validate: bool = False) -> set[NilMatrix]:
+def dual_orbit(b: NilMatrix) -> set[NilMatrix]:
     """The orbit of theta_b under the contragredient two-sided action."""
-    states = _dual_states(b, validate)
+    states = orbit_states(b.n, b.field, b.dense(), dual=True)
     return {NilMatrix.from_dense(b.n, b.field, s) for s in states}
 
 
@@ -167,11 +162,8 @@ def enumerate_dual_orbits(
     n: int, field: FiniteField, validate: bool = False
 ) -> list[DualOrbit]:
     """One orbit per dual coloured partition, canonical order, walked and
-    cover-checked; each size is the walked state count."""
-    out = []
-    for label in enumerate_labels(n, field, dual=True):
-        rep = build_e(label, field)
-        states = _dual_states(rep, validate)
-        out.append(DualOrbit(label, rep, len(states), tuple(sorted(states))))
-    check_cover(out, field.order ** len(positions(n)))
-    return out
+    cover-checked; each size is the walked state count.  validate=True
+    replays every compiled move at every state the walk expands."""
+    return _walked_axes(
+        DualOrbit, n, field, partial(_validate_moves, n, field) if validate else None
+    )

@@ -440,9 +440,13 @@ class Embedding:
         self.images = [_horner(x.coeffs, root).index for x in sub.elements]
 
     def __call__(self, x: FieldElement) -> FieldElement:
+        if x.field is not self.sub and x.field != self.sub:
+            raise ValueError(f"element is not in GF({self.sub.order})")
         return self.sup._elts[self.images[x.index]]
 
     def preimage(self, y: FieldElement) -> FieldElement:
+        if y.field is not self.sup and y.field != self.sup:
+            raise ValueError(f"element is not in GF({self.sup.order})")
         try:
             return self.sub._elts[self.images.index(y.index)]
         except ValueError:

@@ -310,13 +310,20 @@ def check_cover(axes, total: int) -> None:
         raise AssertionError(f"{many} cover {len(seen)} of {total} {space}")
 
 
+def _walked_axes(kind, n: int, field: FiniteField, check=None) -> list:
+    """One orbit of kind (Superclass or DualOrbit) per label, canonical
+    order, each walked with orbit_states (check passed on) and sized by
+    its walk; the list is cover-checked."""
+    out = []
+    for label in enumerate_labels(n, field, dual=kind.dual):
+        rep = build_e(label, field)
+        states = orbit_states(n, field, rep.dense(), kind.dual, check)
+        out.append(kind(label, rep, len(states), tuple(sorted(states))))
+    check_cover(out, field.order ** len(positions(n)))
+    return out
+
+
 def enumerate_superclasses(n: int, field: FiniteField) -> list[Superclass]:
     """One superclass per coloured partition, canonical order, walked and
     cover-checked; each size is the walked state count."""
-    out = []
-    for label in enumerate_labels(n, field):
-        rep = build_e(label, field)
-        states = orbit_states(n, field, rep.dense())
-        out.append(Superclass(label, rep, len(states), tuple(sorted(states))))
-    check_cover(out, field.order ** len(positions(n)))
-    return out
+    return _walked_axes(Superclass, n, field)

@@ -8,6 +8,10 @@ nonzero level m0, before which its supercharacters are undefined.  Level
 values come from the closed formula; the limit is zero unless every row
 arc survives with zero nesting, in which case the value freezes at the
 first fully-defined level.
+
+The growth scans, fsc_diagnostic and plancherel_profile, read orbit sizes
+from the closed formulas q^|S(pi)| and q^r(pi) and walk no orbit; the
+walks that check those formulas belong to superchar.orbits.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
-from .dual import DualOrbit
 from .gf import (
     FieldElement,
     FiniteField,
@@ -26,13 +29,15 @@ from .gf import (
     trace_lifts,
 )
 from .nilpotent import positions
-from .orbits import Superclass
 from .partitions import (
     ColouredPartition,
     SetPartition,
+    closed_size,
     enumerate_labels,
+    enumerate_partitions,
     format_coloured,
     nest,
+    r_of,
 )
 from .table import _closed_shape, _closed_value, sch_closed
 
@@ -199,16 +204,6 @@ def tower_supercharacter(
     return sch_closed(label.level_label(level), col, field)
 
 
-def _embed_column(
-    tower: FieldTower, col: ColouredPartition, level: int
-) -> ColouredPartition:
-    return ColouredPartition(
-        col.partition,
-        {arc: tower.embed(v, level) for arc, v in col.colours.items()},
-        dual=col.dual,
-    )
-
-
 def _column_level(tower: FieldTower, col: ColouredPartition) -> int:
     if not col.colours:
         return 1
@@ -340,23 +335,19 @@ def _scan_levels(n: int, tower: FieldTower, levels, what: str) -> list[int]:
 
 
 def _size_scan(n: int, tower: FieldTower, levels, dual: bool) -> list[tuple]:
-    """Orbit sizes per level for every level-1 canonical label, each walked
-    as an orbit object, whose walk checks the closed size."""
-    kind = DualOrbit if dual else Superclass
-    out = []
-    for label in enumerate_labels(n, tower.fields[0], dual=dual):
-        sizes = [
-            len(kind.from_label(_embed_column(tower, label, m), tower.field(m)).members)
-            for m in levels
-        ]
-        out.append((label, sizes))
-    return out
+    """Closed orbit sizes per level for every level-1 canonical label; a
+    size depends only on the partition, so no label is embedded."""
+    qs = [tower.field(m).order for m in levels]
+    return [
+        (label, [closed_size(label, q) for q in qs])
+        for label in enumerate_labels(n, tower.fields[0], dual=dual)
+    ]
 
 
 def fsc_diagnostic(n: int, tower: FieldTower, levels=None) -> dict:
     """Classify level-1 labels by orbit growth along the tower.
 
-    A label is level-stable when its orbit size is the same at every
+    A label is level-stable when its closed orbit size is the same at every
     scanned level.  For U_n the stable superclasses should be the trivial
     one and the full-span arc (1, n) alone, and the stable dual orbits the
     all-superdiagonal labels; the report records whether that held.
@@ -401,7 +392,8 @@ def fsc_diagnostic(n: int, tower: FieldTower, levels=None) -> dict:
 
 def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
     """Super-Plancherel weight carried by the dual orbits whose label arcs
-    stay inside the arcs of the scan-stable superclasses, per level.
+    stay inside the arcs of the scan-stable superclasses, per level, summed
+    per partition from the closed sizes.
 
     Membership is decided by arc containment, not by a vanishing scan: the
     trivial orbit concentrates on the stable classes without vanishing
@@ -415,19 +407,16 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         if len(set(sizes)) == 1:
             fsc_arcs |= set(label.arcs())
 
+    qualifying = [pi for pi in enumerate_partitions(n) if pi.arcs() <= fsc_arcs]
     profile = []
     for m in levels:
-        field = tower.field(m)
-        total = field.order ** len(positions(n))
-        qualifying = Fraction(0)
-        # dual labels of the level's own field, not embedded from level 1:
-        # higher levels have more colours than level 1 offers
-        for label in enumerate_labels(n, field, dual=True):
-            if set(label.arcs()) <= fsc_arcs:
-                # the walk checks the closed size of every size read
-                size = len(DualOrbit.from_label(label, field).members)
-                qualifying += Fraction(size, total)
-        profile.append({"level": m, "q": field.order, "weight": qualifying})
+        q = tower.field(m).order
+        total = q ** len(positions(n))
+        weight = Fraction(0)
+        for pi in qualifying:
+            # (q-1)^|arcs| colourings of pi, each an orbit of q^r(pi) characters
+            weight += Fraction((q - 1) ** len(pi.arcs()) * q ** r_of(pi), total)
+        profile.append({"level": m, "q": q, "weight": weight})
     weights = [entry["weight"] for entry in profile]
     increasing = all(a < b for a, b in zip(weights, weights[1:]))
     return {

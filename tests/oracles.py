@@ -14,12 +14,12 @@ transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
 then the orbit scan that canonical_form and dual_canonical replaced and
 the entry-dict eliminations that their dense-state eliminations replaced,
-then the tower's per-element relative traces and
-Horner embeddings and the tower reports that read every level and walk
-every orbit, the json.dumps call that the CLI's own JSON writer
-replaced, then the per-operation polynomial arithmetic that the log,
-antilog and Zech tables of superchar.gf replaced, and last the elementary
-generators of U_n.
+then the tower's per-element relative traces and Horner embeddings, the
+convergence report that reads every level, and the growth scans that walk
+every orbit whose closed size the tower reads, the json.dumps call that
+the CLI's own JSON writer replaced, then the per-operation polynomial
+arithmetic that the log, antilog and Zech tables of superchar.gf replaced,
+and last the elementary generators of U_n.
 """
 
 import json
@@ -30,7 +30,6 @@ from types import SimpleNamespace
 from superchar import (
     ColouredPartition,
     Cyclotomic,
-    DualOrbit,
     GroupElement,
     NilMatrix,
     enumerate_labels,
@@ -40,10 +39,10 @@ from superchar import (
 from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
 from superchar.nilpotent import group_inv, positions
-from superchar.orbits import _move_programs, _verge_arcs, canonical_form
-from superchar.partitions import compute_SR, nest, partition_from_arcs
+from superchar.orbits import _move_programs, _verge_arcs, canonical_form, orbit_states
+from superchar.partitions import build_e, compute_SR, nest, partition_from_arcs
 from superchar.table import _equals_rational, _gram_entry, _pairing_hist
-from superchar.tower import _level_feasible, _size_scan
+from superchar.tower import _level_feasible
 
 
 # -- Fraction-coordinate cyclotomics --------------------------------------------
@@ -725,9 +724,25 @@ def convergence_report_by_levels(label, col, max_level=None):
     }
 
 
+def size_scan_walked(n, tower, levels, dual):
+    """tower._size_scan by walking: each level-1 label is embedded at every
+    scanned level and its orbit walked there, with no closed size read."""
+    out = []
+    for label in enumerate_labels(n, tower.fields[0], dual=dual):
+        sizes = []
+        for m in levels:
+            field = tower.field(m)
+            colours = {arc: tower.embed(v, m) for arc, v in label.colours.items()}
+            rep = build_e(ColouredPartition(label.partition, colours, dual=dual), field)
+            sizes.append(len(orbit_states(n, field, rep.dense(), dual)))
+        out.append((label, sizes))
+    return out
+
+
 def plancherel_profile_walk_all(n, tower, levels=None):
-    """plancherel_profile walking every dual orbit at every level, the
-    sizes it does not read included."""
+    """plancherel_profile by walking: the stable arcs from size_scan_walked,
+    and every dual orbit at every level walked, the sizes the weights do
+    not read included."""
     if levels is None:
         levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
     for m in levels:
@@ -736,7 +751,7 @@ def plancherel_profile_walk_all(n, tower, levels=None):
     if len(levels) < 2:
         raise ValueError("a profile needs at least two feasible levels")
 
-    scan = _size_scan(n, tower, levels, dual=False)
+    scan = size_scan_walked(n, tower, levels, dual=False)
     fsc_arcs = set()
     for label, sizes in scan:
         if len(set(sizes)) == 1:
@@ -748,7 +763,7 @@ def plancherel_profile_walk_all(n, tower, levels=None):
         total = field.order ** len(positions(n))
         qualifying = Fraction(0)
         for label in enumerate_labels(n, field, dual=True):
-            size = len(DualOrbit.from_label(label, field).members)
+            size = len(orbit_states(n, field, build_e(label, field).dense(), dual=True))
             if set(label.arcs()) <= fsc_arcs:
                 qualifying += Fraction(size, total)
         profile.append({"level": m, "q": field.order, "weight": qualifying})

@@ -325,10 +325,25 @@ def test_tower_levels_not_strictly_increasing_exit_2(capsys, mode, levels):
     assert out.err == f"error: levels [{shown}] are not strictly increasing\n"
 
 
+_NO_LABEL = "error: convergence mode needs --pi and --superclass\n"
+
+
 def test_tower_convergence_requires_label_flags(capsys):
     code = main(["tower", "--n", "3", "--p", "2", "--degrees", "1,2",
                  "--mode", "convergence"])
     assert code == 2
+    assert capsys.readouterr().err == _NO_LABEL
+
+
+@pytest.mark.parametrize("given", [
+    ["--pi", "1,3/2"],
+    ["--superclass", "1,3/2 | 1,3=1"],
+])
+def test_tower_convergence_without_a_label_flag_is_an_error(capsys, given):
+    # the same error: line as every other unusable input, through main
+    code = main(["tower", "--n", "3", "--p", "2", "--degrees", "1,2"] + given)
+    assert code == 2
+    assert capsys.readouterr() == ("", _NO_LABEL)
 
 
 def test_tower_bad_degrees_exits_2(capsys):

@@ -376,6 +376,17 @@ def test_embedding_preimage_inverts():
         emb.preimage(outside)
 
 
+def test_embedding_refuses_an_element_of_another_field():
+    f4, f8, f16 = (field_construct(2, m) for m in (2, 3, 4))
+    emb = field_embed(f4, f16)
+    with pytest.raises(ValueError, match=r"not in GF\(4\)"):
+        emb(f8.gen)
+    with pytest.raises(ValueError, match=r"not in GF\(16\)"):
+        emb.preimage(f8.elements[1])
+    with pytest.raises(ValueError, match=r"not in GF\(16\)"):
+        emb.preimage(f4.gen)  # the subfield's own element, not its image
+
+
 def test_self_embedding_is_identity():
     f8 = field_construct(2, 3)
     emb = field_embed(f8, f8)

@@ -5,8 +5,10 @@ TowerCharacter constructor itself recomputes it against every subfield
 element), and the level magnitudes are checked against frozen rationals.
 The relative-trace index lists of superchar.gf stand against the linear
 scan with one field_trace per element, its embedding index lists against
-one Horner evaluation per element, and convergence_report against the
-report that rebuilds every level's label and column (tests/oracles.py).
+one Horner evaluation per element, convergence_report against the
+report that rebuilds every level's label and column, and the growth scans,
+which read closed sizes, against the same reports on walked sizes
+(tests/oracles.py).
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from oracles import (
     convergence_report_by_levels,
     horner_embed,
     plancherel_profile_walk_all,
+    size_scan_walked,
 )
 
 from superchar import (
@@ -386,37 +389,46 @@ def test_plancherel_profile_u3_frozen():
         assert e["weight"] == Fraction(1 + (q - 1) * q * q, q ** 3)
 
 
-def _dual_states_walked(monkeypatch):
-    """A list that sums the states of every dual orbit walk from now on."""
+# towers whose default levels the walked oracles can afford: each walks
+# every orbit at every feasible level, up to GF(81)^3 = 531,441 states
+WALKED_TOWERS = [
+    (3, 2, (1, 2, 4, 8)),
+    (4, 2, (1, 2, 4, 8)),
+    (3, 2, (1, 2, 6)),
+    (3, 3, (1, 2, 4)),
+]
+
+
+@pytest.mark.parametrize("n,p,degrees", WALKED_TOWERS)
+def test_growth_scans_match_the_walked_oracles(monkeypatch, n, p, degrees):
+    import superchar.tower as tower_mod
+
+    tw = FieldTower(p, degrees)
+    closed = fsc_diagnostic(n, tw)
+    assert plancherel_profile(n, tw) == plancherel_profile_walk_all(n, tw)
+    monkeypatch.setattr(tower_mod, "_size_scan", size_scan_walked)
+    assert closed == fsc_diagnostic(n, tw)
+
+
+def test_growth_scans_walk_no_orbit(monkeypatch):
+    import superchar.dual as dual_mod
     import superchar.orbits as orbits_mod
 
-    walked = [0]
+    calls = []
     walk = orbits_mod.orbit_states
 
-    def counting(n, field, start, dual=False, **kwargs):
-        states = walk(n, field, start, dual, **kwargs)
-        walked[0] += len(states) if dual else 0
-        return states
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
 
     monkeypatch.setattr(orbits_mod, "orbit_states", counting)
-    return walked
-
-
-@pytest.mark.parametrize("n,p,degrees,walked_before,walked_now", [
-    # the queries workload's tower chain: levels GF(2) and GF(4) fit the cap
-    (4, 2, (1, 2, 4, 8), 64 + 4096, 17 + 769),
-    (3, 3, (1, 2), 27 + 729, 19 + 649),
-])
-def test_plancherel_profile_walks_only_the_sizes_it_reads(
-    monkeypatch, n, p, degrees, walked_before, walked_now
-):
-    tw = FieldTower(p, degrees)
-    walked = _dual_states_walked(monkeypatch)
-    old = plancherel_profile_walk_all(n, tw)
-    assert walked[0] == walked_before
-    walked[0] = 0
-    assert plancherel_profile(n, tw) == old
-    assert walked[0] == walked_now
+    monkeypatch.setattr(dual_mod, "orbit_states", counting)
+    # the three scans of the queries benchmark workload
+    chain = FieldTower(2, (1, 2, 4, 8))
+    fsc_diagnostic(4, chain)
+    plancherel_profile(4, chain)
+    fsc_diagnostic(3, FieldTower(2, (1, 2, 6)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("levels", [[2, 2], [3, 1], [1, 3, 2]])
@@ -431,20 +443,3 @@ def test_growth_scans_refuse_levels_not_strictly_increasing(levels):
 def test_plancherel_profile_rejects_single_level():
     with pytest.raises(ValueError):
         plancherel_profile(3, _tw(), levels=[2])
-
-
-@pytest.mark.parametrize("dual", [False, True])
-def test_tower_walks_check_the_closed_size(monkeypatch, dual):
-    # each tower walk is an orbit object's, so a wrong closed size fails it
-    import superchar.orbits as orbits_mod
-
-    closed = orbits_mod.closed_size
-
-    def off_by_one(label, q):
-        return closed(label, q) + (label.dual == dual and q == 4)
-
-    monkeypatch.setattr(orbits_mod, "closed_size", off_by_one)
-    with pytest.raises(AssertionError, match="the walk found"):
-        fsc_diagnostic(3, _tw())
-    with pytest.raises(AssertionError, match="the walk found"):
-        plancherel_profile(3, _tw())
