@@ -3,15 +3,18 @@
 Every command is flag-driven and byte-deterministic: fixed label orders,
 exact values, seeded spot checks.  Exit codes: 0 success, 1 a verification
 or identity check failed, 2 unusable input or an enumeration cap was hit.
+Each subcommand's flags are declared once, in _COMMANDS: parse_args walks
+argv against that table and leaves what it does not accept to argparse,
+built from the same table, which gives the usage, help and exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .cyclotomic import Cyclotomic
 from .dual import dual_canonical, enumerate_dual_orbits
@@ -160,7 +163,7 @@ def cmd_table(args) -> int:
 
 def cmd_classify(args) -> int:
     field = _field(args)
-    a = parse_matrix(args.matrix, args.n, field)
+    a = _read("--matrix", parse_matrix, args.matrix, args.n, field)
     label = dual_canonical(a) if args.dual else canonical_form(a)
     _emit_json(
         {
@@ -258,24 +261,35 @@ def cmd_plancherel(args) -> int:
     return 0 if report["identity_holds"] else 1
 
 
+def _read(flag: str, parse, *args):
+    """parse(*args), with a ValueError naming flag, whose text it parses."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_tower(args) -> int:
-    tower = FieldTower(args.p, _parse_int_list(args.degrees))
+    tower = FieldTower(args.p, _read("--degrees", _parse_int_list, args.degrees))
     base = tower.field(1)
-    levels = _parse_int_list(args.levels) if args.levels else None
+    levels = _read("--levels", _parse_int_list, args.levels) if args.levels else None
 
     if args.mode == "convergence":
         if not args.pi or not args.superclass:
             raise ValueError("convergence mode needs --pi and --superclass")
-        pi = parse_partition(args.pi, args.n)
-        colours = parse_colours(args.colours or "", base)
+        pi = _read("--pi", parse_partition, args.pi, args.n)
+        colours = _read("--colours", parse_colours, args.colours or "", base)
         label = TowerLabel.from_level1(
             tower, ColouredPartition(pi, colours, dual=True)
         )
-        col = parse_coloured(args.superclass, args.n, base)
+        col = _read("--superclass", parse_coloured, args.superclass, args.n, base)
         report = convergence_report(label, col, max_level=args.max_level)
         report["label_text"] = format_coloured(label.level_label(label.m0))
         report["superclass_text"] = format_coloured(col)
@@ -301,119 +315,135 @@ def cmd_tower(args) -> int:
 def _matrix_size(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"matrix size must be at least 1, got {n}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"matrix size must be at least 1, got {n}")
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The six-subcommand parser, built once per process on first use: not
-    at import, where it would cost every process that only imports."""
-    return _parsers()[0]
+# Every subcommand's flags: (option, add_argument keywords).
+_N_P = (
+    ("--n", {"type": _matrix_size, "required": True, "help": "matrix size"}),
+    ("--p", {"type": int, "required": True, "help": "field characteristic"}),
+)
+_DEGREE = ("--degree", {"type": int, "default": 1, "help": "field degree m for GF(p^m)"})
+_OUTPUT = ("--output", {"help": "write to a file instead of stdout"})
+_COMMON = _N_P + (_DEGREE, _OUTPUT)
+_VALIDATE = ("--validate", {"choices": ["full", "spot", "off"], "default": None})
+
+# name -> (handler, help, flags)
+_COMMANDS = {
+    "table": (cmd_table, "build and export the supercharacter table", _COMMON + (
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+        ("--validate", dict(_VALIDATE[1], help="route cross-check density "
+                            "(default: full up to |A|=4096, then spot)")),
+    )),
+    "classify": (cmd_classify, "canonical label of a matrix or character", _COMMON + (
+        ("--matrix", {"required": True, "help": 'entries, e.g. "a12=1,a13=1"'}),
+        ("--dual", {"action": "store_true",
+                    "help": "read the matrix as a character pairing matrix"}),
+    )),
+    "orbits": (cmd_orbits, "list superclasses or dual orbits with sizes", _COMMON + (
+        ("--dual", {"action": "store_true", "help": "list dual orbits"}),
+        ("--validate", {"choices": ["full", "off"], "default": "off", "help":
+                        "with --dual, check dual BFS moves against the defining property"}),
+    )),
+    "verify": (cmd_verify, "run the axiom and identity suite", _COMMON + (
+        ("--format", {"choices": ["text", "json"], "default": "text"}),
+        _VALIDATE,
+    )),
+    "plancherel": (cmd_plancherel, "regular-character weights and identity",
+                   _COMMON + (_VALIDATE,)),
+    "tower": (cmd_tower, "AF-tower convergence and growth reports", _N_P + (
+        ("--degrees", {"default": "1,2,6",
+                       "help": "comma-separated divisor chain of field degrees"}),
+        _OUTPUT,
+        ("--mode", {"choices": ["convergence", "fsc", "plancherel"],
+                    "default": "convergence"}),
+        ("--pi", {"help": 'dual label partition, e.g. "1,4/2/3"'}),
+        ("--colours", {"help": 'level-1 arc colours, e.g. "1,4=1"; extended up the tower'}),
+        ("--superclass", {"help": 'superclass label with level-1 colours, '
+                          'e.g. "1/2,3/4 | 2,3=1"'}),
+        ("--levels", {"help": "comma-separated levels for fsc/plancherel"}),
+        ("--max-level", {"type": int, "default": None, "dest": "max_level"}),
+    )),
+}
 
 
 @lru_cache(maxsize=1)
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser and its subcommand parsers by name.  Each subcommand
-    parser sets command itself, so both give the same Namespace."""
+def build_parser():
+    """The full argparse parser, built from _COMMANDS on first use: only
+    argv that the walk in parse_args declines, and tests, need it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="superchar",
         description="Exact supercharacter tables of unitriangular groups, "
         "two ways, with every identity checked in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, tower_flags=False):
-        p.add_argument("--n", type=_matrix_size, required=True, help="matrix size")
-        p.add_argument("--p", type=int, required=True, help="field characteristic")
-        if tower_flags:
-            p.add_argument(
-                "--degrees",
-                default="1,2,6",
-                help="comma-separated divisor chain of field degrees",
-            )
-        else:
-            p.add_argument(
-                "--degree", type=int, default=1, help="field degree m for GF(p^m)"
-            )
-        p.add_argument("--output", help="write to a file instead of stdout")
-
-    p = sub.add_parser("table", help="build and export the supercharacter table")
-    common(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument(
-        "--validate",
-        choices=["full", "spot", "off"],
-        default=None,
-        help="route cross-check density (default: full up to |A|=4096, then spot)",
-    )
-    p.set_defaults(handler=cmd_table, command="table")
-
-    p = sub.add_parser("classify", help="canonical label of a matrix or character")
-    common(p)
-    p.add_argument("--matrix", required=True, help='entries, e.g. "a12=1,a13=1"')
-    p.add_argument(
-        "--dual",
-        action="store_true",
-        help="read the matrix as a character pairing matrix",
-    )
-    p.set_defaults(handler=cmd_classify, command="classify")
-
-    p = sub.add_parser("orbits", help="list superclasses or dual orbits with sizes")
-    common(p)
-    p.add_argument("--dual", action="store_true", help="list dual orbits")
-    p.add_argument(
-        "--validate",
-        choices=["full", "off"],
-        default="off",
-        help="with --dual, check dual BFS moves against the defining property",
-    )
-    p.set_defaults(handler=cmd_orbits, command="orbits")
-
-    p = sub.add_parser("verify", help="run the axiom and identity suite")
-    common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--validate", choices=["full", "spot", "off"], default=None)
-    p.set_defaults(handler=cmd_verify, command="verify")
-
-    p = sub.add_parser("plancherel", help="regular-character weights and identity")
-    common(p)
-    p.add_argument("--validate", choices=["full", "spot", "off"], default=None)
-    p.set_defaults(handler=cmd_plancherel, command="plancherel")
-
-    p = sub.add_parser("tower", help="AF-tower convergence and growth reports")
-    common(p, tower_flags=True)
-    p.add_argument(
-        "--mode",
-        choices=["convergence", "fsc", "plancherel"],
-        default="convergence",
-    )
-    p.add_argument("--pi", help='dual label partition, e.g. "1,4/2/3"')
-    p.add_argument(
-        "--colours",
-        help='level-1 arc colours, e.g. "1,4=1"; extended up the tower',
-    )
-    p.add_argument(
-        "--superclass",
-        help='superclass label with level-1 colours, e.g. "1/2,3/4 | 2,3=1"',
-    )
-    p.add_argument("--levels", help="comma-separated levels for fsc/plancherel")
-    p.add_argument("--max-level", type=int, default=None, dest="max_level")
-    p.set_defaults(handler=cmd_tower, command="tower")
-    return parser, sub.choices
+    for name, (handler, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option, keywords in flags:
+            p.add_argument(option, **keywords)
+        p.set_defaults(handler=handler, command=name)
+    return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """argv parsed by the parser of its subcommand alone when argv[0] names
-    one and the rest parses cleanly.  Anything else (no arguments, -h, an
-    unknown command, unrecognized arguments) goes through the full parser,
-    which owns the usage line, help and exit 2 of the top level."""
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+def _walk(argv):
+    """The namespace argparse would give argv, when argv is a subcommand
+    name followed by exact option strings of its flags, each valued flag
+    with a value that does not start with "-" and that its type and
+    choices accept, and every required flag given; else None.
+
+    What the walk declines (abbreviations, --flag=value, values starting
+    with "-", -h, --, stray positionals, bad values, missing flags) goes
+    to argparse, which gives the usage, help or error for it.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    handler, _, flags = command
+    spec, required = {}, set()
+    values = {"command": argv[0], "handler": handler}
+    for option, keywords in flags:
+        dest = keywords.get("dest", option[2:].replace("-", "_"))
+        store_true = keywords.get("action") == "store_true"
+        spec[option] = dest, store_true, keywords
+        values[dest] = False if store_true else keywords.get("default")
+        if keywords.get("required"):
+            required.add(option)
+    k = 1
+    while k < len(argv):
+        if argv[k] not in spec:
+            return None
+        dest, store_true, keywords = spec[argv[k]]
+        required.discard(argv[k])
+        if store_true:
+            values[dest] = True
+            k += 1
+            continue
+        if k + 1 == len(argv) or argv[k + 1].startswith("-"):
+            return None
+        text = argv[k + 1]
+        try:
+            value = keywords["type"](text) if "type" in keywords else text
+        except Exception:  # any failure of a type is argparse's to report
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        k += 2
+    return None if required else SimpleNamespace(**values)
+
+
+def parse_args(argv):
+    """argv parsed by the walk over the flag table, or by the full argparse
+    parser when the walk declines: the same attributes either way, and
+    argparse's usage, help and exit 2 on anything the walk does not
+    accept."""
+    args = _walk(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -41,16 +41,25 @@ _FIELD_CAP = 1 << 16
 _SPACE_CAP = 1 << 20
 
 
+def _cap(floor: int) -> int:
+    """floor, or SUPERCHAR_CAP when that is set and larger."""
+    raw = os.environ.get("SUPERCHAR_CAP")
+    if raw is None:
+        return floor
+    try:
+        return max(floor, int(raw))
+    except ValueError:
+        raise ValueError(f"SUPERCHAR_CAP must be an integer, got {raw!r}") from None
+
+
 def field_cap() -> int:
     """Largest admissible field order.  SUPERCHAR_CAP can only raise it."""
-    raw = os.environ.get("SUPERCHAR_CAP")
-    return _FIELD_CAP if raw is None else max(_FIELD_CAP, int(raw))
+    return _cap(_FIELD_CAP)
 
 
 def space_cap() -> int:
     """Largest space (algebra, orbit union) that may be enumerated exhaustively."""
-    raw = os.environ.get("SUPERCHAR_CAP")
-    return _SPACE_CAP if raw is None else max(_SPACE_CAP, int(raw))
+    return _cap(_SPACE_CAP)
 
 
 def is_prime(n: int) -> bool:

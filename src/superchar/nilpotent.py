@@ -135,47 +135,60 @@ def format_matrix(a: NilMatrix) -> str:
     return ",".join(parts)
 
 
-def _split_assignments(text: str) -> list[str]:
-    # top-level commas only; commas inside [...] separate coefficients
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+def _assignments(text: str) -> list[str]:
+    """The top-level comma-separated parts of text, stripped, empty ones
+    dropped; commas inside [...] separate coefficients.  A comma is top
+    level where the brackets before it balance, so with brackets a part
+    is a run of comma-split pieces whose bracket count returns to zero."""
+    pieces = text.split(",")
+    if "[" in text or "]" in text:
+        parts, run, depth = [], [], 0
+        for piece in pieces:
+            run.append(piece)
+            depth += piece.count("[") - piece.count("]")
+            if not depth:
+                parts.append(",".join(run))
+                run = []
+        pieces = parts + [",".join(run)] if run else parts
+    return [p for p in map(str.strip, pieces) if p]
 
 
 def parse_matrix(text: str, n: int, field: FiniteField) -> NilMatrix:
+    """The matrix of comma-separated assignments aij=v, v an integer or a
+    coefficient list [c0,c1,...], constant term first; the dense key is
+    set as the entries are read."""
     if n > 9:
         raise ValueError("text format uses single-digit indices (n <= 9)")
+    rank = position_rank(n)
+    key = [0] * len(rank)
     entries: dict = {}
-    for part in _split_assignments(text):
+    for part in _assignments(text):
         lhs, _, rhs = part.partition("=")
         lhs = lhs.strip()
         rhs = rhs.strip()
-        if not (len(lhs) == 3 and lhs[0] == "a" and lhs[1:].isdigit() and rhs):
+        if not (len(lhs) == 3 and lhs[0] == "a" and lhs[1:].isdecimal() and rhs):
             raise ValueError(f"bad assignment {part!r}")
-        i, j = int(lhs[1]), int(lhs[2])
-        if not 1 <= i < j <= n:
-            raise ValueError(f"position ({i},{j}) out of range for n={n}")
-        if rhs.startswith("["):
-            if not rhs.endswith("]"):
-                raise ValueError(f"unterminated coefficient list in {part!r}")
-            coeffs = [int(t) % field.p for t in rhs[1:-1].split(",")]
-            value = field.element(coeffs)
+        pos = int(lhs[1]), int(lhs[2])
+        if pos not in rank:
+            raise ValueError(f"position ({pos[0]},{pos[1]}) out of range for n={n}")
+        bracketed = rhs.startswith("[")
+        if bracketed and not rhs.endswith("]"):
+            raise ValueError(f"unterminated coefficient list in {part!r}")
+        try:
+            ints = [int(t) for t in rhs[1:-1].split(",")] if bracketed else int(rhs)
+        except ValueError:
+            raise ValueError(f"bad value in assignment {part!r}") from None
+        if bracketed:
+            value = field.element([c % field.p for c in ints])
         else:
-            value = field.from_int(int(rhs))
-        if (i, j) in entries:
-            raise ValueError(f"duplicate entry ({i},{j})")
-        entries[(i, j)] = value
-    return NilMatrix(n, field, entries)
+            value = field.from_int(ints)
+        if pos in entries:
+            raise ValueError(f"duplicate entry ({pos[0]},{pos[1]})")
+        entries[pos] = value
+        key[rank[pos]] = value.index
+    a = NilMatrix(n, field, entries)
+    a._key = tuple(key)
+    return a
 
 
 # -- the algebra group -------------------------------------------------------

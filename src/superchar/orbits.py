@@ -29,9 +29,9 @@ from .nilpotent import NilMatrix, position_rank, positions
 from .partitions import (
     ColouredPartition,
     build_e,
+    chain_label,
     closed_size,
     enumerate_labels,
-    partition_from_arcs,
 )
 
 
@@ -202,15 +202,6 @@ def superclass_orbit(a: NilMatrix) -> set[NilMatrix]:
     return {NilMatrix.from_dense(a.n, a.field, s) for s in states}
 
 
-def _verge_arcs(nonzero_positions) -> frozenset | None:
-    """Arc set of a verge matrix from its nonzero positions, or None if a
-    row or column repeats."""
-    arcs = frozenset(nonzero_positions)
-    if len({i for i, _ in arcs}) == len({j for _, j in arcs}) == len(arcs):
-        return arcs
-    return None
-
-
 def canonical_form(a: NilMatrix) -> ColouredPartition:
     """The unique coloured partition labelling the superclass of a.
 
@@ -238,13 +229,19 @@ def canonical_form(a: NilMatrix) -> ColouredPartition:
 
 
 def _verge_label(n: int, field: FiniteField, state, dual=False) -> ColouredPartition:
-    """The label read off an eliminated dense state, which must be a verge."""
-    pos = positions(n)
-    colours = {pos[k]: field.elements[v] for k, v in enumerate(state) if v}
-    arcs = _verge_arcs(colours)
-    if arcs is None:
-        raise AssertionError("elimination left a matrix that is not a verge")
-    return ColouredPartition(partition_from_arcs(n, arcs), colours, dual=dual)
+    """The label read off an eliminated dense state, which must be a verge:
+    no row and no column holds two entries."""
+    pos, elements = positions(n), field.elements
+    colours, succ, has_pred = {}, {}, set()
+    for k, v in enumerate(state):
+        if v:
+            i, j = pos[k]
+            if i in succ or j in has_pred:
+                raise AssertionError("elimination left a matrix that is not a verge")
+            succ[i] = j
+            has_pred.add(j)
+            colours[i, j] = elements[v]
+    return chain_label(n, succ, has_pred, colours, dual)
 
 
 class _Orbit:

@@ -65,7 +65,10 @@ def parse_partition(text: str, n: int) -> SetPartition:
         part = part.strip()
         if not part:
             raise ValueError("empty block")
-        blocks.append([int(t) for t in part.split(",")])
+        try:
+            blocks.append([int(t) for t in part.split(",")])
+        except ValueError:
+            raise ValueError(f"bad block {part!r}") from None
     return SetPartition(n, blocks)
 
 
@@ -103,17 +106,34 @@ def partition_from_arcs(n: int, arc_set) -> SetPartition:
             raise ValueError("arcs do not form disjoint chains")
         succ[i] = j
         has_pred.add(j)
-    blocks = []
-    for start in range(1, n + 1):
-        if start in has_pred:
-            continue
-        block = [start]
-        while block[-1] in succ:
-            block.append(succ[block[-1]])
-        blocks.append(block)
-    pi = SetPartition(n, blocks)
+    pi = SetPartition(n, _chain_blocks(n, succ, has_pred))
     assert pi.arcs() == arc_set, "chain reconstruction changed the arc set"
     return pi
+
+
+def _chain_blocks(n: int, succ: dict, has_pred: set) -> tuple:
+    """The chains of succ (i -> j, i < j), one from each element of [n]
+    that has no predecessor, in order of their minima."""
+    blocks = []
+    for start in range(1, n + 1):
+        if start not in has_pred:
+            block = [start]
+            while block[-1] in succ:
+                block.append(succ[block[-1]])
+            blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def chain_label(n, succ, has_pred, colours, dual=False) -> ColouredPartition:
+    """The coloured partition of the chains of succ, built without the
+    constructors' checks, which the caller has made: succ maps each i to
+    one j > i, has_pred holds its values once each, and colours maps
+    exactly its arcs, in row-major order, to nonzero values."""
+    pi = object.__new__(SetPartition)
+    pi.n, pi.blocks, pi._arcs = n, _chain_blocks(n, succ, has_pred), frozenset(colours)
+    label = object.__new__(ColouredPartition)
+    label.partition, label.colours, label.dual = pi, colours, dual
+    return label
 
 
 def arcs(pi: SetPartition) -> frozenset:
@@ -265,14 +285,19 @@ def parse_colours(text: str, field: FiniteField) -> dict:
         return colours
     for part in text.split(";"):
         lhs, _, rhs = part.partition("=")
-        i, j = (int(t) for t in lhs.split(","))
         rhs = rhs.strip()
-        if rhs.startswith("["):
-            if not rhs.endswith("]"):
-                raise ValueError(f"unterminated coefficient list in {part!r}")
-            value = field.element([int(t) % field.p for t in rhs[1:-1].split(",")])
+        bracketed = rhs.startswith("[")
+        if bracketed and not rhs.endswith("]"):
+            raise ValueError(f"unterminated coefficient list in {part!r}")
+        try:
+            i, j = (int(t) for t in lhs.split(","))
+            ints = [int(t) for t in rhs[1:-1].split(",")] if bracketed else int(rhs)
+        except ValueError:
+            raise ValueError(f"bad colour assignment {part!r}") from None
+        if bracketed:
+            value = field.element([c % field.p for c in ints])
         else:
-            value = field.from_int(int(rhs))
+            value = field.from_int(ints)
         if (i, j) in colours:
             raise ValueError(f"duplicate colour for arc ({i},{j})")
         colours[(i, j)] = value

@@ -12,12 +12,14 @@ columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
 replaced follows, with the basis-scalar walk that its coset walk replaced,
-then the orbit scan that canonical_form and dual_canonical replaced and
-the entry-dict eliminations that their dense-state eliminations replaced,
-then the tower's per-element relative traces and Horner embeddings, the
+then the orbit scan that canonical_form and dual_canonical replaced, the
+arc-set label that their checked-chain label replaced, and the entry-dict
+eliminations that their dense-state eliminations replaced, then the
+tower's per-element relative traces and Horner embeddings, the
 convergence report that reads every level, and the growth scans that walk
-every orbit whose closed size the tower reads, the json.dumps call that
-the CLI's own JSON writer replaced, then the per-operation polynomial
+every orbit whose closed size the tower reads, the character-loop matrix
+parser that the one-pass parse replaced, the json.dumps call that the
+CLI's own JSON writer replaced, then the per-operation polynomial
 arithmetic that the log, antilog and Zech tables of superchar.gf replaced,
 and last the elementary generators of U_n.
 """
@@ -39,7 +41,7 @@ from superchar import (
 from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
 from superchar.nilpotent import group_inv, positions
-from superchar.orbits import _move_programs, _verge_arcs, canonical_form, orbit_states
+from superchar.orbits import _move_programs, canonical_form, orbit_states
 from superchar.partitions import build_e, compute_SR, nest, partition_from_arcs
 from superchar.table import _equals_rational, _gram_entry, _pairing_hist
 from superchar.tower import _level_feasible
@@ -543,6 +545,15 @@ def basis_orbit_states(n, field, start, dual=False):
 # The scan below finds it by testing every member of the whole orbit.
 
 
+def _verge_arcs(nonzero_positions):
+    """Arc set of a verge matrix from its nonzero positions, or None if a
+    row or column repeats."""
+    arcs = frozenset(nonzero_positions)
+    if len({i for i, _ in arcs}) == len({j for _, j in arcs}) == len(arcs):
+        return arcs
+    return None
+
+
 def verge_state(n, states):
     """The unique member of an orbit whose nonzero entries hit each row and
     each column at most once, tested on the dense states."""
@@ -566,8 +577,17 @@ def verge_state(n, states):
 
 def _dict_label(n, w, dual):
     arcs = _verge_arcs(w)
-    assert arcs is not None, "elimination left a matrix that is not a verge"
+    if arcs is None:
+        raise AssertionError("elimination left a matrix that is not a verge")
     return ColouredPartition(partition_from_arcs(n, arcs), w, dual=dual)
+
+
+def verge_label_by_arcs(n, field, state, dual=False):
+    """The label of an eliminated dense state as superchar.orbits read it
+    before it built the label from its checked chains: the arc set, then
+    partition_from_arcs and the checking constructors."""
+    pos = positions(n)
+    return _dict_label(n, {pos[k]: field.elements[v] for k, v in enumerate(state) if v}, dual)
 
 
 def dict_canonical_form(a):
@@ -777,6 +797,60 @@ def plancherel_profile_walk_all(n, tower, levels=None):
         "profile": profile,
         "strictly_increasing": all(a < b for a, b in zip(weights, weights[1:])),
     }
+
+
+# -- matrix text, character by character -----------------------------------------
+#
+# superchar.nilpotent.parse_matrix splits with str.split (rejoining pieces
+# inside brackets) and sets the dense key as it reads each entry.  The
+# parser below is the one it replaced: a bracket-depth character loop, then
+# the NilMatrix constructor and dense(), which derives the key.
+
+
+def split_assignments_by_chars(text):
+    # top-level commas only; commas inside [...] separate coefficients
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [p.strip() for p in parts if p.strip()]
+
+
+def parse_matrix_by_chars(text, n, field):
+    if n > 9:
+        raise ValueError("text format uses single-digit indices (n <= 9)")
+    entries = {}
+    for part in split_assignments_by_chars(text):
+        lhs, _, rhs = part.partition("=")
+        lhs = lhs.strip()
+        rhs = rhs.strip()
+        if not (len(lhs) == 3 and lhs[0] == "a" and lhs[1:].isdecimal() and rhs):
+            raise ValueError(f"bad assignment {part!r}")
+        i, j = int(lhs[1]), int(lhs[2])
+        if not 1 <= i < j <= n:
+            raise ValueError(f"position ({i},{j}) out of range for n={n}")
+        if rhs.startswith("[") and not rhs.endswith("]"):
+            raise ValueError(f"unterminated coefficient list in {part!r}")
+        try:
+            ints = [int(t) for t in rhs[1:-1].split(",")] if rhs.startswith("[") else int(rhs)
+        except ValueError:
+            raise ValueError(f"bad value in assignment {part!r}") from None
+        if rhs.startswith("["):
+            value = field.element([c % field.p for c in ints])
+        else:
+            value = field.from_int(ints)
+        if (i, j) in entries:
+            raise ValueError(f"duplicate entry ({i},{j})")
+        entries[(i, j)] = value
+    return NilMatrix(n, field, entries)
 
 
 # -- the CLI's JSON text -------------------------------------------------------

@@ -375,6 +375,36 @@ def test_unwritable_output_exits_2(tmp_path, capsys, target, reason):
     assert out.err == f"error: cannot write --output {path}: {reason}\n"
 
 
+_TOWER = ["tower", "--n", "4", "--p", "2", "--degrees", "1,2"]
+_LABEL = ["--pi", "1,4/2/3", "--colours", "1,4=1", "--superclass", "1/2,3/4 | 2,3=1"]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (_TOWER[:-1] + ["1,x", "--mode", "fsc"],
+     "error: --degrees: expected comma-separated integers, got '1,x'\n"),
+    (_TOWER + ["--mode", "fsc", "--levels", "1,y"],
+     "error: --levels: expected comma-separated integers, got '1,y'\n"),
+    (_TOWER + _LABEL[:3] + ["1,4=z"] + _LABEL[4:],
+     "error: --colours: bad colour assignment '1,4=z'\n"),
+    (_TOWER + ["--pi", "1,x/2/3"] + _LABEL[2:],
+     "error: --pi: bad block '1,x'\n"),
+    (["classify", "--n", "3", "--p", "2", "--matrix", "a12=1]"],
+     "error: --matrix: bad value in assignment 'a12=1]'\n"),
+])
+def test_unparseable_integers_name_their_flag(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("raw", ["", "abc"])
+def test_unparseable_cap_names_the_variable(monkeypatch, capsys, raw):
+    # fsc reads the space cap at every level
+    monkeypatch.setenv("SUPERCHAR_CAP", raw)
+    assert main(_TOWER + ["--mode", "fsc"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: SUPERCHAR_CAP must be an integer, got {raw!r}\n")
+
+
 def test_cap_violation_reports_error(capsys):
     code = main(["table", "--n", "13", "--p", "2"])
     assert code == 2

@@ -1,15 +1,22 @@
-"""The CLI's front door: argv dispatch and the indent-2 JSON writer.
+"""The CLI's front door: the argv walk over the flag table and the
+indent-2 JSON writer.
 
 Oracles: argv parsed by the full argparse parser, and json.dumps with
-indent=2 (tests/oracles.py).  The dispatch must give the same Namespace,
-usage text and exit code as the full parser; the writer must give the same
-bytes as json.dumps on every report the CLI writes.
+indent=2 (tests/oracles.py).  The walk must give the same namespace as
+the full parser, and parse_args the same usage text, help and exit code;
+the writer must give the same bytes as json.dumps on every report the CLI
+writes.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +27,8 @@ from oracles import json_dumps_text
 
 from superchar import build_table, cli, cyclo_root, field_construct, table_to_json
 
-PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @lru_cache(maxsize=1)
@@ -176,6 +184,8 @@ def test_dispatch_gives_the_full_parser_namespace():
     parser = cli.build_parser()
     for op in ops:
         assert vars(cli.parse_args(op.argv)) == vars(parser.parse_args(op.argv)), op.key
+        # none of them needs argparse: the walk accepts each
+        assert cli._walk(op.argv) is not None, op.key
 
 
 def test_dispatch_skips_the_full_parser(monkeypatch):
@@ -227,3 +237,144 @@ def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == from_sys_argv
     assert json.loads(from_sys_argv)["orbit_size"] == 2
+
+
+# Tokens for argv: exact flags of every subcommand, abbreviations, --flag=value
+# forms, values of each kind (negative numbers, bad types and choices, the
+# empty string), -h, -- and stray positionals.
+_FLAGS = sorted({option for _, _, flags in cli._COMMANDS.values() for option, _ in flags})
+_TOKENS = st.sampled_from(_FLAGS + [
+    "--deg", "--mat", "--m", "--max", "--val", "--fo", "--d", "--s", "--le",
+    "--n=3", "--p=2", "--matrix=a12=1", "--mode=fsc", "--degree=2",
+    "3", "2", "1", "0", "-1", "-3", "x", "", " 4", "3.0", "-", "--", "-h", "--help",
+    "a12=1", "a12=1,a13=1", "json", "csv", "text", "full", "spot", "off",
+    "fsc", "plancherel", "convergence", "1,2", "1,2,4", "1,3/2", "1,3=1",
+    "1,3/2 | 1,3=1", "stray",
+])
+_COMMAND = st.sampled_from(sorted(cli._COMMANDS) + ["frobnicate", "-h", "--help", ""])
+_VALUE = st.sampled_from(["3", "2", "4", "1", "0", "-2", "x", ""])
+
+
+_GOOD = {
+    "--n": ["3", "2", "04"], "--p": ["2", "3"], "--degree": ["1", "2"],
+    "--degrees": ["1,2"], "--output": ["out.json"], "--format": ["json", "csv", "text"],
+    "--validate": ["full", "spot", "off"], "--matrix": ["a12=1", ""],
+    "--mode": ["convergence", "fsc", "plancherel"], "--pi": ["1,3/2"],
+    "--colours": ["1,3=1"], "--superclass": ["1,3/2 | 1,3=1"], "--levels": ["1,2"],
+    "--max-level": ["2"],
+}
+_BAD = st.sampled_from(["0", "-1", "-3", "x", "3.0", "bogus", "--dual", "--n", "-h", "--"])
+
+
+@st.composite
+def _argv(draw):
+    """Mostly near-valid argv: a subcommand's own flags in any order, each
+    required one given nine times in ten and each other one four in ten,
+    a value of the right kind three times in four, and then one token
+    inserted or dropped a third of the time.  Otherwise a junk command."""
+    if draw(st.integers(0, 9)) == 0:
+        return [draw(_COMMAND)] + draw(st.lists(_TOKENS, max_size=6))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for option, keywords in draw(st.permutations(cli._COMMANDS[command][2])):
+        if draw(st.integers(0, 9)) >= (9 if keywords.get("required") else 4):
+            continue
+        argv.append(option)
+        if keywords.get("action") != "store_true":
+            good = draw(st.integers(0, 3)) < 3
+            argv.append(draw(st.sampled_from(_GOOD[option]) if good else _BAD))
+    edit = draw(st.integers(0, 5))
+    at = draw(st.integers(1, len(argv)))
+    if edit < 2:
+        argv.insert(at, draw(_TOKENS))
+    elif edit == 2 and at < len(argv):
+        del argv[at]
+    return argv
+
+
+def _parsed(parse, argv):
+    """(attributes or None, exit code or None, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    attrs = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            attrs = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return attrs, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+def test_walk_matches_the_full_parser(argv):
+    full = _parsed(cli.build_parser().parse_args, argv)
+    walked = cli._walk(argv)
+    if walked is not None:
+        assert full == (vars(walked), None, "", "")
+    assert _parsed(cli.parse_args, argv) == full
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_walk_accepts_valid_argv_in_any_order(data):
+    # every flag of a subcommand with a good value, in any order, then up
+    # to two flags again
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = data.draw(st.permutations(cli._COMMANDS[command][2]))
+    argv = [command]
+    for option, keywords in flags + data.draw(st.lists(st.sampled_from(flags), max_size=2)):
+        argv.append(option)
+        if keywords.get("action") != "store_true":
+            argv.append(data.draw(st.sampled_from(keywords.get("choices") or _GOOD[option])))
+    walked = cli._walk(argv)
+    assert walked is not None, argv
+    assert _parsed(cli.build_parser().parse_args, argv) == (vars(walked), None, "", "")
+
+
+FAST_PATH_ARGVS = [
+    ["classify", "--n", "5", "--p", "3", "--degree", "1", "--matrix", "a12=2,a35=1"],
+    ["classify", "--n", "4", "--p", "2", "--degree", "2", "--matrix", "a13=[0,1]", "--dual"],
+    ["tower", "--p", "2", "--degrees", "1,2", "--n", "4", "--mode", "convergence",
+     "--pi", "1,4/2/3", "--colours", "1,4=1", "--superclass", "1/2,3/4 | 2,3=1"],
+    ["tower", "--p", "2", "--degrees", "1,2", "--mode", "fsc", "--n", "3"],
+]
+
+
+def test_classify_and_tower_never_import_argparse():
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        from superchar import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in {FAST_PATH_ARGVS!r}]
+        print(json.dumps([codes, "argparse" in sys.modules]))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0, 0, 0], False]
+
+
+def test_the_classify_stream_calls_each_traced_boundary_as_before(monkeypatch, capsys):
+    # every name a superchar module holds the function by is replaced, as
+    # the benchmark's tracer replaces it
+    from superchar import dual, nilpotent, orbits
+
+    calls = {}
+    for name, module in [("parse_matrix", nilpotent), ("canonical_form", orbits),
+                         ("dual_canonical", dual)]:
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for held in [m for k, m in sys.modules.items() if k.startswith("superchar")]:
+            if getattr(held, name, None) is fn:
+                monkeypatch.setattr(held, name, counted)
+    workloads = _workloads()
+    for op in workloads.classify_ops(workloads.DEFAULT_SEED):
+        assert cli.main(op.argv) == 0
+    capsys.readouterr()
+    assert calls == {"parse_matrix": 236, "canonical_form": 118, "dual_canonical": 118}

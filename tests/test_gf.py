@@ -127,6 +127,11 @@ def test_field_cap_blocks_large_fields(monkeypatch):
     monkeypatch.setenv("SUPERCHAR_CAP", "16")
     # the env value only ever raises the cap
     assert field_cap() == 1 << 16
+    for raw in ("", "abc", "1e6"):
+        monkeypatch.setenv("SUPERCHAR_CAP", raw)
+        for cap in (field_cap, space_cap):
+            with pytest.raises(ValueError, match=f"^SUPERCHAR_CAP must be an integer, got {raw!r}$"):
+                cap()
 
 
 def test_enumeration_is_base_p_low_digit_first():
