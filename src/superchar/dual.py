@@ -10,7 +10,7 @@ column move, so its root subgroup moves a state along one coset
 generates once per coset on dense states with dual=True.
 enumerate_dual_orbits(validate=True) replays every compiled move at every
 nonzero scalar against dual_act and the defining property, the independent
-reference kept on NilMatrix.
+reference kept on NilMatrix, at every state of A°, before the walk.
 dual_canonical walks no orbit: it eliminates on the dense state with the
 contragredient moves from the one compiler, superchar.orbits._program,
 each step adding c = -v/pivot times the pivot's row or column to zero the
@@ -19,8 +19,9 @@ target entry v, a move even where the program's sign is -1.
 
 from __future__ import annotations
 
-from functools import partial
+from itertools import product
 
+from . import orbits
 from .cyclotomic import Cyclotomic, cyclo_root
 from .gf import FieldElement, FiniteField, trace_lift
 from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
@@ -84,8 +85,8 @@ def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
     return NilMatrix(b.n, b.field, upper)
 
 
-def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
-    """Check one BFS state: for every compiled program and every nonzero
+def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
+    """Check one state of A°: for every compiled program and every nonzero
     scalar beta, the image the coset walk gives at beta must equal the
     transport of the state by 1 + sign*beta*e_{i,i+1}, and the transport
     itself must obey the defining property on a basis of A."""
@@ -95,7 +96,7 @@ def _validate_moves(n: int, field: FiniteField, state: tuple, programs) -> None:
     rows = _sum_rows(field)
     # beta = g^j in the order _coset generates its images
     scalars = [field.element_by_index(field.exp[j]) for j in range(field.order - 1)]
-    for i, left, pairs, sign in programs:
+    for i, left, pairs, sign in orbits._move_programs(n, True):
         images = _coset(state, pairs, field, rows) or [state] * len(scalars)
         for beta, fast in zip(scalars, images):
             alpha = field.from_int(sign) * beta
@@ -163,7 +164,9 @@ def enumerate_dual_orbits(
 ) -> list[DualOrbit]:
     """One orbit per dual coloured partition, canonical order, walked and
     cover-checked; each size is the walked state count.  validate=True
-    replays every compiled move at every state the walk expands."""
-    return _walked_axes(
-        DualOrbit, n, field, partial(_validate_moves, n, field) if validate else None
-    )
+    first replays every compiled move at every state of A°."""
+    if validate:
+        orbits.check_space(n, field)
+        for state in product(range(field.order), repeat=len(positions(n))):
+            _validate_moves(n, field, state)
+    return _walked_axes(DualOrbit, n, field)

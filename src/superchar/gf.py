@@ -367,6 +367,12 @@ class FiniteField:
     def from_int(self, c: int) -> FieldElement:
         return self._elts[c % self.p]
 
+    def from_value(self, value) -> FieldElement:
+        """from_int of an integer; element of a coefficient list, reduced mod p."""
+        if isinstance(value, int):
+            return self.from_int(value)
+        return self.element([c % self.p for c in value])
+
     @property
     def zero(self) -> FieldElement:
         return self._elts[0]
@@ -416,6 +422,19 @@ class FiniteField:
 @lru_cache(maxsize=None)
 def field_construct(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
+
+
+def parse_value(text: str, part: str, bad: str):
+    """The integer, or list [c0,c1,...] of integers, that the value text of
+    an assignment part writes.  ValueError for a list that does not close,
+    then "bad part" for text that is not integers."""
+    bracketed = text.startswith("[")
+    if bracketed and not text.endswith("]"):
+        raise ValueError(f"unterminated coefficient list in {part!r}")
+    try:
+        return [int(t) for t in text[1:-1].split(",")] if bracketed else int(text)
+    except ValueError:
+        raise ValueError(f"{bad} {part!r}") from None
 
 
 # -- embeddings and traces ---------------------------------------------------

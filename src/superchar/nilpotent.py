@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField
+from .gf import FieldElement, FiniteField, parse_value
 
 
 @lru_cache(maxsize=None)
@@ -171,17 +171,7 @@ def parse_matrix(text: str, n: int, field: FiniteField) -> NilMatrix:
         pos = int(lhs[1]), int(lhs[2])
         if pos not in rank:
             raise ValueError(f"position ({pos[0]},{pos[1]}) out of range for n={n}")
-        bracketed = rhs.startswith("[")
-        if bracketed and not rhs.endswith("]"):
-            raise ValueError(f"unterminated coefficient list in {part!r}")
-        try:
-            ints = [int(t) for t in rhs[1:-1].split(",")] if bracketed else int(rhs)
-        except ValueError:
-            raise ValueError(f"bad value in assignment {part!r}") from None
-        if bracketed:
-            value = field.element([c % field.p for c in ints])
-        else:
-            value = field.from_int(ints)
+        value = field.from_value(parse_value(rhs, part, "bad value in assignment"))
         if pos in entries:
             raise ValueError(f"duplicate entry ({pos[0]},{pos[1]})")
         entries[pos] = value

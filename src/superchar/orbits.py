@@ -1,14 +1,15 @@
-"""Superclasses: two-sided orbits GaG in A, their BFS enumeration, and the
+"""Superclasses: two-sided orbits GaG in A, their enumeration, and the
 reduction of any matrix to its canonical coloured-set-partition label.
 
 A state is the dense tuple of field enumeration indices over positions(n),
 row-major.  One compiler, _program, turns any root subgroup 1 + alpha*e_ij
 on either side into (dst_rank, src_rank) pairs plus a sign: a move sets
 dst += sign * alpha * src, and keeps a strictly upper matrix strictly
-upper.  One BFS engine, orbit_states, walks the superclasses here and the
+upper.  One engine, orbit_states, walks the superclasses here and the
 dual orbits of superchar.dual on the superdiagonal programs, one
 root-subgroup coset at a time, generating each coset's q - 1 other members
-once by Zech addition on the log tables of superchar.gf.  The
+once by Zech addition on the log tables of superchar.gf, from one map of
+each state found to the bits of its cosets already generated.  The
 eliminations, canonical_form here and dual_canonical there, are _clear
 steps on the same states, programs and Zech rows.  Each adds c = -v/pivot
 times the pivot's row or column, the multiple that zeroes the target entry
@@ -145,7 +146,7 @@ def check_space(n: int, field: FiniteField) -> None:
 
 
 def orbit_states(
-    n: int, field: FiniteField, start: tuple, dual: bool = False, check=None
+    n: int, field: FiniteField, start: tuple, dual: bool = False
 ) -> set[tuple[int, ...]]:
     """Dense states of the two-sided orbit of start: the superclass G a G,
     or with dual=True the contragredient orbit of the pairing matrix.
@@ -162,38 +163,30 @@ def orbit_states(
     X.s = {s + beta*v(s) : beta in F_q}, v(s) the source entries at their
     destinations, whatever the program's sign, and every member of that
     coset has the same coset.  The walk therefore expands each coset once:
-    a state not yet expanded carries the bits of the subgroups whose coset
-    through it is already generated, and its expansion generates the
-    q - 1 images of every other coset with a nonzero v by Zech addition.
-    That is at most 2(n-1)|O| images per orbit, one per state and
-    subgroup.  check(state, programs), when given, runs on every state
-    before it expands, with the compiled programs of the walk.
+    one map holds, per state found, the bits of the subgroups whose coset
+    through it is already generated, read when the state is expanded (and
+    never after), and the expansion generates the q - 1 images of every
+    other coset with a nonzero v by Zech addition, at most 2(n-1)|O| per orbit.
     """
     check_space(n, field)
     programs = _move_programs(n, dual)
     moves = [(1 << k, pairs) for k, (_, _, pairs, _) in enumerate(programs) if pairs]
     rows = _sum_rows(field)
-    visited = {start}
-    closed = {start: 0}  # states not yet expanded -> bits of their generated cosets
-    frontier = [start]
-    while frontier:
-        new = []
-        for state in frontier:
-            if check is not None:
-                check(state, programs)
-            done = closed.pop(state)
-            for bit, pairs in moves:
-                if done & bit:
-                    continue
-                for t in _coset(state, pairs, field, rows):
-                    if t in closed:
-                        closed[t] |= bit
-                    elif t not in visited:
-                        visited.add(t)
-                        closed[t] = bit
-                        new.append(t)
-        frontier = new
-    return visited
+    done = {start: 0}  # state -> bits of its cosets already generated
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        bits = done[state]
+        for bit, pairs in moves:
+            if bits & bit:
+                continue
+            for t in _coset(state, pairs, field, rows):
+                if t in done:
+                    done[t] |= bit
+                else:
+                    done[t] = bit
+                    stack.append(t)
+    return set(done)
 
 
 def superclass_orbit(a: NilMatrix) -> set[NilMatrix]:
@@ -307,14 +300,14 @@ def check_cover(axes, total: int) -> None:
         raise AssertionError(f"{many} cover {len(seen)} of {total} {space}")
 
 
-def _walked_axes(kind, n: int, field: FiniteField, check=None) -> list:
+def _walked_axes(kind, n: int, field: FiniteField) -> list:
     """One orbit of kind (Superclass or DualOrbit) per label, canonical
-    order, each walked with orbit_states (check passed on) and sized by
-    its walk; the list is cover-checked."""
+    order, each walked with orbit_states and sized by its walk; the list
+    is cover-checked."""
     out = []
     for label in enumerate_labels(n, field, dual=kind.dual):
         rep = build_e(label, field)
-        states = orbit_states(n, field, rep.dense(), kind.dual, check)
+        states = orbit_states(n, field, rep.dense(), kind.dual)
         out.append(kind(label, rep, len(states), tuple(sorted(states))))
     check_cover(out, field.order ** len(positions(n)))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField
+from .gf import FieldElement, FiniteField, parse_value
 
 _BELL_CAP = 12
 
@@ -285,19 +285,12 @@ def parse_colours(text: str, field: FiniteField) -> dict:
         return colours
     for part in text.split(";"):
         lhs, _, rhs = part.partition("=")
-        rhs = rhs.strip()
-        bracketed = rhs.startswith("[")
-        if bracketed and not rhs.endswith("]"):
-            raise ValueError(f"unterminated coefficient list in {part!r}")
+        written = parse_value(rhs.strip(), part, "bad colour assignment")
         try:
             i, j = (int(t) for t in lhs.split(","))
-            ints = [int(t) for t in rhs[1:-1].split(",")] if bracketed else int(rhs)
         except ValueError:
             raise ValueError(f"bad colour assignment {part!r}") from None
-        if bracketed:
-            value = field.element([c % field.p for c in ints])
-        else:
-            value = field.from_int(ints)
+        value = field.from_value(written)
         if (i, j) in colours:
             raise ValueError(f"duplicate colour for arc ({i},{j})")
         colours[(i, j)] = value

@@ -49,6 +49,8 @@ class FieldTower:
         degrees = tuple(int(d) for d in degrees)
         if not degrees:
             raise ValueError("empty tower")
+        if min(degrees) < 1:
+            raise ValueError(f"degrees {degrees} must all be at least 1")
         for a, b in zip(degrees, degrees[1:]):
             if not (a < b and b % a == 0):
                 raise ValueError(f"degrees {degrees} are not a divisor chain")

@@ -11,7 +11,8 @@ import pathlib
 
 import pytest
 
-from superchar import cli
+from superchar import cli, field_construct
+from superchar import table as table_mod
 from superchar.cli import main
 from superchar.partitions import r_of
 
@@ -59,7 +60,7 @@ def test_table_export_sha256(capsys, argv, digest):
 
 
 def test_table_deterministic_across_runs(tmp_path):
-    argv = ["table", "--n", "3", "--p", "3", "--validate", "full"]
+    argv = ["table", "--n", "3", "--p", "3"]
     _, first = _run_to_file(tmp_path, "a.json", argv)
     _, second = _run_to_file(tmp_path, "b.json", argv)
     assert first == second
@@ -68,12 +69,49 @@ def test_table_deterministic_across_runs(tmp_path):
 def test_table_extension_field(tmp_path):
     code, got = _run_to_file(
         tmp_path, "t.json",
-        ["table", "--n", "3", "--p", "2", "--degree", "2", "--validate", "full"])
+        ["table", "--n", "3", "--p", "2", "--degree", "2"])
     assert code == 0
     blob = json.loads(got)
     assert blob["group"]["q"] == 4
     assert blob["group"]["modulus"] == [1, 1, 1]
     assert len(blob["rows"]) == 19
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_broken_cell_of_a_large_table_reads_routes_disagree(monkeypatch, capsys, command):
+    # U_3(F_3) counted as large, and a cell the seeded spot check does not
+    # sample broken: every cell is compared at every size
+    monkeypatch.setattr(table_mod, "_FULL_VALIDATION_LIMIT", 8)
+    t = table_mod.build_table(3, field_construct(3, 1), validate="off")
+    sampled = set(table_mod._spot_pairs(t))
+    i, j = next((i, j) for i in range(t.size) for j in range(1, len(t.superclasses))
+                if (i, j) not in sampled)
+    uncorrupted = table_mod._closed_cells
+
+    def corrupted(rows, cols, field):
+        # one cell: zeta^t becomes zeta^(t+1), and zero becomes one
+        denom, cells = uncorrupted(rows, cols, field)
+        cells = [list(line) for line in cells]
+        cell = cells[i][j]
+        cells[i][j] = tuple(((e + 1) % field.p, c) for e, c in cell) or ((0, denom),)
+        return denom, cells
+
+    monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
+    assert main([command, "--n", "3", "--p", "3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("check failed: routes disagree at row ")
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+@pytest.mark.parametrize("value", ["full", "spot", "off"])
+def test_table_and_verify_take_no_validate(capsys, command, value):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--n", "3", "--p", "2", "--validate", value])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: --validate {value}" in out.err
 
 
 def test_table_stdout(capsys):
@@ -347,10 +385,12 @@ def test_tower_convergence_without_a_label_flag_is_an_error(capsys, given):
 
 
 def test_tower_bad_degrees_exits_2(capsys):
-    code = main(["tower", "--n", "3", "--p", "2", "--degrees", "2,3",
-                 "--mode", "fsc"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for degrees in ["2,3", "0,2", "0", "2,0"]:  # 0,2 once raised ZeroDivisionError
+        code = main(["tower", "--n", "3", "--p", "2", "--degrees", degrees,
+                     "--mode", "fsc"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: "), degrees
 
 
 # ------------------------------------------------------------- exit codes

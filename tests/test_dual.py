@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+import superchar.dual as dual_mod
+import superchar.orbits as orbits_mod
 from superchar import (
     Cyclotomic,
     GroupElement,
@@ -195,6 +197,30 @@ def test_validated_bfs_accepts_small_configs():
         f = field_construct(p, m)
         orbits = enumerate_dual_orbits(n, f, validate=True)
         assert len(orbits) == count_labels(n, f.order)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2)])
+def test_validation_replays_every_state_before_the_walk(monkeypatch, p, m):
+    # U_3(F_3) and U_3(F_4): one replay per state of A°, all before any walk
+    f = field_construct(p, m)
+    events = []
+    replay, walk = dual_mod._validate_moves, orbits_mod.orbit_states
+
+    def counting_replay(n, field, state):
+        events.append(state)
+        return replay(n, field, state)
+
+    def counting_walk(*args):
+        events.append("walk")
+        return walk(*args)
+
+    monkeypatch.setattr(dual_mod, "_validate_moves", counting_replay)
+    monkeypatch.setattr(orbits_mod, "orbit_states", counting_walk)
+    orbits = enumerate_dual_orbits(3, f, validate=True)
+    states = events[:f.order ** 3]
+    assert events[len(states):] == ["walk"] * len(orbits)
+    assert len(set(states)) == len(states) == f.order ** 3
+    assert set(states) == {s for o in orbits for s in o.members}
 
 
 def test_singleton_orbits_are_exactly_superdiagonal_labels():

@@ -137,7 +137,7 @@ def checked_writer(monkeypatch):
 CLI_TEST_ARGVS = [
     ["table", "--n", "3", "--p", "2"],
     ["table", "--n", "2", "--p", "3"],
-    ["table", "--n", "3", "--p", "2", "--degree", "2", "--validate", "full"],
+    ["table", "--n", "3", "--p", "2", "--degree", "2"],
     ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1,a13=1"],
     ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1,a13=1", "--dual"],
     ["classify", "--n", "8", "--p", "2", "--matrix", "a13=1,a26=1", "--dual"],

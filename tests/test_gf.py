@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from superchar import gf
+from superchar.nilpotent import parse_matrix
+from superchar.partitions import parse_colours
 from superchar import (
     FieldElement,
     FiniteField,
@@ -474,3 +476,43 @@ def test_field_axioms(config, data):
     assert a + (-a) == f.zero
     if b != f.zero:
         assert (a / b) * b == a
+
+
+# ------------------------------------------------------ value text
+
+_VALUE_TEXTS = ["0", "1", "2", "7", "-1", " 2 ", "[0]", "[1]", "[0,1]", "[1,1]",
+                "[2,3]", "[-1, 4]", "[1", "x", "[]", "[1,,2]", "[x]", "1]",
+                "[1,1,1]", "[0,1"]
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2)])
+def test_matrix_and_colour_parsers_read_a_value_alike(p, m):
+    # one reader of the value grammar: the same element, or the same error
+    # but for each parser's own words and part
+    f = field_construct(p, m)
+
+    def outcome(parse, part, bad):
+        try:
+            return parse(part)
+        except ValueError as exc:
+            return str(exc).replace(repr(part), "PART").replace(bad, "BAD")
+
+    for text in _VALUE_TEXTS:
+        entry = outcome(lambda t: parse_matrix(t, 3, f).entries.get((1, 2), f.zero),
+                        f"a12={text}", "bad value in assignment")
+        colour = outcome(lambda t: parse_colours(t, f)[1, 2],
+                         f"1,2={text}", "bad colour assignment")
+        assert entry == colour, text
+        if isinstance(entry, FieldElement):
+            value = text.strip()
+            if value.startswith("["):
+                ints = [int(c) for c in value[1:-1].split(",")]
+                assert entry == f.element([c % p for c in ints]), text
+            else:
+                assert entry == f.from_int(int(value)), text
+    # the colour parser's own order: an open list, then a bad arc, then
+    # the element's errors
+    for part, message in [("1,x=[1", "unterminated coefficient list in PART"),
+                          ("1,x=[1,1,1]", "BAD PART")]:
+        assert outcome(lambda t: parse_colours(t, f), part,
+                       "bad colour assignment") == message

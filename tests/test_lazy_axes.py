@@ -73,8 +73,8 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
     walk = orbits_mod.orbit_states
     bruteforce = table_mod.sch_bruteforce
 
-    def counting_walk(n, field, start, dual=False, check=None):
-        states = walk(n, field, start, dual, check)
+    def counting_walk(n, field, start, dual=False):
+        states = walk(n, field, start, dual)
         walks.append((start, dual, len(states)))
         return states
 

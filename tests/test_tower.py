@@ -65,6 +65,9 @@ def test_tower_requires_divisor_chain():
         FieldTower(2, (2, 2))  # not strictly increasing
     with pytest.raises(ValueError):
         FieldTower(2, ())
+    for degrees in [(0, 2), (0,), (-2, 2), (1, 0)]:  # (0, 2) reached b % 0
+        with pytest.raises(ValueError, match="must all be at least 1"):
+            FieldTower(2, degrees)
 
 
 def test_tower_levels_and_embed():
