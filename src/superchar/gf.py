@@ -424,6 +424,14 @@ def field_construct(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
+def format_value(v: FieldElement) -> str:
+    """The value text of an assignment, as parse_value reads it: the
+    integer lift over a prime field, else the list [c0,c1,...]."""
+    if v.field.m == 1:
+        return str(v.lift())
+    return f"[{','.join(str(c) for c in v.coeffs)}]"
+
+
 def parse_value(text: str, part: str, bad: str):
     """The integer, or list [c0,c1,...] of integers, that the value text of
     an assignment part writes.  ValueError for a list that does not close,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField, parse_value
+from .gf import FieldElement, FiniteField, format_value, parse_value
 
 
 @lru_cache(maxsize=None)
@@ -125,14 +125,9 @@ def format_matrix(a: NilMatrix) -> str:
     """Comma-separated assignments; bare integers over a prime field."""
     if a.n > 9:
         raise ValueError("text format uses single-digit indices (n <= 9)")
-    parts = []
-    for (i, j) in sorted(a.entries):
-        v = a.entries[(i, j)]
-        if a.field.m == 1:
-            parts.append(f"a{i}{j}={v.lift()}")
-        else:
-            parts.append(f"a{i}{j}=[{','.join(str(c) for c in v.coeffs)}]")
-    return ",".join(parts)
+    return ",".join(
+        f"a{i}{j}={format_value(v)}" for (i, j), v in sorted(a.entries.items())
+    )
 
 
 def _assignments(text: str) -> list[str]:

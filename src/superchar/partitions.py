@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField, parse_value
+from .gf import FieldElement, FiniteField, format_value, parse_value
 
 _BELL_CAP = 12
 
@@ -269,13 +269,9 @@ class ColouredPartition:
 
 
 def format_colours(colours: dict) -> str:
-    parts = []
-    for (i, j), v in sorted(colours.items()):
-        if v.field.m == 1:
-            parts.append(f"{i},{j}={v.lift()}")
-        else:
-            parts.append(f"{i},{j}=[{','.join(str(c) for c in v.coeffs)}]")
-    return ";".join(parts)
+    return ";".join(
+        f"{i},{j}={format_value(v)}" for (i, j), v in sorted(colours.items())
+    )
 
 
 def parse_colours(text: str, field: FiniteField) -> dict:

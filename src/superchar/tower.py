@@ -232,39 +232,35 @@ def _level_value(
     return _closed_value(pairs, d, tower.field(level))
 
 
-def _limit(label: TowerLabel, col: ColouredPartition, shape) -> Cyclotomic:
+def limit_value(label: TowerLabel, col: ColouredPartition) -> Cyclotomic:
+    """Zero unless every row arc survives the column shadow with zero
+    nesting; otherwise the pairing product, frozen at the first level
+    where both the label and the column are defined."""
+    shape = _closed_shape(label.partition, col.partition)
     if shape is None or shape[1] > 0:
         return Cyclotomic.zero(label.tower.p)
     level = max(label.m0, _column_level(label.tower, col))
     return _level_value(label, col, shape, level)
 
 
-def limit_value(label: TowerLabel, col: ColouredPartition) -> Cyclotomic:
-    """Zero unless every row arc survives the column shadow with zero
-    nesting; otherwise the pairing product, frozen at the first level
-    where both the label and the column are defined."""
-    return _limit(label, col, _closed_shape(label.partition, col.partition))
-
-
-def convergence_report(
-    label: TowerLabel, col: ColouredPartition, max_level: int | None = None
-) -> dict:
-    """Exact level values against the predicted limit.
+def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
+    """Exact level values at every level of the tower against the
+    predicted limit.
 
     The column is given at its own level and embedded upward.  Levels
-    below m0 or below the column's level are reported as undefined.  The
-    closed shape of the two partitions is found once; every level and the
-    limit read it.
+    below m0 or below the column's level are reported as undefined; the
+    first defined level is at most the tower height, so at least one level
+    is defined.  The closed shape of the two partitions is found once;
+    every level reads it, and the limit is the first defined value when
+    the shape exists with zero nesting, zero otherwise.
     """
     tower = label.tower
-    top = len(tower) if max_level is None else min(max_level, len(tower))
     first = max(label.m0, _column_level(tower, col))
     shape = _closed_shape(label.partition, col.partition)
     depth = nest(label.partition, col.partition) if shape is None else shape[1]
-    limit = _limit(label, col, shape)
     levels = []
     values = []
-    for m in range(1, top + 1):
+    for m in range(1, len(tower) + 1):
         q = tower.field(m).order
         if m < first:
             levels.append({"level": m, "q": q, "defined": False})
@@ -281,10 +277,8 @@ def convergence_report(
                 "abs2": abs2,
             }
         )
-    if not values:
-        stabilized = False
-        verdict = "no defined levels in range"
-    elif limit:
+    limit = values[0] if shape is not None and depth == 0 else Cyclotomic.zero(tower.p)
+    if limit:
         stabilized = all(v == limit for v in values)
         verdict = (
             f"stabilized at level {first}" if stabilized else "not stabilized"

@@ -695,11 +695,10 @@ def _column_level(tower, col):
     return tower.fields.index(f) + 1
 
 
-def convergence_report_by_levels(label, col, max_level=None):
+def convergence_report_by_levels(label, col):
     """convergence_report with each level's label and column rebuilt and
     every value, the limit included, read from sch_closed."""
     tower = label.tower
-    top = len(tower) if max_level is None else min(max_level, len(tower))
     first = max(label.m0, _column_level(tower, col))
     depth = nest(label.partition, col.partition)
     _, reach = compute_SR(col.partition)
@@ -709,7 +708,7 @@ def convergence_report_by_levels(label, col, max_level=None):
         limit = tower_supercharacter(label, first, _embedded_column(tower, col, first))
     levels = []
     values = []
-    for m in range(1, top + 1):
+    for m in range(1, len(tower) + 1):
         q = tower.field(m).order
         if m < first:
             levels.append({"level": m, "q": q, "defined": False})
@@ -718,10 +717,7 @@ def convergence_report_by_levels(label, col, max_level=None):
         values.append(v)
         abs2 = (v * v.conjugate()).rational_part()
         levels.append({"level": m, "q": q, "defined": True, "value": v, "abs2": abs2})
-    if not values:
-        stabilized = False
-        verdict = "no defined levels in range"
-    elif limit:
+    if limit:
         stabilized = all(v == limit for v in values)
         verdict = f"stabilized at level {first}" if stabilized else "not stabilized"
     elif all(not v for v in values):

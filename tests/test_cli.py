@@ -291,6 +291,38 @@ def test_plancherel_weights(capsys):
     assert weights["1,3/2 | 1,3=1"] == "1/2"
 
 
+@pytest.mark.parametrize("value", ["full", "spot", "off"])
+def test_plancherel_takes_no_validate(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["plancherel", "--n", "3", "--p", "2", "--validate", value])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: --validate {value}" in out.err
+
+
+@pytest.mark.parametrize("n,full,sampled", [
+    ("3", 1, 0),   # |A| = 3^3 <= 4096: every cell at every member
+    ("5", 0, 64),  # |A| = 3^10 > 4096: 64 seeded cells
+])
+def test_plancherel_picks_its_check_by_size(monkeypatch, capsys, n, full, sampled):
+    calls = {"full": 0, "sampled": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(table_mod, "_route_failure",
+                        counting("full", table_mod._route_failure))
+    monkeypatch.setattr(table_mod, "sch_bruteforce",
+                        counting("sampled", table_mod.sch_bruteforce))
+    assert main(["plancherel", "--n", n, "--p", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+    assert calls == {"full": full, "sampled": sampled}
+
+
 # ------------------------------------------------------------------ tower
 
 def test_tower_convergence_json(capsys):
@@ -333,6 +365,8 @@ def test_tower_plancherel_profile(capsys):
 # pinned at p = 3, where every other tower test runs at p = 2: the
 # relative traces and embeddings of GF(3) < GF(9) < GF(81)
 P3_TOWER = ["tower", "--p", "3", "--degrees", "1,2,4"]
+_CONVERGENCE = P3_TOWER + ["--n", "3", "--pi", "1,3/2", "--colours", "1,3=2",
+                           "--superclass", "1,3/2 | 1,3=1"]
 
 
 @pytest.mark.parametrize("golden,argv", [
@@ -384,6 +418,15 @@ def test_tower_convergence_without_a_label_flag_is_an_error(capsys, given):
     assert capsys.readouterr() == ("", _NO_LABEL)
 
 
+def test_tower_takes_no_max_level(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(_CONVERGENCE + ["--max-level", "1"])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --max-level 1" in out.err
+
+
 def test_tower_bad_degrees_exits_2(capsys):
     for degrees in ["2,3", "0,2", "0", "2,0"]:  # 0,2 once raised ZeroDivisionError
         code = main(["tower", "--n", "3", "--p", "2", "--degrees", degrees,
@@ -394,6 +437,51 @@ def test_tower_bad_degrees_exits_2(capsys):
 
 
 # ------------------------------------------------------------- exit codes
+
+# Unusable input of every kind; "{tmp}" stands for a fresh directory.
+_UNUSABLE = {
+    "unwritable-output": ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1",
+                          "--output", "{tmp}/missing/x.json"],
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "zero-degree": ["tower", "--n", "3", "--p", "2", "--degrees", "0,2", "--mode", "fsc"],
+    "validate-without-dual": ["orbits", "--n", "3", "--p", "2", "--validate", "full"],
+    "n-zero": ["table", "--n", "0", "--p", "2"],
+    "field-cap": ["table", "--n", "2", "--p", "65537"],
+    "partition-cap": ["orbits", "--n", "13", "--p", "2"],
+    "levels-repeat": ["tower", "--n", "3", "--p", "2", "--degrees", "1,2",
+                      "--mode", "fsc", "--levels", "1,1"],
+    "empty-degrees": ["tower", "--n", "3", "--p", "2", "--degrees", "", "--mode", "fsc"],
+    "convergence-without-pi": ["tower", "--n", "3", "--p", "2", "--degrees", "1,2",
+                               "--superclass", "1,3/2 | 1,3=1"],
+    "lower-triangle": ["classify", "--n", "3", "--p", "2", "--matrix", "a21=1"],
+    "one-level-fsc": ["tower", "--n", "3", "--p", "2", "--degrees", "1", "--mode", "fsc"],
+    "classify-n-10": ["classify", "--n", "10", "--p", "2", "--matrix", "a12=1"],
+    "p-not-prime": ["table", "--n", "2", "--p", "4"],
+    "space-cap": ["table", "--n", "5", "--p", "5"],
+    # fields are cached in-process, but fsc reads the space cap at every level
+    "empty-cap": ["tower", "--n", "3", "--p", "2", "--degrees", "1,2", "--mode", "fsc"],
+    "plancherel-validate": ["plancherel", "--n", "3", "--p", "2", "--validate", "full"],
+    "max-level-0": _CONVERGENCE + ["--max-level", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNUSABLE))
+def test_unusable_input_exits_2_with_an_error_line(monkeypatch, tmp_path, capsys, case):
+    if case == "empty-cap":
+        monkeypatch.setenv("SUPERCHAR_CAP", "")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _UNUSABLE[case]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    last = out.err.splitlines()[-1]
+    assert last.startswith("error: ") or (
+        last.startswith("superchar") and ": error: " in last), last
+
 
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:

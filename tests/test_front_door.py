@@ -261,7 +261,6 @@ _GOOD = {
     "--validate": ["full", "spot", "off"], "--matrix": ["a12=1", ""],
     "--mode": ["convergence", "fsc", "plancherel"], "--pi": ["1,3/2"],
     "--colours": ["1,3=1"], "--superclass": ["1,3/2 | 1,3=1"], "--levels": ["1,2"],
-    "--max-level": ["2"],
 }
 _BAD = st.sampled_from(["0", "-1", "-3", "x", "3.0", "bogus", "--dual", "--n", "-h", "--"])
 

@@ -7,14 +7,15 @@ compared with per-operation polynomial arithmetic in tests/oracles.py.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from superchar import gf
-from superchar.nilpotent import parse_matrix
-from superchar.partitions import parse_colours
+from superchar.nilpotent import NilMatrix, format_matrix, parse_matrix, positions
+from superchar.partitions import format_colours, parse_colours
 from superchar import (
     FieldElement,
     FiniteField,
@@ -479,6 +480,31 @@ def test_field_axioms(config, data):
 
 
 # ------------------------------------------------------ value text
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_format_value_round_trips_every_element(p, m):
+    f = field_construct(p, m)
+    for v in f.elements:
+        text = gf.format_value(v)
+        assert f.from_value(gf.parse_value(text, text, "bad")) == v
+        assert text.startswith("[") == (m > 1)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2)])
+def test_matrix_and_colour_writers_round_trip(p, m):
+    # both writers spell each value with format_value, and each parser
+    # reads it back
+    f = field_construct(p, m)
+    rng = random.Random(p * 10 + m)
+    for n in (2, 3, 4):
+        for _ in range(5):
+            entries = {ij: rng.choice(f.elements[1:]) for ij in positions(n)
+                       if rng.random() < 0.6}
+            a = NilMatrix(n, f, entries)
+            assert parse_matrix(format_matrix(a), n, f) == a
+            assert parse_colours(format_colours(entries), f) == entries
+
 
 _VALUE_TEXTS = ["0", "1", "2", "7", "-1", " 2 ", "[0]", "[1]", "[0,1]", "[1,1]",
                 "[2,3]", "[-1, 4]", "[1", "x", "[]", "[1,,2]", "[x]", "1]",
