@@ -152,7 +152,7 @@ def _field(args) -> FiniteField:
 
 def cmd_table(args) -> int:
     field = _field(args)
-    table = build_table(args.n, field, validate="full")
+    table = build_table(args.n, field, full=True)
     failures = [c for c in verify_theory(table) if not c[1]]
     for name, _, detail in failures:
         print(f"FAIL {name}: {detail}", file=sys.stderr)
@@ -226,7 +226,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_verify(args) -> int:
     field = _field(args)
-    table = build_table(args.n, field, validate="full")
+    table = build_table(args.n, field, full=True)
     checks = verify_theory(table)
     if args.format == "json":
         _emit_json(

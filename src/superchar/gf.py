@@ -57,6 +57,15 @@ def field_cap() -> int:
     return _cap(_FIELD_CAP)
 
 
+def _check_field_cap(order: int) -> None:
+    """ValueError when a field of this order exceeds field_cap()."""
+    if order > field_cap():
+        raise ValueError(
+            f"field order {order} exceeds the enumeration cap {field_cap()}"
+            " (raise SUPERCHAR_CAP to allow it)"
+        )
+
+
 def space_cap() -> int:
     """Largest space (algebra, orbit union) that may be enumerated exhaustively."""
     return _cap(_SPACE_CAP)
@@ -327,11 +336,7 @@ class FiniteField:
         if m < 1:
             raise ValueError("degree must be >= 1")
         order = p**m
-        if order > field_cap():
-            raise ValueError(
-                f"field order {order} exceeds the enumeration cap {field_cap()}"
-                " (raise SUPERCHAR_CAP to allow it)"
-            )
+        _check_field_cap(order)
         self.p = p
         self.m = m
         self.order = order
@@ -420,8 +425,15 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def field_construct(p: int, m: int) -> FiniteField:
+def _built_field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
+
+
+def field_construct(p: int, m: int) -> FiniteField:
+    """GF(p^m), built once; the cap is checked on every call."""
+    field = _built_field(p, m)
+    _check_field_cap(field.order)
+    return field
 
 
 def format_value(v: FieldElement) -> str:

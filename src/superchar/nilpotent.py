@@ -10,13 +10,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField, format_value, parse_value
+from .gf import FieldElement, FiniteField, format_value, parse_value, space_cap
 
 
 @lru_cache(maxsize=None)
 def positions(n: int) -> tuple[tuple[int, int], ...]:
     """All (i, j) with 1 <= i < j <= n, row-major."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def fits_space(n: int, field: FiniteField) -> bool:
+    """Whether |A| = q^N, N = len(positions(n)), is within space_cap()."""
+    return field.order ** len(positions(n)) <= space_cap()
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FiniteField, space_cap
-from .nilpotent import NilMatrix, position_rank, positions
+from .gf import FiniteField
+from .nilpotent import NilMatrix, fits_space, position_rank, positions
 from .partitions import (
     ColouredPartition,
     build_e,
@@ -139,7 +139,7 @@ def _coset(state: tuple, pairs, field: FiniteField, rows: list) -> list[tuple]:
 
 def check_space(n: int, field: FiniteField) -> None:
     """ValueError when |A| exceeds the space cap that orbit walks obey."""
-    if field.order ** len(positions(n)) > space_cap():
+    if not fits_space(n, field):
         raise ValueError(
             f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
         )

@@ -31,15 +31,15 @@ members and the trace pairing, never a label formula.  _route_failure
 compares it with the table block by block and keeps one verdict, read by
 both build_table's full cross-check and verify_theory's constancy check.
 
-build_table builds both axes from the labels alone: each orbit carries its
-label, the representative build_e(label) and its closed size, q^|S(pi)|
-for a superclass and q^r(pi) for a dual orbit.  Members are walked lazily,
-only when a validator reads them, and a walk that does not find the closed
-size raises AssertionError.  The full cross-check and verify_theory read
-every member of both axes and check that each axis covers A disjointly;
-the spot cross-check averages each sampled cell over the smaller of its
-two orbits by closed size, so it walks only those; plancherel and the
-closed table walk nothing.
+build_table and table_from_json build both axes from the labels alone:
+each orbit carries its label, the representative build_e(label) and its
+closed size, q^|S(pi)| for a superclass and q^r(pi) for a dual orbit.
+Members are walked lazily, only when a validator reads them, and a walk
+that does not find the closed size raises AssertionError.  The full
+cross-check and verify_theory read every member of both axes and check
+that each axis covers A disjointly; the spot cross-check averages each
+sampled cell over the smaller of its two orbits by closed size, so it
+walks only those; plancherel and the closed table walk nothing.
 """
 
 from __future__ import annotations
@@ -241,6 +241,11 @@ class SupercharTable:
         }
         return tuple(tuple(map(built.__getitem__, row)) for row in self._cells)
 
+    def cell(self, i: int, j: int) -> Cyclotomic:
+        """The Cyclotomic of one cell, built apart from `values`."""
+        p = self.field.p
+        return Cyclotomic(p, _dense(self._cells[i][j], p), self._denom)
+
     def integer_cells(self) -> tuple[int, list[list[tuple]]]:
         """(D, every row as integer cells over D), as held."""
         return self._denom, self._cells
@@ -283,60 +288,56 @@ def _spot_pairs(table: SupercharTable) -> list[tuple[int, int]]:
     ]
 
 
-def build_table(n: int, field: FiniteField, validate: str | None = None) -> SupercharTable:
+def build_table(n: int, field: FiniteField, full: bool = False) -> SupercharTable:
     """The full table by the closed formula, held as the integer cells of
-    _closed_cells, cross-checked against the orbit average ('full' on every
-    cell at every member of its superclass, by _route_failure; 'spot' on
-    64 seeded cells by sch_bruteforce; 'off').  The default picks full
-    when |A| <= 2^12 and spot above.  Only a failing cell, or a sampled
-    one, is built as a Cyclotomic, the average at its failing member.
+    _closed_cells, cross-checked against the orbit average: with full, or
+    when |A| <= 2^12, every cell at every member of its superclass, by
+    _route_failure; else 64 seeded cells by sch_bruteforce.  A failing
+    cell raises RouteDisagreement with the average there; only it, or a
+    sampled cell, is built as a Cyclotomic, with its average.
 
     A sampled cell is averaged over the smaller of its dual orbit and its
     superclass by closed size, ties to the dual orbit, at the other's
     representative; sch_bruteforce says why the two means agree.
 
     The axes come from the labels with closed sizes; only the cross-check
-    walks orbits: 'full' every orbit of both kinds, 'spot' the smaller
-    orbit of each sampled cell, 'off' none.  |A| above the space cap, or an
-    unknown mode, raises ValueError before any of this.
+    walks orbits: the full one every orbit of both kinds, the spot one the
+    smaller orbit of each sampled cell.  |A| above the space cap raises
+    ValueError before any of this.
     """
     check_space(n, field)
-    if validate is None:
-        order = field.order ** len(positions(n))
-        validate = "full" if order <= _FULL_VALIDATION_LIMIT else "spot"
-    if validate not in ("full", "spot", "off"):
-        raise ValueError(f"unknown validation mode {validate!r}")
-    dual_orbits = [
-        DualOrbit.from_label(label, field)
-        for label in enumerate_labels(n, field, dual=True)
-    ]
-    superclasses = [
-        Superclass.from_label(label, field) for label in enumerate_labels(n, field)
-    ]
-    denom, cells = _closed_cells(
-        [o.label for o in dual_orbits], [k.label for k in superclasses], field
-    )
-    table = SupercharTable(n, field, dual_orbits, superclasses, cells=(denom, cells))
-    p = field.p
-    if validate == "full":
-        bad = _route_failure(table)
-        if bad is not None:
-            i, j, state = bad
-            a = GroupElement(NilMatrix.from_dense(n, field, state))
-            closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
-            raise RouteDisagreement(dual_orbits[i].label, superclasses[j].label,
-                                    closed, sch_bruteforce(dual_orbits[i], a))
-    elif validate == "spot":
-        for i, j in _spot_pairs(table):
-            orbit, cls = dual_orbits[i], superclasses[j]
-            if orbit.size <= cls.size:
-                brute = sch_bruteforce(orbit, GroupElement(cls.rep))
-            else:
-                brute = sch_bruteforce(cls, GroupElement(orbit.rep))
-            closed = Cyclotomic(p, _dense(cells[i][j], p), denom)
-            if brute != closed:
-                raise RouteDisagreement(orbit.label, cls.label, closed, brute)
+    row_labels = enumerate_labels(n, field, dual=True)
+    col_labels = enumerate_labels(n, field)
+    rows = [DualOrbit.from_label(label, field) for label in row_labels]
+    cols = [Superclass.from_label(label, field) for label in col_labels]
+    cells = _closed_cells(row_labels, col_labels, field)
+    table = SupercharTable(n, field, rows, cols, cells=cells)
+    bad = _cross_check(table, full or table.order <= _FULL_VALIDATION_LIMIT)
+    if bad is not None:
+        i, j, brute = bad
+        raise RouteDisagreement(row_labels[i], col_labels[j], table.cell(i, j), brute)
     return table
+
+
+def _cross_check(table: SupercharTable, full: bool):
+    """(row, column, average) at the first cell where the orbit average is
+    not the closed cell, or None: every cell at every member by
+    _route_failure when full, else the spot cells in seeded order."""
+    if full:
+        bad = _route_failure(table)
+        if bad is None:
+            return None
+        i, j, state = bad
+        a = GroupElement(NilMatrix.from_dense(table.n, table.field, state))
+        return i, j, sch_bruteforce(table.dual_orbits[i], a)
+    for i, j in _spot_pairs(table):
+        # the smaller orbit by closed size; sorted is stable: ties go to the row
+        small, large = sorted((table.dual_orbits[i], table.superclasses[j]),
+                              key=lambda orbit: orbit.size)
+        brute = sch_bruteforce(small, GroupElement(large.rep))
+        if brute != table.cell(i, j):
+            return i, j, brute
+    return None
 
 
 # -- the averaging route as one additive Fourier transform --------------------
@@ -630,7 +631,10 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
 
     Superclass constancy reads _route_failure's verdict, the first
     (row, column, member) at which the averaging route is not the cell,
-    cached on the table by build_table's full cross-check.
+    cached on the table by build_table's full cross-check.  Reading the
+    members walks every orbit not walked yet, which checks its closed
+    size, and the transform first checks that each axis covers A
+    disjointly; a table read back by table_from_json is checked alike.
 
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
@@ -641,19 +645,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     Conjugation is x^k -> x^-k, checked on the same packed columns; only a
     failing column is rescanned for its row.  Inverse columns come from
     canonical_form of each representative's group inverse, not the label.
-
-    The constancy check needs orbit members, so a table read back by
-    table_from_json, which carries labels and sizes only, is refused with
-    ValueError.  Reading them walks every orbit not walked yet, which
-    checks its closed size, and the transform first checks that each axis
-    covers A disjointly.
     """
-    axes = list(table.superclasses) + list(table.dual_orbits)
-    if any(axis.members is None for axis in axes):
-        raise ValueError(
-            "verify_theory needs orbit members; a table read from JSON "
-            "carries only labels and sizes"
-        )
     checks: list[tuple] = []
     n, field = table.n, table.field
     expected = count_labels(n, field.order)
@@ -772,28 +764,23 @@ def table_to_json(table: SupercharTable) -> dict:
     }
 
 
-class _ParsedAxis:
-    """Label/size carrier for tables read back from JSON."""
-
-    __slots__ = ("label", "size", "members")
-
-    def __init__(self, label, size):
-        self.label = label
-        self.size = size
-        self.members = None
+def _axis_from_json(kind, obj: dict, n: int, field: FiniteField):
+    """A stored row or column as build_table builds it, by from_label;
+    ValueError if the stored size is not the closed size."""
+    orbit = kind.from_label(ColouredPartition.from_json(obj["label"], n, field), field)
+    if int(obj["size"]) != orbit.size:
+        label = format_coloured(orbit.label)
+        raise ValueError(f"stored size {obj['size']} of {label!r} is not its closed size")
+    return orbit
 
 
 def table_from_json(obj: dict) -> SupercharTable:
+    """The table that table_to_json wrote, on the axes of build_table; the
+    values are taken as stored, for verify_theory to check."""
     n = int(obj["group"]["n"])
     field = FiniteField.from_json(obj["group"])
-    rows = [
-        _ParsedAxis(ColouredPartition.from_json(r["label"], n, field), int(r["size"]))
-        for r in obj["rows"]
-    ]
-    cols = [
-        _ParsedAxis(ColouredPartition.from_json(c["label"], n, field), int(c["size"]))
-        for c in obj["cols"]
-    ]
+    rows = [_axis_from_json(DualOrbit, r, n, field) for r in obj["rows"]]
+    cols = [_axis_from_json(Superclass, c, n, field) for c in obj["cols"]]
     values = [[Cyclotomic.from_json(v) for v in row] for row in obj["values"]]
     return SupercharTable(n, field, rows, cols, values)
 

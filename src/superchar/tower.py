@@ -28,7 +28,7 @@ from .gf import (
     trace_indices,
     trace_lifts,
 )
-from .nilpotent import positions
+from .nilpotent import fits_space, positions
 from .partitions import (
     ColouredPartition,
     SetPartition,
@@ -308,22 +308,16 @@ def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
 # -- growth diagnostics --------------------------------------------------------
 
 
-def _level_feasible(n: int, field: FiniteField) -> bool:
-    from .gf import space_cap
-
-    return field.order ** len(positions(n)) <= space_cap()
-
-
 def _scan_levels(n: int, tower: FieldTower, levels, what: str) -> list[int]:
     """The levels a scan reads, every feasible one by default; ValueError
     unless they strictly increase, are feasible and number at least two."""
     if levels is None:
-        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
+        levels = [m for m in range(1, len(tower) + 1) if fits_space(n, tower.field(m))]
     levels = list(levels)
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels {levels} are not strictly increasing")
     for m in levels:
-        if not _level_feasible(n, tower.field(m)):
+        if not fits_space(n, tower.field(m)):
             raise ValueError(f"level {m} exceeds the space cap for n = {n}")
     if len(levels) < 2:
         raise ValueError(f"{what} needs at least two feasible levels")

@@ -40,11 +40,10 @@ from superchar import (
 )
 from superchar.cli import _json_default
 from superchar.gf import field_trace, is_prime, trace_lift
-from superchar.nilpotent import group_inv, positions
+from superchar.nilpotent import fits_space, group_inv, positions
 from superchar.orbits import _move_programs, canonical_form, orbit_states
 from superchar.partitions import build_e, compute_SR, nest, partition_from_arcs
 from superchar.table import _equals_rational, _gram_entry, _pairing_hist
-from superchar.tower import _level_feasible
 
 
 # -- Fraction-coordinate cyclotomics --------------------------------------------
@@ -760,9 +759,9 @@ def plancherel_profile_walk_all(n, tower, levels=None):
     and every dual orbit at every level walked, the sizes the weights do
     not read included."""
     if levels is None:
-        levels = [m for m in range(1, len(tower) + 1) if _level_feasible(n, tower.field(m))]
+        levels = [m for m in range(1, len(tower) + 1) if fits_space(n, tower.field(m))]
     for m in levels:
-        if not _level_feasible(n, tower.field(m)):
+        if not fits_space(n, tower.field(m)):
             raise ValueError(f"level {m} exceeds the space cap for n = {n}")
     if len(levels) < 2:
         raise ValueError("a profile needs at least two feasible levels")

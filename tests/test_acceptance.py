@@ -50,7 +50,7 @@ _BUILD_SECONDS = {}
 def _table(n, q):
     if (n, q) not in _TABLES:
         start = time.perf_counter()
-        _TABLES[(n, q)] = build_table(n, field_construct(q, 1), validate="full")
+        _TABLES[(n, q)] = build_table(n, field_construct(q, 1), full=True)
         _BUILD_SECONDS[(n, q)] = time.perf_counter() - start
     return _TABLES[(n, q)]
 
@@ -69,7 +69,7 @@ def _column_index(t):
 
 
 def test_c01_route_equivalence():
-    # build_table(validate="full") compares sch_closed with the averaging
+    # build_table(full=True) compares sch_closed with the averaging
     # route, read from the additive Fourier transform of the dual orbits,
     # on every (dual orbit, superclass) pair and raises on any mismatch
     start = time.perf_counter()

@@ -137,6 +137,22 @@ def test_field_cap_blocks_large_fields(monkeypatch):
                 cap()
 
 
+def test_cached_fields_are_checked_against_the_cap(monkeypatch):
+    # GF(16) built under a raised cap is refused once the cap is lowered,
+    # and a cached field once SUPERCHAR_CAP is unreadable
+    monkeypatch.setattr(gf, "_FIELD_CAP", 8)
+    monkeypatch.setenv("SUPERCHAR_CAP", "16")
+    f16 = field_construct(2, 4)
+    assert field_construct(2, 4) is f16
+    monkeypatch.delenv("SUPERCHAR_CAP")
+    with pytest.raises(ValueError, match="^field order 16 exceeds the enumeration cap 8 "):
+        field_construct(2, 4)
+    assert field_construct(2, 3).order == 8
+    monkeypatch.setenv("SUPERCHAR_CAP", "")
+    with pytest.raises(ValueError, match="^SUPERCHAR_CAP must be an integer"):
+        field_construct(2, 3)
+
+
 def test_enumeration_is_base_p_low_digit_first():
     f4 = field_construct(2, 2)
     assert [e.coeffs for e in f4.elements] == [(0, 0), (1, 0), (0, 1), (1, 1)]

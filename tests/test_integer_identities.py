@@ -3,8 +3,8 @@
 Oracle: tests/oracles.py, the direct Cyclotomic loops for <xi_i, xi_j>,
 super-Plancherel and conjugate symmetry, the entry-by-entry i <= j Gram
 scan that the packed columns replaced, and the label scan for inverse
-columns.  Tables come from the closed formula alone (validate="off");
-route agreement is tested elsewhere.
+columns.  Tables come from build_table; route agreement is tested
+elsewhere.
 """
 
 from fractions import Fraction
@@ -38,7 +38,7 @@ CONFIGS = [
 
 @lru_cache(maxsize=None)
 def _table(n, p, m):
-    return build_table(n, field_construct(p, m), validate="off")
+    return build_table(n, field_construct(p, m))
 
 
 @pytest.mark.parametrize("n,p,m", CONFIGS)
@@ -132,7 +132,7 @@ def test_plancherel_builds_only_the_spot_cyclotomics(monkeypatch):
     # 64 averages from sch_bruteforce and 64 sampled closed cells; the
     # other 65,985 cells of U_5(F_3) stay integers
     built = _count_cyclotomics(monkeypatch)
-    report = plancherel(build_table(5, field_construct(3, 1), validate="spot"))
+    report = plancherel(build_table(5, field_construct(3, 1)))
     assert report["identity_holds"]
     assert built[0] <= 128
 
@@ -180,7 +180,7 @@ def test_verify_theory_converts_the_table_once(monkeypatch):
 
     monkeypatch.setattr(table_mod, "_integer_cells", counting)
     f = field_construct(7, 1)
-    t = build_table(3, f, validate="off")  # holds its integer cells
+    t = build_table(3, f)  # holds its integer cells
     assert all(ok for _, ok, _ in verify_theory(t))
     assert calls == 0
     given = SupercharTable(t.n, f, t.dual_orbits, t.superclasses, t.values)
@@ -242,7 +242,7 @@ def test_a_narrower_width_aliases(monkeypatch):
     # packed row holds 34 - 2 = 32 in field 0 and <xi_0, xi_1> = -1 in
     # field 1, so at width 9 - 4 the two cancel and row 0 passes.
     f = field_construct(2, 1)
-    base = build_table(2, f, validate="off")
+    base = build_table(2, f)
     rows = [[5, 3], [-2, 3]]
     values = [[Cyclotomic.from_rational(2, Fraction(v)) for v in row] for row in rows]
     t = SupercharTable(2, f, base.dual_orbits, base.superclasses, values)

@@ -19,9 +19,11 @@ import superchar.partitions as partitions_mod
 import superchar.table as table_mod
 from superchar import (
     DualOrbit,
+    Superclass,
     SupercharTable,
     build_table,
     enumerate_dual_orbits,
+    enumerate_labels,
     enumerate_superclasses,
     field_construct,
     plancherel,
@@ -48,7 +50,7 @@ def _axis(orbit):
 @pytest.mark.parametrize("n,p,m", SMALL_CONFIGS)
 def test_lazy_axes_equal_walked_enumerators(n, p, m):
     f = field_construct(p, m)
-    t = build_table(n, f, validate="off")
+    t = build_table(n, f)
     assert [_axis(o) for o in t.dual_orbits] == [
         _axis(o) for o in enumerate_dual_orbits(n, f)
     ]
@@ -58,9 +60,10 @@ def test_lazy_axes_equal_walked_enumerators(n, p, m):
 
 
 @pytest.mark.parametrize("n,p,m", [(3, 7, 1), (4, 3, 1), (5, 2, 1), (5, 3, 1)])
-def test_spot_plancherel_equals_walked(n, p, m):
+def test_spot_plancherel_equals_walked(monkeypatch, n, p, m):
+    monkeypatch.setattr(table_mod, "_FULL_VALIDATION_LIMIT", 0)  # every size spot
     f = field_construct(p, m)
-    spot = build_table(n, f, validate="spot")
+    spot = build_table(n, f)
     walked = SupercharTable(
         n, f, enumerate_dual_orbits(n, f), enumerate_superclasses(n, f), spot.values
     )
@@ -84,7 +87,7 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
 
     monkeypatch.setattr(orbits_mod, "orbit_states", counting_walk)
     monkeypatch.setattr(table_mod, "sch_bruteforce", recording_bruteforce)
-    t = build_table(5, field_construct(3, 1), validate="spot")
+    t = build_table(5, field_construct(3, 1))
     pairs = table_mod._spot_pairs(t)
     assert len(averaged) == len(pairs) == table_mod._SPOT_CHECKS
     for (i, j), (orbit, at) in zip(pairs, averaged):
@@ -100,13 +103,23 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
 
 
 def test_given_members_are_kept():
-    t = build_table(3, field_construct(2, 1), validate="off")
+    t = build_table(3, field_construct(2, 1))
     o = t.dual_orbits[-1]
     tampered = DualOrbit(o.label, o.rep, 1, (o.members[0],))
     assert tampered.members == (o.members[0],)
 
 
 # -- a wrong closed size is caught wherever an orbit is walked ---------------
+
+
+def _unchecked_table(n, f):
+    """The axes of build_table, by from_label, and the closed cells, with
+    no cross-check: no orbit is walked until something reads it."""
+    row_labels, col_labels = enumerate_labels(n, f, dual=True), enumerate_labels(n, f)
+    rows = [DualOrbit.from_label(lab, f) for lab in row_labels]
+    cols = [Superclass.from_label(lab, f) for lab in col_labels]
+    cells = table_mod._closed_cells(row_labels, col_labels, f)
+    return SupercharTable(n, f, rows, cols, cells=cells)
 
 
 def _bump_r(monkeypatch):
@@ -131,7 +144,7 @@ def _bump_s(monkeypatch):
 def test_wrong_closed_size_raises_when_walked(monkeypatch, mutate, axis):
     f = field_construct(3, 1)
     mutate(monkeypatch)
-    t = build_table(4, f, validate="off")  # nothing walked, nothing checked
+    t = _unchecked_table(4, f)  # nothing walked, nothing checked
     affected = [o for o in getattr(t, axis) if len(o.label.arcs()) == (
         1 if axis == "superclasses" else 2)]
     unaffected = [o for o in getattr(t, axis) if not o.label.arcs()]
@@ -140,15 +153,15 @@ def test_wrong_closed_size_raises_when_walked(monkeypatch, mutate, axis):
         affected[0].members
     assert len(unaffected[0].members) == 1
     with pytest.raises(AssertionError, match="walk found"):
-        verify_theory(build_table(4, f, validate="off"))
+        verify_theory(_unchecked_table(4, f))
     with pytest.raises(AssertionError, match="walk found"):
-        build_table(4, f, validate="full")
+        build_table(4, f, full=True)
 
 
 def test_wrong_r_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
     _bump_r(monkeypatch)
     with pytest.raises(AssertionError, match="walk found"):
-        build_table(5, field_construct(3, 1), validate="spot")
+        build_table(5, field_construct(3, 1))
     assert cli.main(["plancherel", "--n", "5", "--p", "3"]) == 1
     assert "walk found" in capsys.readouterr().err
 
@@ -157,7 +170,7 @@ def test_wrong_s_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
     # the spot cross-check walks the superclasses it averages over
     _bump_s(monkeypatch)
     with pytest.raises(AssertionError, match="walk found"):
-        build_table(5, field_construct(3, 1), validate="spot")
+        build_table(5, field_construct(3, 1))
     assert cli.main(["plancherel", "--n", "5", "--p", "3"]) == 1
     assert "walk found" in capsys.readouterr().err
 
@@ -178,12 +191,12 @@ def test_orbits_dual_reports_the_walked_size(monkeypatch):
 
 
 def test_build_table_keeps_the_space_cap(monkeypatch):
-    # no walk runs with validate="off", yet the cap still refuses the table
+    # a table at the space cap is built, one above it refused
     monkeypatch.delenv("SUPERCHAR_CAP", raising=False)
     monkeypatch.setattr(gf_mod, "_SPACE_CAP", 64)
-    assert build_table(4, field_construct(2, 1), validate="off").order == 64
+    assert build_table(4, field_construct(2, 1)).order == 64
     with pytest.raises(ValueError, match="space cap"):
-        build_table(3, field_construct(5, 1), validate="off")
+        build_table(3, field_construct(5, 1))
 
 
 @pytest.mark.parametrize("axis,one,space", [
@@ -192,7 +205,7 @@ def test_build_table_keeps_the_space_cap(monkeypatch):
 ])
 def test_verify_checks_the_cover(axis, one, space):
     f = field_construct(3, 1)
-    t = build_table(3, f, validate="off")
+    t = build_table(3, f)
     orbits = list(getattr(t, axis))
     first, last = orbits[0], orbits[-1]
     kind = type(first)

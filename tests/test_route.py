@@ -55,7 +55,7 @@ ROUTE_CONFIGS = (
 
 @lru_cache(maxsize=None)
 def _table(n, p, m):
-    return build_table(n, field_construct(p, m), validate="off")
+    return build_table(n, field_construct(p, m))
 
 
 def _fresh(t, dual_orbits=None):
@@ -204,7 +204,7 @@ def test_full_cross_check_and_verify_compare_each_cell_once(monkeypatch):
         return uncounted(*args)
 
     monkeypatch.setattr(table_mod, "_route_matches", counting)
-    t = build_table(4, field_construct(3, 1), validate="full")
+    t = build_table(4, field_construct(3, 1), full=True)
     assert calls == t.size * len(t.superclasses) == 2401
     assert all(ok for _, ok, _ in verify_theory(t))
     assert calls == 2401
@@ -220,11 +220,12 @@ def test_no_member_by_member_evaluations(monkeypatch):
 
     monkeypatch.setattr(table_mod, "_pairing_hist", counting)
     f = field_construct(3, 1)
-    t = build_table(4, f, validate="full")
+    t = build_table(4, f, full=True)
     report = verify_theory(t)
     assert all(ok for _, ok, _ in report)
     assert calls == 0
-    build_table(4, f, validate="spot")  # the spot cross-check still samples cells
+    monkeypatch.setattr(table_mod, "_FULL_VALIDATION_LIMIT", 0)
+    build_table(4, f)  # the spot cross-check still samples cells
     assert calls == 64
 
 
@@ -244,7 +245,7 @@ def test_full_cross_check_reports_the_average(monkeypatch):
     monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
     f = field_construct(3, 1)
     with pytest.raises(RouteDisagreement) as info:
-        build_table(3, f, validate="full")
+        build_table(3, f, full=True)
     err = info.value
     orbit = next(o for o in enumerate_dual_orbits(3, f) if o.label == err.row_label)
     cls = next(k for k in enumerate_superclasses(3, f) if k.label == err.col_label)
@@ -270,7 +271,7 @@ def test_superclass_average_equals_dual_average_on_every_cell(n, p, m):
 
 
 def test_superclass_average_equals_dual_average_on_the_spot_cells():
-    t = build_table(5, field_construct(3, 1), validate="off")
+    t = build_table(5, field_construct(3, 1))
     for i, j in _spot_pairs(t):
         by_class, by_orbit = _both_sides(t.dual_orbits[i], t.superclasses[j])
         assert by_class == by_orbit, (i, j)
@@ -278,7 +279,7 @@ def test_superclass_average_equals_dual_average_on_the_spot_cells():
 
 def test_spot_cross_check_catches_a_cell_averaged_over_its_superclass(monkeypatch):
     f = field_construct(3, 1)
-    t = build_table(5, f, validate="off")
+    t = build_table(5, f)
     i, j = next(
         (i, j) for i, j in _spot_pairs(t)
         if t.dual_orbits[i].size > t.superclasses[j].size
@@ -294,7 +295,7 @@ def test_spot_cross_check_catches_a_cell_averaged_over_its_superclass(monkeypatc
 
     monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
     with pytest.raises(RouteDisagreement) as info:
-        build_table(5, f, validate="spot")
+        build_table(5, f)
     err = info.value
     orbit, cls = t.dual_orbits[i], t.superclasses[j]
     assert (err.row_label, err.col_label) == (orbit.label, cls.label)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import superchar.table as table_mod
 from superchar import (
     Cyclotomic,
     GroupElement,
@@ -37,7 +38,7 @@ from superchar import (
     verify_theory,
 )
 from superchar.nilpotent import positions
-from test_route import ROUTE_CONFIGS
+from test_route import ROUTE_CONFIGS, _table
 
 
 def _rational(v):
@@ -128,7 +129,7 @@ def test_integer_closed_table_equals_the_cyclotomic_oracle(n, p, m):
     # in Q(zeta_p): D * oracle - cell has all p coordinates equal, since
     # the p = 2 cells need not take _integer_cells' representative
     f = field_construct(p, m)
-    t = build_table(n, f, validate="off")
+    t = build_table(n, f)
     denom, rows = t.integer_cells()
     for o, row in zip(t.dual_orbits, rows):
         for k, cell in zip(t.superclasses, row):
@@ -140,8 +141,6 @@ def test_integer_closed_table_equals_the_cyclotomic_oracle(n, p, m):
 
 
 def test_route_disagreement_is_loud(monkeypatch):
-    import superchar.table as table_mod
-
     def corrupted(rows, cols, field):
         # +1 on every column with arcs: D more at exponent 0
         denom, cells = _uncorrupted(rows, cols, field)
@@ -155,30 +154,15 @@ def test_route_disagreement_is_loud(monkeypatch):
     monkeypatch.setattr(table_mod, "_closed_cells", corrupted)
     f = field_construct(2, 1)
     with pytest.raises(RouteDisagreement) as info:
-        build_table(3, f, validate="full")
+        build_table(3, f, full=True)
     assert "closed" in str(info.value)
-
-
-def test_unknown_validation_mode_fails_before_any_work(monkeypatch):
-    import superchar.table as table_mod
-
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-
-    monkeypatch.setattr(table_mod, "_closed_cells", counting)
-    with pytest.raises(ValueError, match="unknown validation mode 'bogus'"):
-        build_table(5, field_construct(3, 1), validate="bogus")
-    assert calls == 0
 
 
 # ------------------------------------------------------------- the tables
 
 def test_build_table_golden_u3_f2():
     f = field_construct(2, 1)
-    t = build_table(3, f, validate="full")
+    t = build_table(3, f, full=True)
     assert [format_coloured(lab) for lab in t.col_labels()] == [
         "1/2/3", "1,2/3 | 1,2=1", "1/2,3 | 2,3=1",
         "1,2,3 | 1,2=1;2,3=1", "1,3/2 | 1,3=1"]
@@ -197,7 +181,7 @@ def test_build_table_n1():
 
 def test_build_table_u2_f3_is_cyclic_character_table():
     f = field_construct(3, 1)
-    t = build_table(2, f, validate="full")
+    t = build_table(2, f, full=True)
     z = cyclo_root(3)
     z2 = cyclo_root(3, 2)
     one = Cyclotomic.one(3)
@@ -257,7 +241,7 @@ def test_identity_normalization_checks_every_row():
 
 def test_inner_products_worked_examples():
     f = field_construct(2, 1)
-    t = build_table(3, f, validate="full")
+    t = build_table(3, f, full=True)
     assert inner_product(t, 0, 0).rational_part() == 1
     assert inner_product(t, 4, 4).rational_part() == Fraction(1, 4)
     for i in range(5):
@@ -302,9 +286,10 @@ def test_conjugate_symmetry_on_inverses():
 
 # ----------------------------------------------------------------- spot
 
-def test_spot_validation_runs_on_larger_config():
+def test_spot_validation_runs_on_larger_config(monkeypatch):
+    monkeypatch.setattr(table_mod, "_FULL_VALIDATION_LIMIT", 0)  # U_4(F_3) taken as large
     f = field_construct(3, 1)
-    t = build_table(4, f, validate="spot")
+    t = build_table(4, f)
     assert t.size == 49
     assert sum(sc.size for sc in t.superclasses) == 3 ** 6
 
@@ -344,21 +329,49 @@ def test_json_values_outside_the_table_field_are_refused():
 @pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
 def test_export_equals_the_fraction_oracle_rendering(n, p, m):
     # the same axes with every value from the Fraction-coordinate oracle
-    t = build_table(n, field_construct(p, m), validate="off")
+    t = build_table(n, field_construct(p, m))
     view = oracles.closed_view(t)
     assert table_to_json(t) == table_to_json(view)
     assert table_to_csv(t) == table_to_csv(view)
 
 
 def test_parsed_table_plancherel_and_verify():
-    # a table read back from JSON carries labels and sizes, no orbit members
+    # a table read back from JSON has the axes of build_table, so it verifies
     for n, q in [(2, 2), (3, 3)]:
         t = build_table(n, field_construct(q, 1))
         back = table_from_json(table_to_json(t))
         assert plancherel(back) == plancherel(t)
         assert plancherel(back)["identity_holds"]
-        with pytest.raises(ValueError, match="orbit members"):
-            verify_theory(back)
+        assert all(ok for _, ok, _ in verify_theory(back))
+
+
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
+def test_read_back_table_verifies_as_the_built_one(n, p, m):
+    # the read-back axes are walked afresh and its route computed anew
+    t = _table(n, p, m)
+    assert verify_theory(table_from_json(table_to_json(t))) == verify_theory(t)
+
+
+def test_a_swapped_stored_value_fails_superclass_constancy():
+    blob = table_to_json(build_table(3, field_construct(3, 1)))
+    i = len(blob["values"]) - 1
+    row = blob["values"][i]
+    j, k = next((j, k) for j in range(1, len(row)) for k in range(j + 1, len(row))
+                if row[j] != row[k])
+    row[j], row[k] = row[k], row[j]
+    report = {name: (ok, detail) for name, ok, detail in
+              verify_theory(table_from_json(blob))}
+    ok, detail = report["superclass-constancy"]
+    assert not ok
+    assert detail.startswith(f"row {i}, column {j}, member ")
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_a_changed_stored_size_is_refused_at_read_time(axis):
+    blob = table_to_json(build_table(3, field_construct(3, 1)))
+    blob[axis][-1]["size"] += 1
+    with pytest.raises(ValueError, match="is not its closed size"):
+        table_from_json(blob)
 
 
 def test_json_shape():
