@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from .cyclotomic import Cyclotomic
 from .dual import dual_canonical, enumerate_dual_orbits
-from .gf import FieldElement, FiniteField, field_construct
+from .gf import FiniteField, field_construct
 from .nilpotent import parse_matrix, format_matrix
 from .orbits import canonical_form, enumerate_superclasses
 from .partitions import (
@@ -57,8 +57,6 @@ def _json_default(obj):
         return obj.to_json()
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, FieldElement):
-        return list(obj.coeffs)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -281,9 +279,8 @@ def cmd_tower(args) -> int:
             raise ValueError("convergence mode needs --pi and --superclass")
         pi = _read("--pi", parse_partition, args.pi, args.n)
         colours = _read("--colours", parse_colours, args.colours or "", base)
-        label = TowerLabel.from_level1(
-            tower, ColouredPartition(pi, colours, dual=True)
-        )
+        row = _read("--colours", partial(ColouredPartition, dual=True), pi, colours)
+        label = TowerLabel.from_level1(tower, row)
         col = _read("--superclass", parse_coloured, args.superclass, args.n, base)
         report = convergence_report(label, col)
         report["label_text"] = format_coloured(label.level_label(label.m0))

@@ -151,9 +151,6 @@ class Cyclotomic:
         p = self.p
         return Cyclotomic(p, [self.num[-k % p] for k in range(p)], self.den)
 
-    def norm_squared(self) -> "Cyclotomic":
-        return self * self.conjugate()
-
     def rational_part(self) -> Fraction:
         """The value as a rational, failing if any z-coordinate is nonzero."""
         if not self._is_rational():
@@ -209,21 +206,3 @@ def cyclo_root(p: int, k: int = 1) -> Cyclotomic:
     num[k % p] = 1
     return Cyclotomic(p, num)
 
-
-def cyclo_approx(x: Cyclotomic) -> tuple[complex, float]:
-    """Float approximation with a crude forward error bound.
-
-    Each coordinate-to-float conversion is exact to one ulp, so the bound
-    (p-1) * max|coeff| * 2^-50 dominates the rounding of the basis sum.
-    """
-    import cmath
-
-    p = x.p
-    value = 0j
-    maxabs = 0.0
-    for k, c in enumerate(x.num[:-1]):
-        fc = c / x.den
-        maxabs = max(maxabs, abs(fc))
-        value += fc * cmath.exp(2j * cmath.pi * k / p)
-    bound = (p - 1) * maxabs * 2.0**-50
-    return value, bound

@@ -1,11 +1,11 @@
 """The dual group A° through the trace pairing, and its two-sided orbits.
 
-A character of the additive group of A is tau(Tr(b^T a)) for a unique
-pairing matrix b, where tau is the standardized base character
-tau(x) = zeta_p^lift(Tr(x)).  In pairing coordinates the contragredient
-action of (g, h) transports b to the strictly upper part of
-(g^{-1})^T b h^T.  For a superdiagonal generator this is a single row or
-column move, so its root subgroup moves a state along one coset
+A character of the additive group of A is zeta_p^lift(Tr(sum b_ij a_ij))
+for a unique pairing matrix b.  In pairing coordinates the contragredient
+action of (g, h) = (1 + c, 1 + d) transports b to the strictly upper part
+of (g^{-1})^T b h^T, which dual_act computes from the bodies c and d.  For
+a superdiagonal generator this is a single row or column move, so its
+root subgroup moves a state along one coset
 {b + beta*v(b) : beta in F_q}, which superchar.orbits.orbit_states
 generates once per coset on dense states with dual=True.
 enumerate_dual_orbits(validate=True) replays every compiled move at every
@@ -23,8 +23,8 @@ from itertools import product
 
 from . import orbits
 from .cyclotomic import Cyclotomic, cyclo_root
-from .gf import FieldElement, FiniteField, trace_lift
-from .nilpotent import GroupElement, NilMatrix, group_inv, position_rank, positions
+from .gf import FiniteField, trace_lift
+from .nilpotent import NilMatrix, group_inv, position_rank, positions
 from .orbits import (
     _clear,
     _coset,
@@ -36,13 +36,6 @@ from .orbits import (
     orbit_states,
 )
 from .partitions import ColouredPartition
-
-
-def base_character(field: FiniteField, x: FieldElement) -> Cyclotomic:
-    """tau(x) = zeta_p^lift(Tr(x)), the fixed nontrivial character of the field."""
-    if x.field != field:
-        raise ValueError("element not in the field")
-    return cyclo_root(field.p, trace_lift(x))
 
 
 def pairing_exponent(b: NilMatrix, a: NilMatrix) -> int:
@@ -59,7 +52,7 @@ def pairing_exponent(b: NilMatrix, a: NilMatrix) -> int:
 
 
 def dual_eval(b: NilMatrix, a: NilMatrix) -> Cyclotomic:
-    """The character value theta_b(a) = tau(Tr(b^T a))."""
+    """The character value theta_b(a) = zeta_p^lift(Tr(sum b_ij a_ij))."""
     return cyclo_root(b.field.p, pairing_exponent(b, a))
 
 
@@ -71,12 +64,13 @@ def _mul_into(out: dict, x: dict, y: dict) -> None:
                 out[i, l] = out[i, l] + u * v if (i, l) in out else u * v
 
 
-def dual_act(g: GroupElement, h: GroupElement, b: NilMatrix) -> NilMatrix:
-    """Transport of the pairing matrix: strict upper part of (g^-1)^T b h^T."""
-    if g.body.n != b.n or g.body.field != b.field:
+def dual_act(c: NilMatrix, d: NilMatrix, b: NilMatrix) -> NilMatrix:
+    """Transport of the pairing matrix by g = 1 + c and h = 1 + d: the
+    strict upper part of (g^-1)^T b h^T."""
+    if c.n != b.n or c.field != b.field:
         raise ValueError("shape or field mismatch")
-    ct = {(j, i): v for (i, j), v in group_inv(g).body.entries.items()}
-    dt = {(j, i): v for (i, j), v in h.body.entries.items()}
+    ct = {(j, i): v for (i, j), v in group_inv(c).entries.items()}
+    dt = {(j, i): v for (i, j), v in d.entries.items()}
     left = dict(b.entries)
     _mul_into(left, ct, b.entries)  # (1 + C^T) b
     total = dict(left)
@@ -91,7 +85,7 @@ def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
     transport of the state by 1 + sign*beta*e_{i,i+1}, and the transport
     itself must obey the defining property on a basis of A."""
     b = NilMatrix.from_dense(n, field, state)
-    one = GroupElement.identity(n, field)
+    zero = NilMatrix.zero(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
     rows = _sum_rows(field)
     # beta = g^j in the order _coset generates its images
@@ -100,18 +94,18 @@ def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
         images = _coset(state, pairs, field, rows) or [state] * len(scalars)
         for beta, fast in zip(scalars, images):
             alpha = field.from_int(sign) * beta
-            g = GroupElement(NilMatrix.single(n, field, i, i + 1, alpha))
-            moved = dual_act(g, one, b) if left else dual_act(one, g, b)
+            c = NilMatrix.single(n, field, i, i + 1, alpha)
+            moved = dual_act(c, zero, b) if left else dual_act(zero, c, b)
             if fast != moved.dense():
                 raise AssertionError(
                     f"compiled dual move ({i},{i + 1}) alpha={alpha} disagrees "
                     "with the transport action"
                 )
-            gi = group_inv(g)
+            ci = group_inv(c)
             for e in basis:
                 twisted = (
-                    (gi.body @ e) + e if left else (e @ g.body) + e
-                )  # g^-1*e or e*g, the identity summand dropped
+                    (ci @ e) + e if left else (e @ c) + e
+                )  # (1 + c)^-1 e or e (1 + c), the identity summand dropped
                 if dual_eval(moved, e) != dual_eval(b, twisted):
                     raise AssertionError(
                         f"dual move ({i},{i + 1}) alpha={alpha} violates the "

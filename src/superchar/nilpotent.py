@@ -3,7 +3,8 @@
 Matrices are sparse maps (i, j) -> nonzero field element over the positions
 1 <= i < j <= n.  The canonical hash encoding of a matrix is the dense tuple
 of field enumeration indices over positions in row-major order, which makes
-orbit bookkeeping bit-exact.
+orbit bookkeeping bit-exact.  An element 1 + a of G is held by its body
+a, so a NilMatrix is also the one group element type.
 """
 
 from __future__ import annotations
@@ -184,50 +185,15 @@ def parse_matrix(text: str, n: int, field: FiniteField) -> NilMatrix:
 # -- the algebra group -------------------------------------------------------
 
 
-class GroupElement:
-    """The formal 1 + body for a strictly upper-triangular body."""
-
-    __slots__ = ("body",)
-
-    def __init__(self, body: NilMatrix):
-        self.body = body
-
-    @classmethod
-    def identity(cls, n: int, field: FiniteField) -> "GroupElement":
-        return cls(NilMatrix.zero(n, field))
-
-    def __mul__(self, other):
-        return group_mul(self, other)
-
-    def inv(self) -> "GroupElement":
-        return group_inv(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self):
-        return hash(("1+", self.body.dense()))
-
-    def __repr__(self):
-        return f"1 + {self.body!r}"
-
-
-def group_mul(x: GroupElement, y: GroupElement) -> GroupElement:
-    a, b = x.body, y.body
-    return GroupElement(a + b + (a @ b))
-
-
-def group_inv(x: GroupElement) -> GroupElement:
-    # -a + a^2 - a^3 + ...; terminates since a^n = 0
-    a = x.body
+def group_inv(a: NilMatrix) -> NilMatrix:
+    """The body of (1 + a)^-1: -a + a^2 - a^3 + ..., which ends since
+    a^n = 0."""
     acc = -a
     power = a
     sign = 1
     while True:
         power = power @ a
         if power.is_zero():
-            return GroupElement(acc)
+            return acc
         acc = acc + power if sign > 0 else acc - power
         sign = -sign

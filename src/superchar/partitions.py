@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .gf import FieldElement, FiniteField, format_value, parse_value
+from .gf import FiniteField, format_value, parse_value
 
 _BELL_CAP = 12
 
@@ -94,23 +94,6 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
     return out
 
 
-def partition_from_arcs(n: int, arc_set) -> SetPartition:
-    """The unique partition whose arc set is the given chain system."""
-    arc_set = set(arc_set)
-    succ: dict[int, int] = {}
-    has_pred: set[int] = set()
-    for (i, j) in arc_set:
-        if not 1 <= i < j <= n:
-            raise ValueError(f"bad arc {(i, j)}")
-        if i in succ or j in has_pred:
-            raise ValueError("arcs do not form disjoint chains")
-        succ[i] = j
-        has_pred.add(j)
-    pi = SetPartition(n, _chain_blocks(n, succ, has_pred))
-    assert pi.arcs() == arc_set, "chain reconstruction changed the arc set"
-    return pi
-
-
 def _chain_blocks(n: int, succ: dict, has_pred: set) -> tuple:
     """The chains of succ (i -> j, i < j), one from each element of [n]
     that has no predecessor, in order of their minima."""
@@ -134,10 +117,6 @@ def chain_label(n, succ, has_pred, colours, dual=False) -> ColouredPartition:
     label = object.__new__(ColouredPartition)
     label.partition, label.colours, label.dual = pi, colours, dual
     return label
-
-
-def arcs(pi: SetPartition) -> frozenset:
-    return pi.arcs()
 
 
 @lru_cache(maxsize=1 << 12)

@@ -54,7 +54,7 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import FiniteField, trace_lifts
-from .nilpotent import GroupElement, NilMatrix, group_inv, positions
+from .nilpotent import group_inv, positions
 from .orbits import Superclass, canonical_form, check_cover, check_space
 from .partitions import (
     ColouredPartition,
@@ -85,13 +85,13 @@ class RouteDisagreement(AssertionError):
         )
 
 
-def _pairing_hist(members, a: NilMatrix) -> list[int]:
-    """Histogram of zeta exponents of <b, a> over the member states.  A
-    zero entry of b has log 2(q-1), which exp sends to index 0."""
-    field = a.field
+def _pairing_hist(members, a: tuple, field: FiniteField) -> list[int]:
+    """Histogram of zeta exponents of <b, a> over the member states, for a
+    dense state a.  A zero entry of b has log 2(q-1), which exp sends to
+    index 0."""
     p = field.p
     exp, log = field.exp, field.log
-    compiled = [(k, log[v]) for k, v in enumerate(a.dense()) if v]
+    compiled = [(k, log[v]) for k, v in enumerate(a) if v]
     trl = trace_lifts(field)
     hist = [0] * p
     for state in members:
@@ -102,17 +102,18 @@ def _pairing_hist(members, a: NilMatrix) -> list[int]:
     return hist
 
 
-def sch_bruteforce(orbit: DualOrbit | Superclass, g: GroupElement) -> Cyclotomic:
-    """The averaging formula, from either side of a cell.
+def sch_bruteforce(orbit: DualOrbit | Superclass, state: tuple) -> Cyclotomic:
+    """The averaging formula, from either side of a cell, at a dense state.
 
-    For a dual orbit O: the mean of theta_b(g - 1) over b in O.  For a
-    superclass K, with g - 1 a pairing matrix b: the mean of theta_b(a)
-    over a in K.  The pairing lift(Tr sum b_ij a_ij) is symmetric, and
-    double counting the sum over O x K of theta_b(a) makes both means the
-    cell xi_O(K) when g - 1 lies in the other orbit.
+    For a dual orbit O: the mean of theta_b(a) over b in O, the state
+    read as a in A.  For a superclass K, the state read as a pairing
+    matrix b: the mean of theta_b(a) over a in K.  The pairing
+    lift(Tr sum b_ij a_ij) is symmetric, and double counting the sum over
+    O x K of theta_b(a) makes both means the cell xi_O(K) when the state
+    lies in the other orbit.
     """
-    a = g.body
-    return Cyclotomic(a.field.p, _pairing_hist(orbit.members, a), orbit.size)
+    field = orbit.rep.field
+    return Cyclotomic(field.p, _pairing_hist(orbit.members, state, field), orbit.size)
 
 
 def sch_closed(
@@ -328,13 +329,12 @@ def _cross_check(table: SupercharTable, full: bool):
         if bad is None:
             return None
         i, j, state = bad
-        a = GroupElement(NilMatrix.from_dense(table.n, table.field, state))
-        return i, j, sch_bruteforce(table.dual_orbits[i], a)
+        return i, j, sch_bruteforce(table.dual_orbits[i], state)
     for i, j in _spot_pairs(table):
         # the smaller orbit by closed size; sorted is stable: ties go to the row
         small, large = sorted((table.dual_orbits[i], table.superclasses[j]),
                               key=lambda orbit: orbit.size)
-        brute = sch_bruteforce(small, GroupElement(large.rep))
+        brute = sch_bruteforce(small, large.rep.dense())
         if brute != table.cell(i, j):
             return i, j, brute
     return None
@@ -584,7 +584,7 @@ def _inverse_columns(table: SupercharTable) -> list[int]:
     index = {cls.label: k for k, cls in enumerate(table.superclasses)}
     out = []
     for cls in table.superclasses:
-        k = index.get(canonical_form(group_inv(GroupElement(cls.rep)).body))
+        k = index.get(canonical_form(group_inv(cls.rep)))
         if k is None:
             raise AssertionError("inverse superclass missing from the table")
         out.append(k)

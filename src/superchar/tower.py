@@ -39,7 +39,7 @@ from .partitions import (
     nest,
     r_of,
 )
-from .table import _closed_shape, _closed_value, sch_closed
+from .table import _closed_shape, _closed_value
 
 
 class FieldTower:
@@ -84,9 +84,10 @@ def char_extend(beta: FieldElement, sup: FiniteField) -> FieldElement:
 
 
 def _restricts(lo: FiniteField, hi: FiniteField, b_lo: int, b_hi: int) -> bool:
-    """Whether the character x -> tau(b_hi x) of hi agrees with
-    x -> tau(b_lo x) at every element x of the embedded lo, on the exp,
-    log and trace-lift tables (betas and x as enumeration indices)."""
+    """Whether the character x -> tau(b_hi x) of hi, tau the standard
+    character zeta_p^lift(Tr(.)) of each field, agrees with x -> tau(b_lo x)
+    at every element x of the embedded lo, on the exp, log and trace-lift
+    tables (betas and x as enumeration indices)."""
     exp_lo, log_lo, trl_lo = lo.exp, lo.log, trace_lifts(lo)
     exp_hi, log_hi, trl_hi = hi.exp, hi.log, trace_lifts(hi)
     l_lo, l_hi = log_lo[b_lo], log_hi[b_hi]  # 2(q-1) for a zero beta
@@ -194,18 +195,6 @@ class TowerLabel:
         return f"TowerLabel({format_coloured(self.level_label(self.m0))!r}, m0={self.m0})"
 
 
-def tower_supercharacter(
-    label: TowerLabel, level: int, col: ColouredPartition
-) -> Cyclotomic:
-    """The level supercharacter value; the column label must already be
-    coloured in the level's field."""
-    field = label.tower.field(level)
-    for v in col.colours.values():
-        if v.field != field:
-            raise ValueError(f"column colours must live at level {level}")
-    return sch_closed(label.level_label(level), col, field)
-
-
 def _column_level(tower: FieldTower, col: ColouredPartition) -> int:
     if not col.colours:
         return 1
@@ -230,17 +219,6 @@ def _level_value(
         for a in shared
     ]
     return _closed_value(pairs, d, tower.field(level))
-
-
-def limit_value(label: TowerLabel, col: ColouredPartition) -> Cyclotomic:
-    """Zero unless every row arc survives the column shadow with zero
-    nesting; otherwise the pairing product, frozen at the first level
-    where both the label and the column are defined."""
-    shape = _closed_shape(label.partition, col.partition)
-    if shape is None or shape[1] > 0:
-        return Cyclotomic.zero(label.tower.p)
-    level = max(label.m0, _column_level(label.tower, col))
-    return _level_value(label, col, shape, level)
 
 
 def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:

@@ -22,28 +22,34 @@ parser that the one-pass parse replaced, the json.dumps call that the
 CLI's own JSON writer replaced, then the per-operation polynomial
 arithmetic that the log, antilog and Zech tables of superchar.gf replaced,
 and last the elementary generators of U_n.
+
+complex_value, partition_from_arcs, tower_supercharacter and group_mul
+are references the tests read, not replaced code; superchar does not
+hold them because no command runs them.
 """
 
+import cmath
 import json
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
-from superchar import (
+from superchar.cli import _json_default
+from superchar.cyclotomic import Cyclotomic
+from superchar.gf import field_trace, is_prime, trace_lift
+from superchar.nilpotent import NilMatrix, fits_space, group_inv, positions
+from superchar.orbits import _move_programs, canonical_form, orbit_states
+from superchar.partitions import (
     ColouredPartition,
-    Cyclotomic,
-    GroupElement,
-    NilMatrix,
+    SetPartition,
+    build_e,
+    compute_SR,
     enumerate_labels,
     format_coloured,
-    tower_supercharacter,
+    nest,
 )
-from superchar.cli import _json_default
-from superchar.gf import field_trace, is_prime, trace_lift
-from superchar.nilpotent import fits_space, group_inv, positions
-from superchar.orbits import _move_programs, canonical_form, orbit_states
-from superchar.partitions import build_e, compute_SR, nest, partition_from_arcs
 from superchar.table import _equals_rational, _gram_entry, _pairing_hist
+from superchar.table import sch_closed as closed_cyclotomic
 
 
 # -- Fraction-coordinate cyclotomics --------------------------------------------
@@ -187,6 +193,15 @@ def cyclotomic(p, coeffs):
     return Cyclotomic(p, [int(c * den) for c in coeffs] + [0], den)
 
 
+def complex_value(x):
+    """A Cyclotomic as a complex float, its power-basis coordinates times
+    exp(2 pi i k / p): the float proxy of tests that compare with floats."""
+    return sum(
+        (float(c) * cmath.exp(2j * cmath.pi * k / x.p) for k, c in enumerate(x.coeffs)),
+        0j,
+    )
+
+
 def sch_closed(row, col, field):
     """The closed formula on labels, one FractionCyclotomic per cell."""
     p = field.p
@@ -322,7 +337,7 @@ def plancherel_check(table):
 def inverse_column(table, j):
     """Index of the superclass holding the group inverses of column j, by
     a scan of the column labels."""
-    label = canonical_form(group_inv(GroupElement(table.superclasses[j].rep)).body)
+    label = canonical_form(group_inv(table.superclasses[j].rep))
     for k, cls in enumerate(table.superclasses):
         if cls.label == label:
             return k
@@ -352,14 +367,14 @@ def constancy_check(table):
     """The superclass-constancy triple of verify_theory, by the averaging
     route evaluated member by member: classes in order, members in order,
     rows in order, stopping at the first value that is not the table's."""
-    n, field = table.n, table.field
+    field = table.field
     bad = None
     tested = 0
     for j, cls in enumerate(table.superclasses):
         for state in cls.members:
-            a = NilMatrix.from_dense(n, field, state)
             for i, orbit in enumerate(table.dual_orbits):
-                got = Cyclotomic(field.p, _pairing_hist(orbit.members, a), orbit.size)
+                hist = _pairing_hist(orbit.members, state, field)
+                got = Cyclotomic(field.p, hist, orbit.size)
                 tested += 1
                 if got != table.values[i][j]:
                     bad = (i, j, state)
@@ -574,6 +589,30 @@ def verge_state(n, states):
 # entry dicts, in FieldElement arithmetic, with each move written out.
 
 
+def partition_from_arcs(n, arc_set):
+    """The unique partition whose arc set is the given chain system: one
+    block per chain, followed from each element that no arc enters."""
+    arc_set = set(arc_set)
+    succ, has_pred = {}, set()
+    for (i, j) in arc_set:
+        if not 1 <= i < j <= n:
+            raise ValueError(f"bad arc {(i, j)}")
+        if i in succ or j in has_pred:
+            raise ValueError("arcs do not form disjoint chains")
+        succ[i] = j
+        has_pred.add(j)
+    blocks = []
+    for start in range(1, n + 1):
+        if start not in has_pred:
+            block = [start]
+            while block[-1] in succ:
+                block.append(succ[block[-1]])
+            blocks.append(block)
+    pi = SetPartition(n, blocks)
+    assert pi.arcs() == arc_set, "chain reconstruction changed the arc set"
+    return pi
+
+
 def _dict_label(n, w, dual):
     arcs = _verge_arcs(w)
     if arcs is None:
@@ -692,6 +731,17 @@ def _column_level(tower, col):
         return 1
     f = next(iter(col.colours.values())).field
     return tower.fields.index(f) + 1
+
+
+def tower_supercharacter(label, level, col):
+    """The level supercharacter value by superchar.table.sch_closed on the
+    level's label; the column label must already be coloured in the
+    level's field."""
+    field = label.tower.field(level)
+    for v in col.colours.values():
+        if v.field != field:
+            raise ValueError(f"column colours must live at level {level}")
+    return closed_cyclotomic(label.level_label(level), col, field)
 
 
 def convergence_report_by_levels(label, col):
@@ -902,13 +952,23 @@ def field_inv(field, a):
     return result
 
 
-# -- elementary generators -------------------------------------------------------
+# -- the group law on bodies ---------------------------------------------------
+#
+# superchar holds an element 1 + a of U_n by its body a and multiplies
+# nowhere; group_inv is its only group operation.  The tests multiply by
+# the law below.
+
+
+def group_mul(a, b):
+    """The body of (1 + a)(1 + b), a + b + ab."""
+    return a + b + (a @ b)
 
 
 def elementary_generators(n, field):
-    """Every 1 + alpha*e_ij, in (i, j, enumeration index of alpha) order."""
+    """The body alpha*e_ij of every generator 1 + alpha*e_ij, in (i, j,
+    enumeration index of alpha) order."""
     return [
-        GroupElement(NilMatrix.single(n, field, i, j, alpha))
+        NilMatrix.single(n, field, i, j, alpha)
         for (i, j) in positions(n)
         for alpha in field.nonzero()
     ]

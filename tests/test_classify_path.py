@@ -18,15 +18,9 @@ from oracles import (
     split_assignments_by_chars,
     verge_label_by_arcs,
 )
-from superchar import (
-    build_e,
-    enumerate_labels,
-    field_construct,
-    format_coloured,
-    format_matrix,
-    parse_matrix,
-)
-from superchar.nilpotent import _assignments, positions
+from superchar.gf import field_construct
+from superchar.nilpotent import _assignments, format_matrix, parse_matrix, positions
+from superchar.partitions import build_e, enumerate_labels, format_coloured
 from superchar.orbits import _verge_label
 
 # the classify stream's three groups

@@ -519,6 +519,12 @@ _LABEL = ["--pi", "1,4/2/3", "--colours", "1,4=1", "--superclass", "1/2,3/4 | 2,
      "error: --pi: bad block '1,x'\n"),
     (["classify", "--n", "3", "--p", "2", "--matrix", "a12=1]"],
      "error: --matrix: bad value in assignment 'a12=1]'\n"),
+    (["tower", "--p", "2", "--degrees", "1,2", "--n", "3", "--pi", "1,3/2",
+      "--colours", "1,2=1", "--superclass", "1/2/3"],
+     "error: --colours: colour domain [(1, 2)] != arc set [(1, 3)]\n"),
+    (["tower", "--p", "2", "--degrees", "1,2", "--n", "3", "--pi", "1,3/2",
+      "--colours", "1,3=0", "--superclass", "1/2/3"],
+     "error: --colours: zero colour on arc (1, 3)\n"),
 ])
 def test_unparseable_integers_name_their_flag(argv, err, capsys):
     assert main(argv) == 2

@@ -25,17 +25,20 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import json_dumps_text
 
-from superchar import build_table, cli, cyclo_root, field_construct, table_to_json
+from superchar import cli
+from superchar.cyclotomic import cyclo_root
+from superchar.gf import field_construct
+from superchar.table import build_table, table_to_json
 
 ROOT = pathlib.Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-@lru_cache(maxsize=1)
-def _workloads():
-    """perfbench/workloads.py, loaded from its file: perfbench is not a package."""
+@lru_cache(maxsize=None)
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from its file: perfbench is not a package."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -44,7 +47,7 @@ def _workloads():
 
 
 def _perfbench_ops():
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     return workloads, [
         op for w in workloads.WORKLOADS.values() for _, op in w.ops(workloads.DEFAULT_SEED)
     ]
@@ -81,14 +84,12 @@ def test_writer_matches_json_dumps(obj):
 def test_writer_matches_json_dumps_on_report_values():
     # the values _json_default converts, alone and nested, at the top level
     # and inside containers
-    field = field_construct(3, 2)
     z = cyclo_root(5)
     values = [
         Fraction(-3, 4),
         z,
         z * 0,
-        field.elements[4],
-        {"a": [Fraction(1, 2), {"b": (z, field.elements[1])}], "c": []},
+        {"a": [Fraction(1, 2), {"b": (z, Fraction(2))}], "c": []},
         [{}, [], (), [[]], {"": {}}],
     ]
     for obj in values + [values]:
@@ -110,6 +111,8 @@ def test_writer_refuses_keys_that_are_not_str(obj):
 def test_writer_refuses_what_the_reports_never_hold():
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         cli.json_text([object()])
+    with pytest.raises(TypeError, match="FieldElement is not JSON serializable"):
+        cli.json_text({"colour": field_construct(3, 2).elements[4]})
 
 
 def test_writer_matches_json_dumps_on_the_u4_f3_export():
@@ -372,8 +375,34 @@ def test_the_classify_stream_calls_each_traced_boundary_as_before(monkeypatch, c
         for held in [m for k, m in sys.modules.items() if k.startswith("superchar")]:
             if getattr(held, name, None) is fn:
                 monkeypatch.setattr(held, name, counted)
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     for op in workloads.classify_ops(workloads.DEFAULT_SEED):
         assert cli.main(op.argv) == 0
     capsys.readouterr()
     assert calls == {"parse_matrix": 236, "canonical_form": 118, "dual_canonical": 118}
+
+
+# ------------------------------------------------------- what others read
+
+
+def test_every_tracer_boundary_resolves():
+    # perfbench/tracer.py wraps each boundary it names by getattr, so a
+    # name cut from its module would crash every traced benchmark run
+    for module, attr, _ in _perfbench("tracer").BOUNDARIES:
+        held = getattr(importlib.import_module(f"superchar.{module}"), attr, None)
+        assert callable(held), f"superchar.{module}.{attr}"
+
+
+def test_the_readme_library_example_runs_from_the_package():
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    code = library[start:library.index("\n```", start)]
+    assert "from superchar import" in code
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    # U_3(F_2): one line per supercharacter, its label and its 5 values
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 5
+    assert lines[0] == "1/2/3 ['1', '1', '1', '1', '1']"

@@ -16,7 +16,7 @@ import oracles
 from superchar import gf
 from superchar.nilpotent import NilMatrix, format_matrix, parse_matrix, positions
 from superchar.partitions import format_colours, parse_colours
-from superchar import (
+from superchar.gf import (
     FieldElement,
     FiniteField,
     embed_into,

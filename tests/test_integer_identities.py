@@ -15,17 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import superchar.table as table_mod
-from superchar import (
-    Cyclotomic,
+from superchar.cyclotomic import Cyclotomic, cyclo_root
+from superchar.gf import field_construct
+from superchar.table import (
     SupercharTable,
+    _gram_entry,
+    _inverse_columns,
     build_table,
-    cyclo_root,
-    field_construct,
     inner_product,
     plancherel,
     verify_theory,
 )
-from superchar.table import _gram_entry, _inverse_columns
 
 # the configs of the benchmark's verify operations, U_4(F_3) and U_3(F_7)
 BENCHMARK_CONFIGS = [(4, 3, 1), (3, 7, 1)]

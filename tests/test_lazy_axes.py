@@ -17,20 +17,12 @@ import superchar.gf as gf_mod
 import superchar.orbits as orbits_mod
 import superchar.partitions as partitions_mod
 import superchar.table as table_mod
-from superchar import (
-    DualOrbit,
-    Superclass,
-    SupercharTable,
-    build_table,
-    enumerate_dual_orbits,
-    enumerate_labels,
-    enumerate_superclasses,
-    field_construct,
-    plancherel,
-    verify_theory,
-)
 from superchar import cli
-from superchar.partitions import compute_SR, r_of
+from superchar.dual import DualOrbit, enumerate_dual_orbits
+from superchar.gf import field_construct
+from superchar.orbits import Superclass, enumerate_superclasses
+from superchar.partitions import compute_SR, enumerate_labels, r_of
+from superchar.table import SupercharTable, build_table, plancherel, verify_theory
 
 # every config with |A| = q^(n(n-1)/2) <= 4096
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
@@ -81,9 +73,9 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
         walks.append((start, dual, len(states)))
         return states
 
-    def recording_bruteforce(orbit, g):
-        averaged.append((orbit, g.body))
-        return bruteforce(orbit, g)
+    def recording_bruteforce(orbit, state):
+        averaged.append((orbit, state))
+        return bruteforce(orbit, state)
 
     monkeypatch.setattr(orbits_mod, "orbit_states", counting_walk)
     monkeypatch.setattr(table_mod, "sch_bruteforce", recording_bruteforce)
@@ -94,7 +86,7 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
         row, col = t.dual_orbits[i], t.superclasses[j]
         # ties go to the dual orbit
         smaller, other = (row, col) if row.size <= col.size else (col, row)
-        assert orbit is smaller and at is other.rep
+        assert orbit is smaller and at == other.rep.dense()
     chosen = {id(o): o for o, _ in averaged}.values()
     assert sorted(walks) == sorted((o.rep.dense(), o.dual, o.size) for o in chosen)
     assert {o.dual for o in chosen} == {True, False}

@@ -1,8 +1,10 @@
 """Strictly upper-triangular matrices and the group 1 + A.
 
-Oracle: dense (n x n) list-of-list arithmetic over the field, with the
-unit diagonal written out explicitly, so the group law is checked against
-plain matrix multiplication rather than the body-level shortcut.
+An element 1 + a is held by its body a.  Oracle: dense (n x n)
+list-of-list arithmetic over the field, with the unit diagonal written out
+explicitly, so the group law on bodies (oracles.group_mul) and group_inv
+are checked against plain matrix multiplication rather than the
+body-level shortcut.
 """
 
 import random
@@ -10,23 +12,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import elementary_generators
-from superchar import (
-    GroupElement,
+from oracles import elementary_generators, group_mul
+from superchar.gf import field_construct
+from superchar.nilpotent import (
     NilMatrix,
-    field_construct,
     format_matrix,
     group_inv,
-    group_mul,
     parse_matrix,
+    position_rank,
+    positions,
 )
-from superchar.nilpotent import position_rank, positions
 
 
 # ---------------------------------------------------------------- oracles
 
-def _to_dense(g: GroupElement):
-    body = g.body
+def _to_dense(body: NilMatrix):
+    """The matrix 1 + body, unit diagonal written out."""
     n, f = body.n, body.field
     rows = [[f.one if r == c else f.zero for c in range(n)] for r in range(n)]
     for (i, j), v in body.entries.items():
@@ -56,7 +57,7 @@ def _from_dense(rows, f):
         for c in range(r + 1, n):
             if rows[r][c] != f.zero:
                 entries[(r + 1, c + 1)] = rows[r][c]
-    return GroupElement(NilMatrix(n, f, entries))
+    return NilMatrix(n, f, entries)
 
 
 def _random_element(n, f, rng):
@@ -65,7 +66,7 @@ def _random_element(n, f, rng):
         v = f.element_by_index(rng.randrange(f.order))
         if v != f.zero:
             entries[pos] = v
-    return GroupElement(NilMatrix(n, f, entries))
+    return NilMatrix(n, f, entries)
 
 
 # ----------------------------------------------------------------- basics
@@ -103,7 +104,7 @@ def test_nilpotency_degree():
     for n, q in [(3, 2), (4, 3), (5, 2)]:
         f = field_construct(q, 1)
         for _ in range(20):
-            a = _random_element(n, f, rng).body
+            a = _random_element(n, f, rng)
             power = a
             for _ in range(n - 1):
                 power = power @ a
@@ -115,25 +116,24 @@ def test_nilpotency_degree():
 def test_group_mul_worked_examples():
     f = field_construct(2, 1)
     one = f.one
-    x = GroupElement(NilMatrix.single(3, f, 1, 2, one))
-    y = GroupElement(NilMatrix.single(3, f, 2, 3, one))
-    xy = x * y
-    assert xy.body.entries == {(1, 2): one, (2, 3): one, (1, 3): one}
-    yx = y * x
-    assert yx.body.entries == {(1, 2): one, (2, 3): one}
-    assert x * x == GroupElement.identity(3, f)  # char 2 involution
+    x = NilMatrix.single(3, f, 1, 2, one)
+    y = NilMatrix.single(3, f, 2, 3, one)
+    xy = group_mul(x, y)
+    assert xy.entries == {(1, 2): one, (2, 3): one, (1, 3): one}
+    yx = group_mul(y, x)
+    assert yx.entries == {(1, 2): one, (2, 3): one}
+    assert group_mul(x, x) == NilMatrix.zero(3, f)  # char 2 involution
 
 
 def test_group_inverse_series():
     f = field_construct(3, 1)
     one = f.one
-    a = NilMatrix(3, f, {(1, 2): one, (2, 3): one})
-    g = GroupElement(a)
-    # body of the inverse is -a + a^2 here: a^2 = e13, a^3 = 0
+    g = NilMatrix(3, f, {(1, 2): one, (2, 3): one})
+    # body of the inverse is -g + g^2 here: g^2 = e13, g^3 = 0
     expected = {(1, 2): -one, (2, 3): -one, (1, 3): one}
-    assert g.inv().body.entries == expected
-    assert g * g.inv() == GroupElement.identity(3, f)
-    assert g.inv() * g == GroupElement.identity(3, f)
+    assert group_inv(g).entries == expected
+    assert group_mul(g, group_inv(g)) == NilMatrix.zero(3, f)
+    assert group_mul(group_inv(g), g) == NilMatrix.zero(3, f)
 
 
 def test_group_mul_matches_dense_oracle():
@@ -146,7 +146,7 @@ def test_group_mul_matches_dense_oracle():
             direct = group_mul(x, y)
             dense = _from_dense(_dense_mul(_to_dense(x), _to_dense(y), f), f)
             assert direct == dense
-            assert group_inv(x) * x == GroupElement.identity(n, f)
+            assert group_mul(group_inv(x), x) == NilMatrix.zero(n, f)
 
 
 def test_group_associativity_random():
@@ -154,7 +154,7 @@ def test_group_associativity_random():
     f = field_construct(2, 2)
     for _ in range(60):
         x, y, z = (_random_element(4, f, rng) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
+        assert group_mul(group_mul(x, y), z) == group_mul(x, group_mul(y, z))
 
 
 def test_generators_generate_whole_group():
@@ -162,13 +162,13 @@ def test_generators_generate_whole_group():
         f = field_construct(q, 1)
         gens = elementary_generators(n, f)
         assert len(gens) == len(positions(n)) * (q - 1)
-        seen = {GroupElement.identity(n, f)}
-        frontier = [GroupElement.identity(n, f)]
+        seen = {NilMatrix.zero(n, f)}
+        frontier = [NilMatrix.zero(n, f)]
         while frontier:
             nxt = []
             for g in frontier:
                 for s in gens:
-                    h = g * s
+                    h = group_mul(g, s)
                     if h not in seen:
                         seen.add(h)
                         nxt.append(h)
@@ -179,7 +179,7 @@ def test_generators_generate_whole_group():
 def test_generator_order():
     f = field_construct(3, 1)
     gens = elementary_generators(3, f)
-    tags = [(next(iter(g.body.entries)), next(iter(g.body.entries.values())).index)
+    tags = [(next(iter(g.entries)), next(iter(g.entries.values())).index)
             for g in gens]
     assert tags == [((1, 2), 1), ((1, 2), 2), ((1, 3), 1), ((1, 3), 2),
                     ((2, 3), 1), ((2, 3), 2)]
@@ -239,6 +239,6 @@ def test_body_identities(config, data):
     assert a - a == NilMatrix.zero(n, f)
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ (b + c) == a @ b + a @ c
-    x, y = GroupElement(a), GroupElement(b)
-    # group law in terms of bodies
-    assert (x * y).body == a + b + a @ b
+    # the inverse of 1 + a has body group_inv(a), on either side
+    assert group_mul(a, group_inv(a)) == NilMatrix.zero(n, f)
+    assert group_mul(group_inv(a), a) == NilMatrix.zero(n, f)

@@ -9,23 +9,16 @@ import random
 
 import pytest
 
-from oracles import to_state, verge_state
-from superchar import (
-    GroupElement,
-    NilMatrix,
-    Superclass,
-    build_e,
+from oracles import group_mul, to_state, verge_state
+from superchar.gf import field_construct
+from superchar.nilpotent import NilMatrix, group_inv, parse_matrix, positions
+from superchar.orbits import (
     canonical_form,
-    count_labels,
-    enumerate_labels,
     enumerate_superclasses,
-    field_construct,
-    parse_coloured,
-    parse_matrix,
+    orbit_states,
     superclass_orbit,
 )
-from superchar.nilpotent import positions
-from superchar.orbits import orbit_states
+from superchar.partitions import build_e, count_labels, enumerate_labels, parse_coloured
 
 
 # ---------------------------------------------------------------- oracles
@@ -58,10 +51,11 @@ def test_orbit_is_invariant_under_two_sided_moves():
         for _ in range(10):
             a = _random_matrix(n, f, rng)
             orbit = superclass_orbit(a)
-            g = GroupElement(_random_matrix(n, f, rng))
-            h = GroupElement(_random_matrix(n, f, rng))
-            # (1+c) a (1+d) = a + ca + ad + cad with c = body(g), d = body(h^-1)
-            c, d = g.body, h.inv().body
+            g = _random_matrix(n, f, rng)
+            h = _random_matrix(n, f, rng)
+            # (1+c) a (1+d) = a + ca + ad + cad for the bodies c of 1 + g
+            # and d of (1 + h)^-1
+            c, d = g, group_inv(h)
             full = a + c @ a + a @ d + c @ (a @ d)
             assert full in orbit
             for b in orbit:
@@ -83,9 +77,8 @@ def test_superclasses_are_unions_of_conjugacy_classes():
         for _ in range(25):
             a = _random_matrix(n, f, rng)
             orbit = superclass_orbit(a)
-            g = GroupElement(_random_matrix(n, f, rng))
-            x = GroupElement(a)
-            conj = (g * x * g.inv()).body
+            g = _random_matrix(n, f, rng)
+            conj = group_mul(group_mul(g, a), group_inv(g))  # (1+g)(1+a)(1+g)^-1
             assert conj in orbit
 
 

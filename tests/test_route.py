@@ -20,26 +20,21 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import superchar.table as table_mod
-from superchar import (
-    Cyclotomic,
-    DualOrbit,
-    GroupElement,
-    NilMatrix,
+from superchar.cyclotomic import Cyclotomic
+from superchar.dual import DualOrbit, enumerate_dual_orbits
+from superchar.gf import field_construct
+from superchar.orbits import enumerate_superclasses
+from superchar.table import (
     RouteDisagreement,
     SupercharTable,
-    build_table,
-    enumerate_dual_orbits,
-    enumerate_superclasses,
-    field_construct,
-    sch_bruteforce,
-    verify_theory,
-)
-from superchar.table import (
     _additive_fourier,
     _pairing_hist,
     _route_blocks,
     _route_failure,
     _spot_pairs,
+    build_table,
+    sch_bruteforce,
+    verify_theory,
 )
 
 # every config with |A| = q^(n(n-1)/2) <= 4096 and q <= 16
@@ -95,8 +90,8 @@ def test_transform_equals_pairing_hist_on_every_cell(n, p, m):
     for rows, j, col, decode in _route_blocks(t):
         key = [c[0] for c in col]
         assert all(c.count(e) == len(c) for c, e in zip(col, key))
-        rep = t.superclasses[j].rep
-        assert decode(key) == [_pairing_hist(t.dual_orbits[i].members, rep)
+        rep = t.superclasses[j].rep.dense()
+        assert decode(key) == [_pairing_hist(t.dual_orbits[i].members, rep, t.field)
                                for i in rows]
 
 
@@ -165,10 +160,9 @@ def _first_failing_rows(t, j):
     table cell, or None; member by member through _pairing_hist."""
     out = []
     for state in t.superclasses[j].members:
-        a = NilMatrix.from_dense(t.n, t.field, state)
         out.append(next(
             (i for i, o in enumerate(t.dual_orbits)
-             if Cyclotomic(t.field.p, _pairing_hist(o.members, a), o.size)
+             if Cyclotomic(t.field.p, _pairing_hist(o.members, state, t.field), o.size)
              != t.values[i][j]),
             None,
         ))
@@ -213,10 +207,10 @@ def test_full_cross_check_and_verify_compare_each_cell_once(monkeypatch):
 def test_no_member_by_member_evaluations(monkeypatch):
     calls = 0
 
-    def counting(members, a):
+    def counting(members, a, field):
         nonlocal calls
         calls += 1
-        return _pairing_hist(members, a)
+        return _pairing_hist(members, a, field)
 
     monkeypatch.setattr(table_mod, "_pairing_hist", counting)
     f = field_construct(3, 1)
@@ -249,7 +243,7 @@ def test_full_cross_check_reports_the_average(monkeypatch):
     err = info.value
     orbit = next(o for o in enumerate_dual_orbits(3, f) if o.label == err.row_label)
     cls = next(k for k in enumerate_superclasses(3, f) if k.label == err.col_label)
-    assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
+    assert err.brute == sch_bruteforce(orbit, cls.rep.dense())
     assert err.closed != err.brute
 
 
@@ -257,8 +251,8 @@ def test_full_cross_check_reports_the_average(monkeypatch):
 
 
 def _both_sides(orbit, cls):
-    return (sch_bruteforce(cls, GroupElement(orbit.rep)),
-            sch_bruteforce(orbit, GroupElement(cls.rep)))
+    return (sch_bruteforce(cls, orbit.rep.dense()),
+            sch_bruteforce(orbit, cls.rep.dense()))
 
 
 @pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
@@ -299,5 +293,5 @@ def test_spot_cross_check_catches_a_cell_averaged_over_its_superclass(monkeypatc
     err = info.value
     orbit, cls = t.dual_orbits[i], t.superclasses[j]
     assert (err.row_label, err.col_label) == (orbit.label, cls.label)
-    assert err.brute == sch_bruteforce(orbit, GroupElement(cls.rep))
+    assert err.brute == sch_bruteforce(orbit, cls.rep.dense())
     assert err.closed != err.brute

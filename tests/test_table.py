@@ -15,20 +15,18 @@ import pytest
 
 import oracles
 import superchar.table as table_mod
-from superchar import (
-    Cyclotomic,
-    GroupElement,
-    NilMatrix,
+from oracles import group_mul
+from superchar.cyclotomic import Cyclotomic, cyclo_root
+from superchar.dual import enumerate_dual_orbits
+from superchar.gf import field_construct
+from superchar.nilpotent import NilMatrix, group_inv, positions
+from superchar.orbits import canonical_form, enumerate_superclasses
+from superchar.partitions import format_coloured, parse_coloured
+from superchar.table import (
     RouteDisagreement,
     SupercharTable,
     build_table,
-    cyclo_root,
-    enumerate_dual_orbits,
-    enumerate_superclasses,
-    field_construct,
-    format_coloured,
     inner_product,
-    parse_coloured,
     plancherel,
     sch_bruteforce,
     sch_closed,
@@ -37,7 +35,6 @@ from superchar import (
     table_to_json,
     verify_theory,
 )
-from superchar.nilpotent import positions
 from test_route import ROUTE_CONFIGS, _table
 
 
@@ -66,9 +63,9 @@ def test_bruteforce_worked_examples():
     trivial = orbits["1/2/3"]
     big = orbits["1,3/2 | 1,3=1"]
     chain = orbits["1,2,3 | 1,2=1;2,3=1"]
-    one = GroupElement.identity(3, f)
-    g13 = GroupElement(NilMatrix.single(3, f, 1, 3, f.one))
-    g12 = GroupElement(NilMatrix.single(3, f, 1, 2, f.one))
+    one = NilMatrix.zero(3, f).dense()
+    g13 = NilMatrix.single(3, f, 1, 3, f.one).dense()
+    g12 = NilMatrix.single(3, f, 1, 2, f.one).dense()
     assert big.size == 4
     for g in (one, g13, g12):
         assert sch_bruteforce(trivial, g) == Cyclotomic.one(2)
@@ -86,8 +83,7 @@ def test_golden_table_regenerated_by_brute_force():
     for orb in orbits:
         row = []
         for sc in classes:
-            g = GroupElement(sc.rep)
-            row.append(_rational(sch_bruteforce(orb, g)))
+            row.append(_rational(sch_bruteforce(orb, sc.rep.dense())))
         got.append(row)
     assert got == GOLDEN_U3_F2
 
@@ -120,7 +116,7 @@ def test_closed_matches_brute_on_smaller_configs():
         for orb in orbits:
             for sc in classes:
                 closed = sch_closed(orb.label, sc.label, f)
-                brute = sch_bruteforce(orb, GroupElement(sc.rep))
+                brute = sch_bruteforce(orb, sc.rep.dense())
                 assert closed == brute
 
 
@@ -274,12 +270,10 @@ def test_conjugate_symmetry_on_inverses():
     for n, p, m in [(3, 3, 1), (3, 2, 2)]:
         f = field_construct(p, m)
         t = build_table(n, f)
-        from superchar import canonical_form
         cols = {format_coloured(sc.label): k
                 for k, sc in enumerate(t.superclasses)}
         for k, sc in enumerate(t.superclasses):
-            g = GroupElement(sc.rep)
-            ki = cols[format_coloured(canonical_form(g.inv().body))]
+            ki = cols[format_coloured(canonical_form(group_inv(sc.rep)))]
             for row in t.values:
                 assert row[ki] == row[k].conjugate()
 
@@ -404,14 +398,13 @@ def test_csv_shape():
 
 def test_gram_matrices_are_psd_numerically():
     numpy = pytest.importorskip("numpy")
-    from superchar import cyclo_approx, canonical_form
     rng = random.Random(55)
     f = field_construct(2, 1)
     t = build_table(3, f)
     cols = {format_coloured(sc.label): k for k, sc in enumerate(t.superclasses)}
 
     def value(row, g):
-        lab = canonical_form(g.body)
+        lab = canonical_form(g)
         return t.values[row][cols[format_coloured(lab)]]
 
     def random_group_element():
@@ -420,7 +413,7 @@ def test_gram_matrices_are_psd_numerically():
             v = f.element_by_index(rng.randrange(f.order))
             if v != f.zero:
                 entries[pos] = v
-        return GroupElement(NilMatrix(3, f, entries))
+        return NilMatrix(3, f, entries)  # the body of a group element
 
     for _ in range(20):
         sample = [random_group_element() for _ in range(6)]
@@ -428,7 +421,7 @@ def test_gram_matrices_are_psd_numerically():
             gram = numpy.zeros((6, 6), dtype=complex)
             for i in range(6):
                 for j in range(6):
-                    v, _ = cyclo_approx(value(row, sample[i] * sample[j].inv()))
-                    gram[i, j] = v
+                    g = group_mul(sample[i], group_inv(sample[j]))
+                    gram[i, j] = oracles.complex_value(value(row, g))
             eigs = numpy.linalg.eigvalsh(gram)
             assert eigs.min() >= -1e-9

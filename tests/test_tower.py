@@ -21,31 +21,27 @@ from oracles import (
     horner_embed,
     plancherel_profile_walk_all,
     size_scan_walked,
+    tower_supercharacter,
 )
-
-from superchar import (
+from superchar.cyclotomic import Cyclotomic, cyclo_root
+from superchar.gf import field_construct, field_embed, field_trace, trace_indices
+from superchar.partitions import (
     ColouredPartition,
-    Cyclotomic,
+    enumerate_partitions,
+    format_partition,
+    parse_coloured,
+    parse_partition,
+)
+from superchar.tower import (
     FieldTower,
     TowerCharacter,
     TowerLabel,
     char_extend,
     char_restrict,
     convergence_report,
-    cyclo_root,
-    enumerate_partitions,
-    field_construct,
-    field_embed,
-    field_trace,
-    format_partition,
     fsc_diagnostic,
-    limit_value,
-    parse_coloured,
-    parse_partition,
     plancherel_profile,
-    tower_supercharacter,
 )
-from superchar.gf import trace_indices
 
 
 def _tw(degrees=(1, 2), p=2):
@@ -232,19 +228,19 @@ def test_tower_supercharacter_no_arcs_label():
 def test_limit_value_cases():
     tw = _tw()
     f2 = tw.field(1)
+
+    def limit(label, col_text, n):
+        return convergence_report(label, parse_coloured(col_text, n, f2))["limit"]
+
     nested = TowerLabel.from_level1(
         tw, parse_coloured("1,4/2/3 | 1,4=1", 4, f2, dual=True))
-    assert limit_value(nested, parse_coloured("1/2,3/4 | 2,3=1", 4, f2)) \
-        == Cyclotomic.zero(2)
+    assert limit(nested, "1/2,3/4 | 2,3=1", 4) == Cyclotomic.zero(2)
     shadowed = TowerLabel.from_level1(
         tw, parse_coloured("1,3/2 | 1,3=1", 3, f2, dual=True))
-    assert limit_value(shadowed, parse_coloured("1,2/3 | 1,2=1", 3, f2)) \
-        == Cyclotomic.zero(2)
-    assert limit_value(shadowed, parse_coloured("1,3/2 | 1,3=1", 3, f2)) \
-        == cyclo_root(2)  # -1, stable across levels
+    assert limit(shadowed, "1,2/3 | 1,2=1", 3) == Cyclotomic.zero(2)
+    assert limit(shadowed, "1,3/2 | 1,3=1", 3) == cyclo_root(2)  # -1, stable
     trivial = TowerLabel(tw, parse_partition("1/2/3", 3), {})
-    assert limit_value(trivial, parse_coloured("1,2/3 | 1,2=1", 3, f2)) \
-        == Cyclotomic.one(2)
+    assert limit(trivial, "1,2/3 | 1,2=1", 3) == Cyclotomic.one(2)
 
 
 # ------------------------------------------------------------ convergence
