@@ -7,7 +7,7 @@ of (g^{-1})^T b h^T, which dual_act computes from the bodies c and d.  For
 a superdiagonal generator this is a single row or column move, so its
 root subgroup moves a state along one coset
 {b + beta*v(b) : beta in F_q}, which superchar.orbits.orbit_states
-generates once per coset on dense states with dual=True.
+generates once per coset on packed states with dual=True.
 enumerate_dual_orbits(validate=True) replays every compiled move at every
 nonzero scalar against dual_act and the defining property, the independent
 reference kept on NilMatrix, at every state of A°, before the walk.
@@ -19,7 +19,7 @@ target entry v, a move even where the program's sign is -1.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 
 from . import orbits
 from .cyclotomic import Cyclotomic, cyclo_root
@@ -27,13 +27,12 @@ from .gf import FiniteField, trace_lift
 from .nilpotent import NilMatrix, group_inv, position_rank, positions
 from .orbits import (
     _clear,
-    _coset,
     _Orbit,
     _program,
-    _sum_rows,
     _verge_label,
     _walked_axes,
     orbit_states,
+    unpack,
 )
 from .partitions import ColouredPartition
 
@@ -81,22 +80,24 @@ def dual_act(c: NilMatrix, d: NilMatrix, b: NilMatrix) -> NilMatrix:
 
 def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
     """Check one state of A°: for every compiled program and every nonzero
-    scalar beta, the image the coset walk gives at beta must equal the
+    scalar beta, the image the packed walk finds at beta must equal the
     transport of the state by 1 + sign*beta*e_{i,i+1}, and the transport
-    itself must obey the defining property on a basis of A."""
+    itself must obey the defining property on a basis of A.  The walk on
+    one program finds the state, then its images, step k adding g^k to beta."""
     b = NilMatrix.from_dense(n, field, state)
     zero = NilMatrix.zero(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
-    rows = _sum_rows(field)
-    # beta = g^j in the order _coset generates its images
-    scalars = [field.element_by_index(field.exp[j]) for j in range(field.order - 1)]
+    first = orbits.pack(field, state)
+    seq = orbits._packing(field, len(state))[4]
+    scalars = list(accumulate(field.element_by_index(field.exp[k]) for k in seq))
     for i, left, pairs, sign in orbits._move_programs(n, True):
-        images = _coset(state, pairs, field, rows) or [state] * len(scalars)
+        moves = orbits._walk_moves(n, field, ((i, left, pairs, sign),))
+        images = list(orbits._walk(field, first, moves))[1:] or [first] * len(scalars)
         for beta, fast in zip(scalars, images):
             alpha = field.from_int(sign) * beta
             c = NilMatrix.single(n, field, i, i + 1, alpha)
             moved = dual_act(c, zero, b) if left else dual_act(zero, c, b)
-            if fast != moved.dense():
+            if fast != orbits.pack(field, moved.dense()):
                 raise AssertionError(
                     f"compiled dual move ({i},{i + 1}) alpha={alpha} disagrees "
                     "with the transport action"
@@ -116,7 +117,7 @@ def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
 def dual_orbit(b: NilMatrix) -> set[NilMatrix]:
     """The orbit of theta_b under the contragredient two-sided action."""
     states = orbit_states(b.n, b.field, b.dense(), dual=True)
-    return {NilMatrix.from_dense(b.n, b.field, s) for s in states}
+    return {NilMatrix.from_dense(b.n, b.field, unpack(b.n, b.field, s)) for s in states}
 
 
 def dual_canonical(b: NilMatrix) -> ColouredPartition:

@@ -1,28 +1,33 @@
 """Superclasses: two-sided orbits GaG in A, their enumeration, and the
 reduction of any matrix to its canonical coloured-set-partition label.
 
-A state is the dense tuple of field enumeration indices over positions(n),
+A dense state is the tuple of field enumeration indices over positions(n),
 row-major.  One compiler, _program, turns any root subgroup 1 + alpha*e_ij
 on either side into (dst_rank, src_rank) pairs plus a sign: a move sets
 dst += sign * alpha * src, and keeps a strictly upper matrix strictly
-upper.  One engine, orbit_states, walks the superclasses here and the
-dual orbits of superchar.dual on the superdiagonal programs, one
-root-subgroup coset at a time, generating each coset's q - 1 other members
-once by Zech addition on the log tables of superchar.gf, from one map of
-each state found to the bits of its cosets already generated.  The
-eliminations, canonical_form here and dual_canonical there, are _clear
-steps on the same states, programs and Zech rows.  Each adds c = -v/pivot
-times the pivot's row or column, the multiple that zeroes the target entry
-v; alpha ranges over all of F_q, so that is a move whatever the sign.
+upper.  The eliminations, canonical_form here and dual_canonical in
+superchar.dual, are _clear steps on dense states through the Zech table of
+superchar.gf.  Each adds c = -v/pivot times the pivot's row or column, the
+multiple that zeroes the target entry v; alpha ranges over all of F_q, so
+that is a move whatever the sign.
+
+One engine, orbit_states, walks the superclasses here and the dual orbits
+of superchar.dual on packed states: pack makes a dense state one int, one
+w-bit field per base-p digit, highest first, so the ints sort as the
+tuples do; w = bit_length(mN(p-1)^2) + 1 for mN digits holds a pairing sum
+of superchar.table.  A packed add mod p is s = a + v; s -= p * (((s + K)
+>> (w-1)) & ONES), ONES a 1 per field, K = ONES * (2^(w-1) - p): the top
+bit of a field is set after adding K where its sum reached p.
 
 An orbit object (Superclass here, DualOrbit in superchar.dual) carries its
-label, representative and size; its members are walked only on first read
-unless given, and a walk checks the size.  check_cover checks that the
-members of a list of orbits partition A.
+label, field and size; its members, a sorted tuple of packed states, are
+walked only on first read unless given, and a walk checks the size.
+check_cover checks that the members of a list of orbits partition A.
 """
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from functools import lru_cache
 
 from .gf import FiniteField
@@ -66,75 +71,74 @@ def _move_programs(n: int, dual: bool) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def _sum_rows(field: FiniteField) -> list:
-    """rows[a][u], the index of a + g^u for 0 <= u < 2(q-1), two periods
-    of O(q) per field element a.  rows[0] is read off exp; a row for
-    a != 0 is built by _sum_row the first time a walk or an elimination
-    adds to an entry a (None until then)."""
-    rows = [None] * field.order
-    rows[0] = field.exp[: 2 * (field.order - 1)]
-    return rows
-
-
-def _sum_row(rows: list, a: int, field: FiniteField) -> list:
-    """Fill rows[a]: a + g^u = g^la (1 + g^(u - la)), one rotation of the
-    Zech table read through exp."""
-    exp, zech, la, n = field.exp, field.zech, field.log[a], field.order - 1
-    row = [exp[la + z] for z in zech[n - la:] + zech[:n - la]]
-    rows[a] = row + row
-    return rows[a]
-
-
 def _clear(state: list, program, t: int, piv: int, field: FiniteField) -> None:
     """Zero state[t], when nonzero, by one move of program, whose pairs
     hold (t, piv): every destination gains c times its source, where
     c = -v/pivot for v = state[t].  That is the multiple that zeroes the
     target whatever the program's sign: it is the move at alpha = sign*c,
-    and alpha ranges over F_q."""
+    and alpha ranges over F_q.  A sum a + g^x is g^x at a = 0, else
+    g^(log a) (1 + g^(x - log a)) through the Zech table."""
     v = state[t]
     if not v:
         return
-    log, rows = field.log, _sum_rows(field)
-    lc = (log[field.p - 1] + log[v] - log[state[piv]]) % (field.order - 1)
+    exp, log, zech, n = field.exp, field.log, field.zech, field.order - 1
+    lc = log[field.p - 1] + log[v] - log[state[piv]]
     for d, s in program[0]:
         u = state[s]
         if u:
-            a = state[d]
-            state[d] = (rows[a] or _sum_row(rows, a, field))[lc + log[u]]
+            x, la = (lc + log[u]) % n, log[state[d]]
+            state[d] = exp[x] if la > n else exp[la + zech[x - la]]
 
 
-def _coset(state: tuple, pairs, field: FiniteField, rows: list) -> list[tuple]:
-    """The q - 1 images state + beta*v for beta = g^0, ..., g^(q-2), where
-    v holds the program's source entries at their destinations (pairs are
-    (dst_rank, src_rank)), or [] when every source entry is zero.  Entry d
-    of the image at g^j is state[d] + g^(j + log v_d), a slice of the row
-    of state[d] in rows = _sum_rows(field)."""
-    log, n = field.log, field.order - 1
-    cols = []
-    for d, r in pairs:
-        v = state[r]
-        if v:
-            a = state[d]
-            row = rows[a] or _sum_row(rows, a, field)
-            lv = log[v]
-            cols.append((d, row[lv:lv + n]))
-    out = []
-    if not cols:
-        return out
-    img = list(state)
-    if len(cols) == 1:  # the common case, without the zip: 2-4x faster
-        d, col = cols[0]
-        for c in col:
-            img[d] = c
-            out.append(tuple(img))
-        return out
-    dsts = [d for d, _ in cols]
-    for values in zip(*[col for _, col in cols]):
-        for d, c in zip(dsts, values):
-            img[d] = c
-        out.append(tuple(img))
-    return out
+@lru_cache(maxsize=None)
+def _packing(field: FiniteField, size: int) -> tuple:
+    """(w, spread, gather, ONES, seq, times) for size entries: spread[x],
+    index x's digits as packed fields, and gather its inverse; seq[i-1] =
+    v_p(i), the digit a modular p-ary Gray code raises at step i, reaching
+    each nonzero vector of F_p^m once; times[k], spread[x] -> spread[g^k x]."""
+    p, m, q = field.p, field.m, field.order
+    w = (m * size * (p - 1) ** 2).bit_length() + 1
+    spread = [sum(k // p**d % p << d * w for d in range(m)) for k in range(q)]
+    ones = sum(1 << f * w for f in range(m * size))
+    seq = [next(j for j in range(m) if i // p**j % p) for i in range(1, q)]
+    times = [{spread[x]: spread[field.exp[field.log[x] + k]] for x in range(q)}
+             for k in range(m)]
+    return w, spread, dict(zip(spread, range(q))), ones, seq, times
+
+
+def pack(field: FiniteField, state) -> int:
+    """The packed int of a dense state."""
+    w, spread = _packing(field, len(state))[:2]
+    x, mw = 0, field.m * w
+    for v in state:
+        x = x << mw | spread[v]
+    return x
+
+
+def unpack(n: int, field: FiniteField, x: int) -> tuple[int, ...]:
+    """The dense state over positions(n) of a packed int."""
+    size = len(positions(n))
+    w, _, gather = _packing(field, size)[:3]
+    mw = field.m * w
+    return tuple(gather[x >> k * mw & (1 << mw) - 1] for k in reversed(range(size)))
+
+
+@lru_cache(maxsize=None)
+def _walk_moves(n: int, field: FiniteField, programs: tuple) -> tuple:
+    """The packing, and per program k with pairs (bit k, source mask, right
+    and left shift, destination offsets).  One shift serves all its pairs:
+    a superdiagonal program moves (i+1, s) to (i, s), n - i - 1 ranks
+    apart for every s, or (r, i) to (r, i+1), or the reverse."""
+    size = len(positions(n))
+    packing = _packing(field, size)
+    mw, out = field.m * packing[0], []
+    for k, (_, _, pairs, _) in enumerate(programs):
+        if pairs:
+            shift = (pairs[0][0] - pairs[0][1]) * mw
+            mask = sum((1 << mw) - 1 << (size - 1 - s) * mw for _, s in pairs)
+            offsets = tuple((size - 1 - d) * mw for d, _ in pairs)
+            out.append((1 << k, mask, max(shift, 0), max(-shift, 0), offsets))
+    return packing, tuple(out)
 
 
 def check_space(n: int, field: FiniteField) -> None:
@@ -145,11 +149,10 @@ def check_space(n: int, field: FiniteField) -> None:
         )
 
 
-def orbit_states(
-    n: int, field: FiniteField, start: tuple, dual: bool = False
-) -> set[tuple[int, ...]]:
-    """Dense states of the two-sided orbit of start: the superclass G a G,
-    or with dual=True the contragredient orbit of the pairing matrix.
+def orbit_states(n: int, field: FiniteField, start: tuple, dual: bool = False) -> KeysView:
+    """The packed states, a set view, of the two-sided orbit of the dense
+    state start: the superclass G a G, or with dual=True the contragredient
+    orbit of the pairing matrix.
 
     The acting subgroups are the superdiagonal root subgroups
     X = {1 + alpha*e_{i,i+1} : alpha in F_q}, one per side and i.  They
@@ -158,6 +161,14 @@ def orbit_states(
     is reached from the one below, and the root subgroups generate U_n.
     An orbit is closed under any generating set of the acting group, so
     these orbits are the orbits under every elementary move.
+    """
+    check_space(n, field)
+    moves = _walk_moves(n, field, _move_programs(n, dual))
+    return _walk(field, pack(field, start), moves).keys()
+
+
+def _walk(field: FiniteField, first: int, moves: tuple) -> dict:
+    """The packed states reached from first by moves, in the order found.
 
     A compiled program reads sources disjoint from its destinations, so
     X.s = {s + beta*v(s) : beta in F_q}, v(s) the source entries at their
@@ -166,33 +177,44 @@ def orbit_states(
     one map holds, per state found, the bits of the subgroups whose coset
     through it is already generated, read when the state is expanded (and
     never after), and the expansion generates the q - 1 images of every
-    other coset with a nonzero v by Zech addition, at most 2(n-1)|O| per orbit.
+    other coset with a nonzero v, at most 2(n-1)|O| per orbit: s + beta*v
+    over the F_p-span of the g^k v, one packed add (a XOR at p = 2) per
+    image in the order of seq; at m = 1, s + v, s + 2v, ..., s + (p-1)v.
     """
-    check_space(n, field)
-    programs = _move_programs(n, dual)
-    moves = [(1 << k, pairs) for k, (_, _, pairs, _) in enumerate(programs) if pairs]
-    rows = _sum_rows(field)
-    done = {start: 0}  # state -> bits of its cosets already generated
-    stack = [start]
+    (w, _, _, ones, seq, times), moves = moves
+    p, m = field.p, field.m
+    top, fix, block = w - 1, ones * ((1 << w - 1) - p), (1 << m * w) - 1
+    done, stack = {first: 0}, [first]  # done: state -> bits of its cosets generated
     while stack:
-        state = stack.pop()
-        bits = done[state]
-        for bit, pairs in moves:
+        s = stack.pop()
+        bits = done[s]
+        for bit, mask, right, left, offsets in moves:
             if bits & bit:
                 continue
-            for t in _coset(state, pairs, field, rows):
+            v = (s & mask) >> right << left
+            if not v:
+                continue
+            gens = [v] if m == 1 else [sum(mul[v >> d & block] << d for d in offsets)
+                                       for mul in times]
+            t = s
+            for k in seq:
+                if p == 2:
+                    t ^= gens[k]
+                else:
+                    t += gens[k]
+                    t -= p * ((t + fix) >> top & ones)
                 if t in done:
                     done[t] |= bit
                 else:
                     done[t] = bit
                     stack.append(t)
-    return set(done)
+    return done
 
 
 def superclass_orbit(a: NilMatrix) -> set[NilMatrix]:
     """The full two-sided orbit GaG."""
     states = orbit_states(a.n, a.field, a.dense())
-    return {NilMatrix.from_dense(a.n, a.field, s) for s in states}
+    return {NilMatrix.from_dense(a.n, a.field, unpack(a.n, a.field, s)) for s in states}
 
 
 def canonical_form(a: NilMatrix) -> ColouredPartition:
@@ -238,33 +260,34 @@ def _verge_label(n: int, field: FiniteField, state, dual=False) -> ColouredParti
 
 
 class _Orbit:
-    """An orbit labelled by a coloured partition: the label, the
-    representative build_e(label), the size and the members, a sorted tuple
-    of dense states.  Members given to the constructor are kept as given.
-    Otherwise the first read of members walks the orbit with orbit_states
-    and caches it; a walk whose count differs from size raises
-    AssertionError, so a closed size is checked whenever it is walked.
+    """An orbit labelled by a coloured partition: the label, its field, the
+    size, the representative build_e(label), built when read, and the
+    members, a sorted tuple of packed states, kept as given if given, else
+    walked with orbit_states on first read and cached; a walk whose count
+    differs from size raises AssertionError, so a closed size is checked
+    whenever it is walked.
     """
 
-    __slots__ = ("label", "rep", "size", "_members")
+    __slots__ = ("label", "field", "size", "_members")
     dual = False
 
-    def __init__(self, label: ColouredPartition, rep: NilMatrix, size: int, members=None):
+    def __init__(self, label: ColouredPartition, field: FiniteField, size: int, members=None):
         self.label = label
-        self.rep = rep
+        self.field = field
         self.size = size
         self._members = members
 
     @classmethod
     def from_label(cls, label: ColouredPartition, field: FiniteField):
         """The orbit of label with its closed size, members not yet walked."""
-        return cls(label, build_e(label, field), closed_size(label, field.order))
+        return cls(label, field, closed_size(label, field.order))
+
+    rep = property(lambda self: build_e(self.label, self.field))
 
     @property
     def members(self) -> tuple:
         if self._members is None:
-            rep = self.rep
-            states = orbit_states(rep.n, rep.field, rep.dense(), self.dual)
+            states = orbit_states(self.label.n, self.field, self.rep.dense(), self.dual)
             if len(states) != self.size:
                 raise AssertionError(
                     f"{self!r}: the walk found {len(states)} states"
@@ -306,9 +329,8 @@ def _walked_axes(kind, n: int, field: FiniteField) -> list:
     is cover-checked."""
     out = []
     for label in enumerate_labels(n, field, dual=kind.dual):
-        rep = build_e(label, field)
-        states = orbit_states(n, field, rep.dense(), kind.dual)
-        out.append(kind(label, rep, len(states), tuple(sorted(states))))
+        states = orbit_states(n, field, build_e(label, field).dense(), kind.dual)
+        out.append(kind(label, field, len(states), tuple(sorted(states))))
     check_cover(out, field.order ** len(positions(n)))
     return out
 

@@ -150,6 +150,7 @@ def nest(pi: SetPartition, other: SetPartition) -> int:
     return sum(nest_arc(a, other) for a in pi.arcs())
 
 
+@lru_cache(maxsize=1 << 12)
 def r_of(pi: SetPartition) -> int:
     covered = set()
     for (i, j) in pi.arcs():

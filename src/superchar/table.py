@@ -9,8 +9,9 @@ the closed formula and cross-validates against the average.
 
 The closed table is integers end to end.  _closed_cells gives every cell
 as a sparse vector in Z[x]/(x^p - 1) over one denominator D = q^dmax,
-zeta^t q^-d being D q^-d x^t, and the table holds only those cells: the
-cross-check, verify_theory, plancherel and inner_product read them.  A
+zeta^t q^-d being D q^-d x^t, from per-partition bit masks and template
+rows, and the table holds only those cells: the cross-check,
+verify_theory, plancherel and inner_product read them.  A
 Cyclotomic is the same kind of value, p integers in Z[x]/(x^p - 1) over a
 denominator, so a cell becomes one by a constructor call: for the `values`
 view, built once, for a failing or sampled cell, and in sch_closed.
@@ -20,7 +21,8 @@ Fourier transform, as Diaconis and Isaacs build supercharacters: the
 histogram over b in O of lift(Tr<b, a>) is the transform of the indicator
 of O on A = F_p^(mN), N = n(n-1)/2.  _route_blocks takes it radix p
 over the mN base-p digits of the dense state index (a field index's digits
-are its F_p coordinates).  A value in Z[x]/(x^p - 1) is p packed Python
+are its F_p coordinates), read off each packed member through two tables,
+one per half of its entries.  A value in Z[x]/(x^p - 1) is p packed Python
 ints, one per exponent, each holding one count per row in a field of
 bit_length(|A|) + 1 bits, so multiplying by x is a cyclic shift of the p
 ints and every operation is a non-negative integer addition: about
@@ -32,14 +34,14 @@ compares it with the table block by block and keeps one verdict, read by
 both build_table's full cross-check and verify_theory's constancy check.
 
 build_table and table_from_json build both axes from the labels alone:
-each orbit carries its label, the representative build_e(label) and its
-closed size, q^|S(pi)| for a superclass and q^r(pi) for a dual orbit.
-Members are walked lazily, only when a validator reads them, and a walk
-that does not find the closed size raises AssertionError.  The full
-cross-check and verify_theory read every member of both axes and check
-that each axis covers A disjointly; the spot cross-check averages each
-sampled cell over the smaller of its two orbits by closed size, so it
-walks only those; plancherel and the closed table walk nothing.
+each orbit carries its label, field and closed size (q^|S(pi)| for a
+superclass, q^r(pi) for a dual orbit) and builds build_e(label) on read.
+Its members, sorted packed states, are walked when a validator reads
+them; a walk that does not find the closed size raises AssertionError.
+The full cross-check and verify_theory read every member of both axes and
+check that each axis covers A disjointly; the spot cross-check averages
+each sampled cell over the smaller of its two orbits by closed size, so
+it walks only those; plancherel and the closed table walk nothing.
 """
 
 from __future__ import annotations
@@ -54,15 +56,14 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import FiniteField, trace_lifts
-from .nilpotent import group_inv, positions
-from .orbits import Superclass, canonical_form, check_cover, check_space
+from .nilpotent import group_inv, position_rank, positions
+from .orbits import Superclass, _packing, canonical_form, check_cover, check_space, unpack
 from .partitions import (
     ColouredPartition,
     compute_SR,
     count_labels,
     enumerate_labels,
     format_coloured,
-    nest,
 )
 
 _FULL_VALIDATION_LIMIT = 1 << 12
@@ -86,19 +87,19 @@ class RouteDisagreement(AssertionError):
 
 
 def _pairing_hist(members, a: tuple, field: FiniteField) -> list[int]:
-    """Histogram of zeta exponents of <b, a> over the member states, for a
-    dense state a.  A zero entry of b has log 2(q-1), which exp sends to
-    index 0."""
-    p = field.p
-    exp, log = field.exp, field.log
-    compiled = [(k, log[v]) for k, v in enumerate(a) if v]
-    trl = trace_lifts(field)
+    """Histogram of zeta exponents of <b, a> over the packed members b, for
+    a dense state a: <b, a> sums b's digits times a's trace-dual digits,
+    which b times those digits packed in reverse holds in its top digit's
+    field, one multiply per member; no field of the product carries."""
+    p, m = field.p, field.m
+    w = _packing(field, len(a))[0]
+    dual, c = _trace_dual_index(field), 0
+    for v in reversed(a):
+        c = c << m * w | sum(dual[v] // p**d % p << (m - 1 - d) * w for d in range(m))
+    shift, mask = max(m * len(a) - 1, 0) * w, (1 << w) - 1  # n = 1: no digits
     hist = [0] * p
-    for state in members:
-        t = 0
-        for k, la in compiled:
-            t += trl[exp[log[state[k]] + la]]
-        hist[t % p] += 1
+    for b in members:
+        hist[(b * c >> shift & mask) % p] += 1
     return hist
 
 
@@ -112,7 +113,7 @@ def sch_bruteforce(orbit: DualOrbit | Superclass, state: tuple) -> Cyclotomic:
     O x K of theta_b(a) makes both means the cell xi_O(K) when the state
     lies in the other orbit.
     """
-    field = orbit.rep.field
+    field = orbit.field
     return Cyclotomic(field.p, _pairing_hist(orbit.members, state, field), orbit.size)
 
 
@@ -139,16 +140,32 @@ def _closed_value(pairs, d: int, field: FiniteField) -> Cyclotomic:
     return Cyclotomic(p, _dense(((t % p, 1),), p), field.order**d)
 
 
+@lru_cache(maxsize=1 << 12)
+def _arc_masks(pi) -> tuple:
+    """pi's arcs and reach R(pi) as masks over position ranks, per arc the
+    mask of the positions strictly inside it, and (bit, arc) per arc."""
+    rank = position_rank(pi.n)
+    bits = [(1 << rank[a], a) for a in sorted(pi.arcs())]
+    inside = [sum(1 << rank[k, l] for k in range(i + 1, j) for l in range(k + 1, j))
+              for _, (i, j) in bits]
+    return sum(b for b, _ in bits), sum(1 << rank[a] for a in compute_SR(pi)[1]), inside, bits
+
+
 def _closed_shape(pi, pip):
     """What the closed formula reads of the two partitions: None when an
     arc of pi leaves the reach of pip, else the shared arcs, sorted, and
     the nesting depth nest(pi, pip)."""
     if pi.n != pip.n:
         raise ValueError("label sizes differ")
-    _, reach = compute_SR(pip)
-    if not (pi.arcs() <= reach):
+    return _shape(_arc_masks(pi), _arc_masks(pip))
+
+
+def _shape(masks, other_masks):
+    """_closed_shape on _arc_masks: the reach test, then the nest count."""
+    (arcs, _, inside, bits), (other, reach) = masks, other_masks[:2]
+    if arcs & ~reach:
         return None
-    return sorted(pi.arcs() & pip.arcs()), nest(pi, pip)
+    return [a for b, a in bits if b & other], sum((m & other).bit_count() for m in inside)
 
 
 def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]]]:
@@ -157,13 +174,14 @@ def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]
     a zero cell is (), and zeta^t q^-d is ((t, q^(dmax - d)),).
 
     _closed_shape depends only on the two partitions, so it runs once per
-    partition pair, at most Bell(n)^2 of them.  A cell then only sums
-    t = lift(Tr(a b)) over the shared arcs, through the log and antilog
-    tables, mod p.  Cells are interned: besides () there are at most
-    p (dmax + 1) distinct tuples.
+    partition pair, at most Bell(n)^2 of them, on masks cached per
+    partition.  A row copies its partition's template, the cells that read
+    no colour, and fills the columns with shared arcs: t sums lift(Tr(a b))
+    over the row's arcs, from terms built per arc and colour (an arc the
+    column lacks reads log 0, whose term is 0).  Cells are interned.
     """
-    p, q = field.p, field.order
-    exp, log, trl = field.exp, field.log, trace_lifts(field)
+    p, q, log = field.p, field.order, field.log
+    lift = list(map(trace_lifts(field).__getitem__, field.exp))  # at log a + log b: Tr(a b)
 
     def partitions_of(labels):  # distinct partitions, and each label's index
         index: dict = {}
@@ -171,24 +189,30 @@ def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]
 
     row_parts, row_of = partitions_of(rows)
     col_parts, col_of = partitions_of(cols)
-    shapes = [[_closed_shape(pi, pip) for pip in col_parts] for pi in row_parts]
+    masks = [_arc_masks(pip) for pip in col_parts]
+    shapes = [[_shape(r, m) for m in masks] for r in map(_arc_masks, row_parts)]
     dmax = max((s[1] for line in shapes for s in line if s), default=0)
-    cell = [[((t, q ** (dmax - d)),) for d in range(dmax + 1)] for t in range(p)]
-    col_logs = [{arc: log[v.index] for arc, v in col.colours.items()} for col in cols]
+    span = (p - 1) * (rows[0].n - 1) + 1  # t < span: at most n - 1 arcs
+    cells = [((t % p, q ** (dmax - d)),) for d in range(dmax + 1) for t in range(span)]
+    plans = []  # per row partition
+    for pi, line in zip(row_parts, shapes):
+        shape = [line[b] for b in col_of]
+        reads = [j for j, s in enumerate(shape) if s and s[0]]
+        arcs = sorted(pi.arcs())
+        terms = []  # per arc, per row colour log x, each read column's term
+        for arc in arcs:
+            ys = [log[cols[j].colours[arc].index] if arc in cols[j].colours else log[0]
+                  for j in reads]
+            terms.append([[lift[x + y] for y in ys] for x in range(q - 1)])
+        template = [() if s is None else cells[s[1] * span] for s in shape]
+        plans.append((template, reads, [shape[j][1] * span for j in reads], arcs, terms))
     out = []
     for row, a in zip(rows, row_of):
-        row_log = {arc: log[v.index] for arc, v in row.colours.items()}
-        line = []
-        for b, col_log in zip(col_of, col_logs):
-            shape = shapes[a][b]
-            if shape is None:
-                line.append(())
-                continue
-            shared, d = shape
-            t = 0
-            for arc in shared:
-                t += trl[exp[row_log[arc] + col_log[arc]]]
-            line.append(cell[t % p][d])
+        template, reads, t, arcs, terms = plans[a]
+        for arc, by_log in zip(arcs, terms):
+            t = map(add, t, by_log[log[row.colours[arc].index]])
+        line = template[:]
+        list(map(line.__setitem__, reads, map(cells.__getitem__, t)))
         out.append(line)
     return q**dmax, out
 
@@ -392,27 +416,38 @@ def _route_blocks(table: SupercharTable):
     it."""
     check_cover(table.dual_orbits, table.order)
     check_cover(table.superclasses, table.order)
-    field, p = table.field, table.field.p
-    weights = [field.order**k for k in range(len(positions(table.n)))]
-    dual_index = _trace_dual_index(field)
+    field, p, q = table.field, table.field.p, table.field.order
+    size = len(positions(table.n))
+    w, spread = _packing(field, size)[:2]
+    low, mw = size // 2, field.m * w
+    cut = (1 << low * mw) - 1
 
-    def frequency(state):  # the index holding the route at a = state
-        return sum(dual_index[v] * w for v, w in zip(state, weights))
+    def chunks(of):  # high and low entries' bits -> their part of the index
+        out = []
+        for first, last in ((0, size - low), (size - low, size)):
+            part = {0: 0}
+            for k in range(first, last):
+                part = {r << mw | spread[v]: a + of[v] * q**k
+                        for r, a in part.items() for v in range(q)}
+            out.append(part)
+        return out
 
+    hi, lo = chunks(_trace_dual_index(field))  # the route's index at a
+    cols = [[lo[x & cut] + hi[x >> low * mw] for x in k.members] for k in table.superclasses]
+    hi, lo = chunks(range(q))  # a member's own index
     order = table.order
     width = order.bit_length() + 1
     mask = (1 << width) - 1
     rows = table.dual_orbits
     block = max(1, _ROUTE_BLOCK_BITS // (width * order * p))
-    cols = [[frequency(s) for s in k.members] for k in table.superclasses]
-    for lo in range(0, len(rows), block):
-        block_rows = range(lo, min(lo + block, len(rows)))
+    for first in range(0, len(rows), block):
+        block_rows = range(first, min(first + block, len(rows)))
         vec = [[0] * order for _ in range(p)]
         for k, i in enumerate(block_rows):
             bit = 1 << (k * width)
-            for s in rows[i].members:
-                vec[0][sum(v * w for v, w in zip(s, weights))] = bit
-        vec = _additive_fourier(vec, p, field.m * len(weights))
+            for x in rows[i].members:
+                vec[0][lo[x & cut] + hi[x >> low * mw]] = bit
+        vec = _additive_fourier(vec, p, field.m * size)
 
         def decode(key, fields=len(block_rows)):
             return [[(v >> (k * width)) & mask for v in key] for k in range(fields)]
@@ -457,7 +492,7 @@ def _route_failure(table: SupercharTable):
     table._route = None
     if failures:
         j, m, i = min(failures)
-        table._route = i, j, table.superclasses[j].members[m]
+        table._route = i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
     return table._route
 
 
@@ -541,8 +576,9 @@ def _plancherel_failures(table: SupercharTable, denom: int, rows) -> list[str]:
     for o, row in zip(table.dual_orbits, rows):
         w = o.size
         for acc, u in zip(sums, row):
-            for e, c in u:
-                acc[e] += w * c
+            if u:
+                for e, c in u:
+                    acc[e] += w * c
     return [
         format_coloured(cls.label)
         for cls, acc in zip(table.superclasses, sums)

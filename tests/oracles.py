@@ -4,15 +4,19 @@ superchar.cyclotomic holds a value as p integers in Z[x]/(x^p - 1) over
 one denominator; the Fraction-coordinate class it replaced comes first,
 with the closed formula cell by cell in that class, which the integer
 kernel of superchar.table replaced, and a table view whose values are
-such cells, for comparing exports.  superchar.table checks orthogonality,
+such cells, for comparing exports; then the set-based closed shape and
+the cell-by-cell integer table that the bit masks and row templates of
+_closed_cells replaced.  superchar.table checks orthogonality,
 super-Plancherel and conjugate symmetry on integer vectors; the direct
 Cyclotomic loops those kernels replaced come next, with the entry-by-entry
 i <= j Gram scan and the label scan for inverse columns that the packed
 columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
-transform replaced.  The sparse dict BFS that superchar.orbits.orbit_states
-replaced follows, with the basis-scalar walk that its coset walk replaced,
-then the orbit scan that canonical_form and dual_canonical replaced, the
+transform replaced, with the pairing histogram on dense states that the
+one-multiply packed pairing replaced.  The sparse dict BFS that
+superchar.orbits.orbit_states replaced follows, with the basis-scalar
+walk that its coset walk replaced and the coset walk on dense tuples
+that its packed walk replaced, then the orbit scan that canonical_form and dual_canonical replaced, the
 arc-set label that their checked-chain label replaced, and the entry-dict
 eliminations that their dense-state eliminations replaced, then the
 tower's per-element relative traces and Horner embeddings, the
@@ -36,9 +40,9 @@ from types import SimpleNamespace
 
 from superchar.cli import _json_default
 from superchar.cyclotomic import Cyclotomic
-from superchar.gf import field_trace, is_prime, trace_lift
+from superchar.gf import field_trace, is_prime, trace_lift, trace_lifts
 from superchar.nilpotent import NilMatrix, fits_space, group_inv, positions
-from superchar.orbits import _move_programs, canonical_form, orbit_states
+from superchar.orbits import _move_programs, canonical_form, orbit_states, unpack
 from superchar.partitions import (
     ColouredPartition,
     SetPartition,
@@ -48,7 +52,7 @@ from superchar.partitions import (
     format_coloured,
     nest,
 )
-from superchar.table import _equals_rational, _gram_entry, _pairing_hist
+from superchar.table import _equals_rational, _gram_entry
 from superchar.table import sch_closed as closed_cyclotomic
 
 
@@ -239,6 +243,45 @@ def closed_view(table):
     )
 
 
+def closed_shape(pi, pip):
+    """_closed_shape on arc sets: None when an arc of pi leaves the reach
+    R(pip), else the shared arcs, sorted, and nest(pi, pip)."""
+    if pi.n != pip.n:
+        raise ValueError("label sizes differ")
+    _, reach = compute_SR(pip)
+    if not (pi.arcs() <= reach):
+        return None
+    return sorted(pi.arcs() & pip.arcs()), nest(pi, pip)
+
+
+def closed_cells(rows, cols, field):
+    """_closed_cells cell by cell: closed_shape once per partition pair,
+    then t summed over the shared arcs of every cell."""
+    p, q = field.p, field.order
+    exp, log, trl = field.exp, field.log, trace_lifts(field)
+    shapes = {}
+    for row in rows:
+        for col in cols:
+            key = (row.partition, col.partition)
+            if key not in shapes:
+                shapes[key] = closed_shape(*key)
+    dmax = max((s[1] for s in shapes.values() if s), default=0)
+    out = []
+    for row in rows:
+        line = []
+        for col in cols:
+            shape = shapes[row.partition, col.partition]
+            if shape is None:
+                line.append(())
+                continue
+            shared, d = shape
+            t = sum(trl[exp[log[row.colours[a].index] + log[col.colours[a].index]]]
+                    for a in shared)
+            line.append(((t % p, q ** (dmax - d)),))
+        out.append(line)
+    return q**dmax, out
+
+
 # -- direct Cyclotomic loops -------------------------------------------------
 
 
@@ -363,17 +406,36 @@ def conjugate_symmetry_check(table):
     )
 
 
+def pairing_hist(members, a, field):
+    """_pairing_hist on dense member states: lift(Tr(b_k a_k)) summed over
+    the entries through the log and antilog tables.  A zero entry of b has
+    log 2(q-1), which exp sends to index 0."""
+    exp, log, trl = field.exp, field.log, trace_lifts(field)
+    compiled = [(k, log[v]) for k, v in enumerate(a) if v]
+    hist = [0] * field.p
+    for state in members:
+        hist[sum(trl[exp[log[state[k]] + la]] for k, la in compiled) % field.p] += 1
+    return hist
+
+
+def dense_members(orbit):
+    """An orbit's members as dense states, in member order."""
+    return [unpack(orbit.label.n, orbit.field, x) for x in orbit.members]
+
+
 def constancy_check(table):
     """The superclass-constancy triple of verify_theory, by the averaging
-    route evaluated member by member: classes in order, members in order,
-    rows in order, stopping at the first value that is not the table's."""
+    route evaluated member by member on dense states: classes in order,
+    members in order, rows in order, stopping at the first value that is
+    not the table's."""
     field = table.field
+    rows = [dense_members(o) for o in table.dual_orbits]
     bad = None
     tested = 0
     for j, cls in enumerate(table.superclasses):
-        for state in cls.members:
+        for state in dense_members(cls):
             for i, orbit in enumerate(table.dual_orbits):
-                hist = _pairing_hist(orbit.members, state, field)
+                hist = pairing_hist(rows[i], state, field)
                 got = Cyclotomic(field.p, hist, orbit.size)
                 tested += 1
                 if got != table.values[i][j]:
@@ -551,6 +613,74 @@ def basis_orbit_states(n, field, start, dual=False):
                     new.append(t)
         frontier = new
     return visited
+
+
+# -- coset walk on dense tuples -------------------------------------------------
+#
+# superchar.orbits.orbit_states walks packed ints, one packed add per image.
+# The walk below is the one it replaced: the same cosets, generated on
+# dense index tuples, each image's entries read off rows of Zech sums.
+
+
+def _sum_row(rows, a, field):
+    """rows[a][u], the index of a + g^u for 0 <= u < 2(q-1): a + g^u =
+    g^la (1 + g^(u - la)), one rotation of the Zech table read through exp."""
+    if rows[a] is None:
+        exp, zech, la, n = field.exp, field.zech, field.log[a], field.order - 1
+        row = [exp[la + z] for z in zech[n - la:] + zech[:n - la]] if a else exp[:2 * n]
+        rows[a] = row + row if a else row
+    return rows[a]
+
+
+def _coset(state, pairs, field, rows):
+    """The q - 1 images state + beta*v for beta = g^0, ..., g^(q-2), where
+    v holds the program's source entries at their destinations, or []
+    when every source entry is zero."""
+    log, n = field.log, field.order - 1
+    cols = []
+    for d, r in pairs:
+        v = state[r]
+        if v:
+            lv = log[v]
+            cols.append((d, _sum_row(rows, state[d], field)[lv:lv + n]))
+    out = []
+    if not cols:
+        return out
+    img = list(state)
+    for values in zip(*[col for _, col in cols]):
+        for (d, _), c in zip(cols, values):
+            img[d] = c
+        out.append(tuple(img))
+    return out
+
+
+def coset_orbit_states(n, field, start, dual=False):
+    """Dense states of the orbit of the dense state start, by the coset
+    walk on tuples: each state expands every superdiagonal coset not yet
+    generated through it."""
+    moves = [(1 << k, pairs) for k, (_, _, pairs, _) in enumerate(_move_programs(n, dual))
+             if pairs]
+    rows = [None] * field.order
+    done = {start: 0}  # state -> bits of its cosets already generated
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        bits = done[state]
+        for bit, pairs in moves:
+            if bits & bit:
+                continue
+            for t in _coset(state, pairs, field, rows):
+                if t in done:
+                    done[t] |= bit
+                else:
+                    done[t] = bit
+                    stack.append(t)
+    return set(done)
+
+
+def dense_orbit(n, field, start, dual=False):
+    """orbit_states read back as dense states."""
+    return {unpack(n, field, x) for x in orbit_states(n, field, start, dual)}
 
 
 # -- verge scan ----------------------------------------------------------------

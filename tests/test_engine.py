@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     basis_orbit_states,
+    dense_orbit,
     dict_canonical_form,
     dict_dual_canonical,
     dict_orbit_states,
@@ -68,7 +69,7 @@ def test_engine_matches_dict_bfs_on_every_label(n, p, m, dual):
     assert f.order ** len(positions(n)) <= 4096
     for label in enumerate_labels(n, f, dual=dual):
         rep = build_e(label, f)
-        got = orbit_states(n, f, rep.dense(), dual)
+        got = dense_orbit(n, f, rep.dense(), dual)
         assert got == dict_orbit_states(n, f, dict(rep.entries), dual), label
         assert closed_size(label, f.order) == len(got), label
 
@@ -93,7 +94,7 @@ def test_engine_matches_dict_bfs_from_random_starts(config, dual, data):
         ))
     )
     entries = dict(NilMatrix.from_dense(n, f, start).entries)
-    assert orbit_states(n, f, start, dual) == dict_orbit_states(n, f, entries, dual)
+    assert dense_orbit(n, f, start, dual) == dict_orbit_states(n, f, entries, dual)
 
 
 @pytest.mark.parametrize("corruption", ["sign", "destination", "swap"])
@@ -130,7 +131,7 @@ def test_field_without_index_tables(monkeypatch):
     assert len(orbit_states(3, f, e12.dense())) == 257
     assert len(orbit_states(3, f, e12.dense(), dual=True)) == 1
     e23 = NilMatrix.single(3, f, 2, 3, f.one)
-    assert orbit_states(3, f, e23.dense()) == dict_orbit_states(
+    assert dense_orbit(3, f, e23.dense()) == dict_orbit_states(
         3, f, dict(e23.entries)
     )
 
@@ -140,24 +141,34 @@ def test_images_bounded_by_superdiagonal_moves(monkeypatch):
     # generated once, so a walk makes at most 2(n-1)|O| images (one per state
     # and subgroup), where the basis-scalar walk made up to 2(n-1)m|O| and
     # every elementary move up to n(n-1)(q-1)|O|; every state but the start
-    # is an image
-    images = []
-    expand = orbits._coset
+    # is an image.  A coset expansion iterates the walk's Gray-code step
+    # list seq once and makes one image per step, q - 1 in all
+    expansions = []
 
-    def counting(*args):
-        out = expand(*args)
-        images.append(len(out))
-        return out
+    class CountingSeq(list):
+        def __iter__(self):
+            expansions.append(len(self))
+            return super().__iter__()
 
-    monkeypatch.setattr(orbits, "_coset", counting)
-    for n, p, m in [(4, 3, 1), (4, 2, 2), (3, 3, 2)]:
-        f = field_construct(p, m)
-        for dual in (False, True):
-            for label in enumerate_labels(n, f, dual=dual):
-                images.clear()
-                size = len(orbit_states(n, f, build_e(label, f).dense(), dual))
-                assert size - 1 <= sum(images) <= 2 * (n - 1) * size, label
-                assert all(k in (0, f.order - 1) for k in images)
+    packing = orbits._packing
+
+    def counting_packing(field, size):
+        w, spread, gather, ones, seq, times = packing(field, size)
+        return w, spread, gather, ones, CountingSeq(seq), times
+
+    monkeypatch.setattr(orbits, "_packing", counting_packing)
+    orbits._walk_moves.cache_clear()
+    try:
+        for n, p, m in [(4, 3, 1), (4, 2, 2), (3, 3, 2)]:
+            f = field_construct(p, m)
+            for dual in (False, True):
+                for label in enumerate_labels(n, f, dual=dual):
+                    expansions.clear()
+                    size = len(orbit_states(n, f, build_e(label, f).dense(), dual))
+                    assert size - 1 <= sum(expansions) <= 2 * (n - 1) * size, label
+                    assert all(k == f.order - 1 for k in expansions)
+    finally:
+        orbits._walk_moves.cache_clear()
 
 
 def _one_label_per_partition(n, f, dual):
@@ -188,7 +199,7 @@ def test_coset_walk_matches_basis_and_dict_bfs(monkeypatch, n, p, m, dual):
     f = field_construct(p, m)
     for label in _one_label_per_partition(n, f, dual):
         rep = build_e(label, f)
-        got = orbit_states(n, f, rep.dense(), dual)
+        got = dense_orbit(n, f, rep.dense(), dual)
         assert got == basis_orbit_states(n, f, rep.dense(), dual), label
         assert len(got) == closed_size(label, f.order), label
         if len(got) <= 1024:
@@ -203,7 +214,7 @@ def test_coset_walk_over_gf64(dual):
         _one_label_per_partition(3, f, dual), key=lambda lab: closed_size(lab, 64)
     )
     rep = build_e(label, f)
-    got = orbit_states(3, f, rep.dense(), dual)
+    got = dense_orbit(3, f, rep.dense(), dual)
     assert got == basis_orbit_states(3, f, rep.dense(), dual)
     assert got == dict_orbit_states(3, f, dict(rep.entries), dual)
     assert len(got) == closed_size(label, f.order)
@@ -224,7 +235,7 @@ def test_elimination_matches_orbit_scan_on_every_matrix(n, p, m, dual):
     for start in itertools.product(range(f.order), repeat=len(positions(n))):
         label = canonical(NilMatrix.from_dense(n, f, start))
         assert label.dual == dual
-        verge = verge_state(n, orbit_states(n, f, start, dual))
+        verge = verge_state(n, dense_orbit(n, f, start, dual))
         assert to_state(n, label.colours) == verge, start
 
 
@@ -253,7 +264,7 @@ def test_elimination_matches_orbit_scan_from_random_starts(config, dual, data):
     )
     canonical = dual_canonical if dual else canonical_form
     label = canonical(NilMatrix.from_dense(n, f, start))
-    states = orbit_states(n, f, start, dual)
+    states = dense_orbit(n, f, start, dual)
     assert to_state(n, label.colours) == verge_state(n, states)
     assert closed_size(label, f.order) == len(states)
 

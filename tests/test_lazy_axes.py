@@ -94,10 +94,24 @@ def test_spot_walks_the_smaller_orbit_of_each_sampled_cell(monkeypatch):
     assert sum(size for _, _, size in walks) == 3379
 
 
+def test_representatives_are_built_when_read(monkeypatch):
+    # plancherel on U_5(F_3) reads about 100 of its 514 representatives
+    f = field_construct(3, 1)
+    built = []
+    real = orbits_mod.build_e
+    monkeypatch.setattr(orbits_mod, "build_e",
+                        lambda label, field: built.append(label) or real(label, field))
+    labels = enumerate_labels(4, f, dual=True)
+    axis = [DualOrbit.from_label(label, f) for label in labels]
+    assert built == []
+    assert axis[5].rep == real(labels[5], f)
+    assert built == [labels[5]]
+
+
 def test_given_members_are_kept():
     t = build_table(3, field_construct(2, 1))
     o = t.dual_orbits[-1]
-    tampered = DualOrbit(o.label, o.rep, 1, (o.members[0],))
+    tampered = DualOrbit(o.label, o.field, 1, (o.members[0],))
     assert tampered.members == (o.members[0],)
 
 
@@ -207,9 +221,9 @@ def test_verify_checks_the_cover(axis, one, space):
         return SupercharTable(3, f, axes["dual_orbits"], axes["superclasses"], t.values)
 
     shared = tuple(sorted(first.members + last.members[:1]))
-    overlapping = [kind(first.label, first.rep, 2, shared)] + orbits[1:]
+    overlapping = [kind(first.label, first.field, 2, shared)] + orbits[1:]
     with pytest.raises(AssertionError, match=f"{one} of .* overlaps an earlier one"):
         verify_theory(table_with(overlapping))
-    short = orbits[:-1] + [kind(last.label, last.rep, last.size - 1, last.members[1:])]
+    short = orbits[:-1] + [kind(last.label, last.field, last.size - 1, last.members[1:])]
     with pytest.raises(AssertionError, match=f"cover 26 of 27 {space}"):
         verify_theory(table_with(short))

@@ -91,6 +91,9 @@ def test_transform_equals_pairing_hist_on_every_cell(n, p, m):
         key = [c[0] for c in col]
         assert all(c.count(e) == len(c) for c, e in zip(col, key))
         rep = t.superclasses[j].rep.dense()
+        assert decode(key) == [oracles.pairing_hist(oracles.dense_members(t.dual_orbits[i]),
+                                                    rep, t.field)
+                               for i in rows]
         assert decode(key) == [_pairing_hist(t.dual_orbits[i].members, rep, t.field)
                                for i in rows]
 
@@ -117,7 +120,7 @@ def _tampered(t, moves):
             members[src].append(members[dst].pop(0))
         members[dst].append(b)
     orbits = [
-        DualOrbit(o.label, o.rep, len(ms), tuple(sorted(ms)))
+        DualOrbit(o.label, o.field, len(ms), tuple(sorted(ms)))
         for o, ms in zip(t.dual_orbits, members)
     ]
     return _fresh(t, orbits)
@@ -159,7 +162,7 @@ def _first_failing_rows(t, j):
     """Per member of class j, the first row whose average there is not the
     table cell, or None; member by member through _pairing_hist."""
     out = []
-    for state in t.superclasses[j].members:
+    for state in oracles.dense_members(t.superclasses[j]):
         out.append(next(
             (i for i, o in enumerate(t.dual_orbits)
              if Cyclotomic(t.field.p, _pairing_hist(o.members, state, t.field), o.size)
@@ -181,7 +184,7 @@ def test_row_blocks_give_the_same_route(monkeypatch):
     later = _tampered(small, [(3, 173, 9, True), (6, 148, 4, True)])
     i, j, state = _route_failure(later)
     first = _first_failing_rows(later, j)
-    m = later.superclasses[j].members.index(state)
+    m = oracles.dense_members(later.superclasses[j]).index(state)
     assert first[:m] == [None] * m and first[m] == i
     assert any(r is not None and r < i for r in first[m + 1:])
     assert _constancy(later) == oracles.constancy_check(later)
