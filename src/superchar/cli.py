@@ -32,7 +32,7 @@ from .partitions import (
     parse_coloured,
     parse_colours,
     parse_partition,
-    r_of,
+    partition_stats,
 )
 from .table import (
     _group_json,
@@ -191,13 +191,13 @@ def cmd_orbits(args) -> int:
             args.n, field, validate=args.validate == "full"
         )
         for o in orbits:
-            predicted = field.order ** r_of(o.label.partition)
+            predicted = field.order ** partition_stats(o.label.partition).r
             rows.append(
                 {
                     "label": o.label.to_json(),
                     "label_text": format_coloured(o.label),
                     "size": o.size,
-                    "r": r_of(o.label.partition),
+                    "r": partition_stats(o.label.partition).r,
                     "size_predicted_by_r": predicted,
                     "prediction_matches": predicted == o.size,
                 }

@@ -261,14 +261,14 @@ def _verge_label(n: int, field: FiniteField, state, dual=False) -> ColouredParti
 
 class _Orbit:
     """An orbit labelled by a coloured partition: the label, its field, the
-    size, the representative build_e(label), built when read, and the
-    members, a sorted tuple of packed states, kept as given if given, else
-    walked with orbit_states on first read and cached; a walk whose count
+    size, and, each built on first read and cached, the representative
+    build_e(label) and the members, a sorted tuple of packed states, kept
+    as given if given, else walked with orbit_states; a walk whose count
     differs from size raises AssertionError, so a closed size is checked
     whenever it is walked.
     """
 
-    __slots__ = ("label", "field", "size", "_members")
+    __slots__ = ("label", "field", "size", "_members", "_rep")
     dual = False
 
     def __init__(self, label: ColouredPartition, field: FiniteField, size: int, members=None):
@@ -276,13 +276,18 @@ class _Orbit:
         self.field = field
         self.size = size
         self._members = members
+        self._rep = None
 
     @classmethod
     def from_label(cls, label: ColouredPartition, field: FiniteField):
         """The orbit of label with its closed size, members not yet walked."""
         return cls(label, field, closed_size(label, field.order))
 
-    rep = property(lambda self: build_e(self.label, self.field))
+    @property
+    def rep(self) -> NilMatrix:
+        if self._rep is None:
+            self._rep = build_e(self.label, self.field)
+        return self._rep
 
     @property
     def members(self) -> tuple:

@@ -6,14 +6,21 @@ Attaching a nonzero field value to every arc gives the canonical label of a
 superclass; the same shape with character colours labels a dual orbit.  The
 canonical ordering of labels sorts the dense digit vector of the associated
 verge matrix, wide arcs most significant.
+
+The closed formula reads a partition through its arcs, its shadow S(pi)
+and reach R(pi), its cover count r(pi) and the nest count between two
+partitions, after Diaconis and Isaacs; partition_stats holds them once per
+partition, as bit masks over position_rank(n), for every reader.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 from .gf import FiniteField, format_value, parse_value
+from .nilpotent import NilMatrix, position_rank
 
 _BELL_CAP = 12
 
@@ -119,45 +126,59 @@ def chain_label(n, succ, has_pred, colours, dual=False) -> ColouredPartition:
     return label
 
 
+class PartitionStats(NamedTuple):
+    """A partition's statistics, on masks whose bits are position_rank(n)."""
+
+    arcs: int  # the arcs
+    bits: tuple  # (bit, arc) per arc, sorted
+    reach: int  # R(pi): the positions no arc shadows to its right or above
+    inside: tuple  # per arc (i, j), the positions (k, l) with i < k < l < j
+    shadow: int  # |S(pi)|, the number of shadowed positions
+    r: int  # r(pi): the positions (i, k) and (k, j), i < k < j, of some arc
+
+    def nest(self, other: PartitionStats) -> int:
+        """The arcs of other strictly inside arcs of self, with multiplicity."""
+        return sum((m & other.arcs).bit_count() for m in self.inside)
+
+    def shape(self, other: PartitionStats):
+        """None if an arc of self leaves other's reach, else (shared arcs, nest)."""
+        if self.arcs & ~other.reach:
+            return None
+        return [a for b, a in self.bits if b & other.arcs], self.nest(other)
+
+
 @lru_cache(maxsize=1 << 12)
-def compute_SR(pi: SetPartition) -> tuple[frozenset, frozenset]:
-    """S = pairs shadowed to the right/above by some arc; R = the rest.
-
-    Cached per partition, so a table computes it once per column shape, not
-    once per cell; the bound exceeds Bell(7), the widest table the space
-    cap admits at any q.
-    """
-    n = pi.n
-    shadow = set()
-    for (i, j) in pi.arcs():
-        for l in range(j + 1, n + 1):
-            shadow.add((i, l))
-        for k in range(1, i):
-            shadow.add((k, j))
-    everything = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    return frozenset(shadow), frozenset(everything - shadow)
-
-
-def nest_arc(arc: tuple[int, int], other: SetPartition) -> int:
-    i, j = arc
-    return sum(1 for (k, l) in other.arcs() if i < k and l < j)
+def partition_stats(pi: SetPartition) -> PartitionStats:
+    """pi's PartitionStats, cached per partition, so a table builds it once
+    per partition, not once per cell; the bound exceeds Bell(7), the widest
+    table the space cap admits at any q."""
+    n, rank = pi.n, position_rank(pi.n)
+    bits = tuple((1 << rank[a], a) for a in sorted(pi.arcs()))
+    shadow = covered = 0
+    for _, (i, j) in bits:  # per arc, each sum adds distinct bits
+        shadow |= sum(1 << rank[i, l] for l in range(j + 1, n + 1))
+        shadow |= sum(1 << rank[k, j] for k in range(1, i))
+        covered |= sum(1 << rank[i, k] | 1 << rank[k, j] for k in range(i + 1, j))
+    inside = tuple(sum(1 << rank[k, l] for k in range(i + 1, j) for l in range(k + 1, j))
+                   for _, (i, j) in bits)
+    everything = (1 << len(rank)) - 1
+    return PartitionStats(sum(b for b, _ in bits), bits, everything & ~shadow, inside,
+                          shadow.bit_count(), covered.bit_count())
 
 
 def nest(pi: SetPartition, other: SetPartition) -> int:
     """Number of arcs of `other` strictly inside arcs of `pi`, with multiplicity."""
     if pi.n != other.n:
         raise ValueError("size mismatch")
-    return sum(nest_arc(a, other) for a in pi.arcs())
+    return partition_stats(pi).nest(partition_stats(other))
 
 
-@lru_cache(maxsize=1 << 12)
-def r_of(pi: SetPartition) -> int:
-    covered = set()
-    for (i, j) in pi.arcs():
-        for k in range(i + 1, j):
-            covered.add((i, k))
-            covered.add((k, j))
-    return len(covered)
+def _closed_shape(pi: SetPartition, pip: SetPartition):
+    """What the closed formula reads of the two partitions, their
+    PartitionStats.shape, once their sizes are found equal."""
+    if pi.n != pip.n:
+        raise ValueError("label sizes differ")
+    return partition_stats(pi).shape(partition_stats(pip))
 
 
 def count_labels(n: int, q: int) -> int:
@@ -292,15 +313,12 @@ def parse_coloured(
 def closed_size(cp: ColouredPartition, q: int) -> int:
     """The orbit size of a label over F_q, with no walk: q^r(pi) for a dual
     orbit, q^|S(pi)| for a superclass."""
-    if cp.dual:
-        return q ** r_of(cp.partition)
-    return q ** len(compute_SR(cp.partition)[0])
+    stats = partition_stats(cp.partition)
+    return q ** (stats.r if cp.dual else stats.shadow)
 
 
 def build_e(cp: ColouredPartition, field: FiniteField):
     """The verge matrix with colour values at arc positions."""
-    from .nilpotent import NilMatrix
-
     for v in cp.colours.values():
         if v.field != field:
             raise ValueError("colour field mismatch")

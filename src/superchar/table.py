@@ -9,8 +9,8 @@ the closed formula and cross-validates against the average.
 
 The closed table is integers end to end.  _closed_cells gives every cell
 as a sparse vector in Z[x]/(x^p - 1) over one denominator D = q^dmax,
-zeta^t q^-d being D q^-d x^t, from per-partition bit masks and template
-rows, and the table holds only those cells: the cross-check,
+zeta^t q^-d being D q^-d x^t, from each partition's partition_stats and
+template rows, and the table holds only those cells: the cross-check,
 verify_theory, plancherel and inner_product read them.  A
 Cyclotomic is the same kind of value, p integers in Z[x]/(x^p - 1) over a
 denominator, so a cell becomes one by a constructor call: for the `values`
@@ -56,14 +56,15 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import FiniteField, trace_lifts
-from .nilpotent import group_inv, position_rank, positions
+from .nilpotent import group_inv, positions
 from .orbits import Superclass, _packing, canonical_form, check_cover, check_space, unpack
 from .partitions import (
     ColouredPartition,
-    compute_SR,
+    _closed_shape,
     count_labels,
     enumerate_labels,
     format_coloured,
+    partition_stats,
 )
 
 _FULL_VALIDATION_LIMIT = 1 << 12
@@ -140,42 +141,14 @@ def _closed_value(pairs, d: int, field: FiniteField) -> Cyclotomic:
     return Cyclotomic(p, _dense(((t % p, 1),), p), field.order**d)
 
 
-@lru_cache(maxsize=1 << 12)
-def _arc_masks(pi) -> tuple:
-    """pi's arcs and reach R(pi) as masks over position ranks, per arc the
-    mask of the positions strictly inside it, and (bit, arc) per arc."""
-    rank = position_rank(pi.n)
-    bits = [(1 << rank[a], a) for a in sorted(pi.arcs())]
-    inside = [sum(1 << rank[k, l] for k in range(i + 1, j) for l in range(k + 1, j))
-              for _, (i, j) in bits]
-    return sum(b for b, _ in bits), sum(1 << rank[a] for a in compute_SR(pi)[1]), inside, bits
-
-
-def _closed_shape(pi, pip):
-    """What the closed formula reads of the two partitions: None when an
-    arc of pi leaves the reach of pip, else the shared arcs, sorted, and
-    the nesting depth nest(pi, pip)."""
-    if pi.n != pip.n:
-        raise ValueError("label sizes differ")
-    return _shape(_arc_masks(pi), _arc_masks(pip))
-
-
-def _shape(masks, other_masks):
-    """_closed_shape on _arc_masks: the reach test, then the nest count."""
-    (arcs, _, inside, bits), (other, reach) = masks, other_masks[:2]
-    if arcs & ~reach:
-        return None
-    return [a for b, a in bits if b & other], sum((m & other).bit_count() for m in inside)
-
-
 def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]]]:
     """The closed formula on every (row, column) pair of labels, as integer
     cells over one denominator D = q^dmax, in the shape of _integer_cells:
     a zero cell is (), and zeta^t q^-d is ((t, q^(dmax - d)),).
 
     _closed_shape depends only on the two partitions, so it runs once per
-    partition pair, at most Bell(n)^2 of them, on masks cached per
-    partition.  A row copies its partition's template, the cells that read
+    partition pair, at most Bell(n)^2 of them, on the cached partition_stats
+    of each.  A row copies its partition's template, the cells that read
     no colour, and fills the columns with shared arcs: t sums lift(Tr(a b))
     over the row's arcs, from terms built per arc and colour (an arc the
     column lacks reads log 0, whose term is 0).  Cells are interned.
@@ -189,8 +162,8 @@ def _closed_cells(rows, cols, field: FiniteField) -> tuple[int, list[list[tuple]
 
     row_parts, row_of = partitions_of(rows)
     col_parts, col_of = partitions_of(cols)
-    masks = [_arc_masks(pip) for pip in col_parts]
-    shapes = [[_shape(r, m) for m in masks] for r in map(_arc_masks, row_parts)]
+    col_stats = [partition_stats(pip) for pip in col_parts]
+    shapes = [[r.shape(c) for c in col_stats] for r in map(partition_stats, row_parts)]
     dmax = max((s[1] for line in shapes for s in line if s), default=0)
     span = (p - 1) * (rows[0].n - 1) + 1  # t < span: at most n - 1 arcs
     cells = [((t % p, q ** (dmax - d)),) for d in range(dmax + 1) for t in range(span)]

@@ -32,14 +32,15 @@ from .nilpotent import fits_space, positions
 from .partitions import (
     ColouredPartition,
     SetPartition,
+    _closed_shape,
     closed_size,
     enumerate_labels,
     enumerate_partitions,
     format_coloured,
     nest,
-    r_of,
+    partition_stats,
 )
-from .table import _closed_shape, _closed_value
+from .table import _closed_value
 
 
 class FieldTower:
@@ -228,14 +229,15 @@ def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
     The column is given at its own level and embedded upward.  Levels
     below m0 or below the column's level are reported as undefined; the
     first defined level is at most the tower height, so at least one level
-    is defined.  The closed shape of the two partitions is found once;
-    every level reads it, and the limit is the first defined value when
+    is defined.  The closed shape and the nesting depth of the two
+    partitions are read once, from the masks of their partition_stats;
+    every level reads them, and the limit is the first defined value when
     the shape exists with zero nesting, zero otherwise.
     """
     tower = label.tower
     first = max(label.m0, _column_level(tower, col))
     shape = _closed_shape(label.partition, col.partition)
-    depth = nest(label.partition, col.partition) if shape is None else shape[1]
+    depth = nest(label.partition, col.partition)
     levels = []
     values = []
     for m in range(1, len(tower) + 1):
@@ -375,15 +377,16 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
         if len(set(sizes)) == 1:
             fsc_arcs |= set(label.arcs())
 
-    qualifying = [pi for pi in enumerate_partitions(n) if pi.arcs() <= fsc_arcs]
+    qualifying = [partition_stats(pi) for pi in enumerate_partitions(n)
+                  if pi.arcs() <= fsc_arcs]
     profile = []
     for m in levels:
         q = tower.field(m).order
         total = q ** len(positions(n))
         weight = Fraction(0)
-        for pi in qualifying:
+        for stats in qualifying:
             # (q-1)^|arcs| colourings of pi, each an orbit of q^r(pi) characters
-            weight += Fraction((q - 1) ** len(pi.arcs()) * q ** r_of(pi), total)
+            weight += Fraction((q - 1) ** len(stats.bits) * q**stats.r, total)
         profile.append({"level": m, "q": q, "weight": weight})
     weights = [entry["weight"] for entry in profile]
     increasing = all(a < b for a, b in zip(weights, weights[1:]))

@@ -1,7 +1,10 @@
 """Slow reference implementations, kept so tests can compare exactly.
 
+The set-builder partition statistics that the bit masks of
+superchar.partitions.partition_stats replaced come first: the shadow
+S(pi) and reach R(pi), the cover count r(pi) and the nest count.
 superchar.cyclotomic holds a value as p integers in Z[x]/(x^p - 1) over
-one denominator; the Fraction-coordinate class it replaced comes first,
+one denominator; the Fraction-coordinate class it replaced comes next,
 with the closed formula cell by cell in that class, which the integer
 kernel of superchar.table replaced, and a table view whose values are
 such cells, for comparing exports; then the set-based closed shape and
@@ -47,13 +50,44 @@ from superchar.partitions import (
     ColouredPartition,
     SetPartition,
     build_e,
-    compute_SR,
     enumerate_labels,
     format_coloured,
-    nest,
 )
 from superchar.table import _equals_rational, _gram_entry
 from superchar.table import sch_closed as closed_cyclotomic
+
+
+# -- partition statistics on sets ----------------------------------------------
+
+
+def compute_SR(pi):
+    """S = pairs shadowed to the right/above by some arc; R = the rest."""
+    n = pi.n
+    shadow = set()
+    for (i, j) in pi.arcs():
+        for l in range(j + 1, n + 1):
+            shadow.add((i, l))
+        for k in range(1, i):
+            shadow.add((k, j))
+    everything = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return frozenset(shadow), frozenset(everything - shadow)
+
+
+def r_of(pi):
+    """The positions (i, k) and (k, j), i < k < j, of some arc (i, j)."""
+    covered = set()
+    for (i, j) in pi.arcs():
+        for k in range(i + 1, j):
+            covered.add((i, k))
+            covered.add((k, j))
+    return len(covered)
+
+
+def nest(pi, other):
+    """Number of arcs of `other` strictly inside arcs of `pi`, with multiplicity."""
+    if pi.n != other.n:
+        raise ValueError("size mismatch")
+    return sum(1 for (i, j) in pi.arcs() for (k, l) in other.arcs() if i < k and l < j)
 
 
 # -- Fraction-coordinate cyclotomics --------------------------------------------

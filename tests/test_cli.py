@@ -14,7 +14,7 @@ import pytest
 from superchar import cli, field_construct
 from superchar import table as table_mod
 from superchar.cli import main
-from superchar.partitions import r_of
+from superchar.partitions import partition_stats
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -233,9 +233,13 @@ def test_orbits_dual_prediction_fields(capsys):
 
 
 def test_orbits_dual_failed_prediction_exits_1(capsys, monkeypatch):
-    # with r_of one too large, the q^r(pi) prediction fails on every orbit
+    # with r(pi) one too large, the q^r(pi) prediction fails on every orbit
     # but the trivial one, and the report is still printed
-    monkeypatch.setattr(cli, "r_of", lambda pi: r_of(pi) + bool(pi.arcs()))
+    def wrong(pi):
+        stats = partition_stats(pi)
+        return stats._replace(r=stats.r + bool(pi.arcs()))
+
+    monkeypatch.setattr(cli, "partition_stats", wrong)
     assert main(["orbits", "--n", "3", "--p", "2", "--dual"]) == 1
     rows = json.loads(capsys.readouterr().out)["orbits"]
     assert [r["prediction_matches"] for r in rows] == [True] + [False] * (len(rows) - 1)

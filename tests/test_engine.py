@@ -23,10 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     basis_orbit_states,
+    compute_SR,
     dense_orbit,
     dict_canonical_form,
     dict_dual_canonical,
     dict_orbit_states,
+    r_of,
     to_state,
     verge_state,
 )
@@ -38,15 +40,13 @@ from superchar.orbits import canonical_form, orbit_states
 from superchar.partitions import (
     ColouredPartition,
     build_e,
-    compute_SR,
     enumerate_labels,
     enumerate_partitions,
-    r_of,
 )
 
 
 def closed_size(label, q):
-    """q^r(pi) for a dual orbit, q^|S(pi)| for a superclass."""
+    """q^r(pi) for a dual orbit, q^|S(pi)| for a superclass, on sets."""
     if label.dual:
         return q ** r_of(label.partition)
     return q ** len(compute_SR(label.partition)[0])

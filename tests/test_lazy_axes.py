@@ -9,6 +9,7 @@ samples.
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -21,7 +22,7 @@ from superchar import cli
 from superchar.dual import DualOrbit, enumerate_dual_orbits
 from superchar.gf import field_construct
 from superchar.orbits import Superclass, enumerate_superclasses
-from superchar.partitions import compute_SR, enumerate_labels, r_of
+from superchar.partitions import enumerate_labels, partition_stats
 from superchar.table import SupercharTable, build_table, plancherel, verify_theory
 
 # every config with |A| = q^(n(n-1)/2) <= 4096
@@ -105,7 +106,21 @@ def test_representatives_are_built_when_read(monkeypatch):
     axis = [DualOrbit.from_label(label, f) for label in labels]
     assert built == []
     assert axis[5].rep == real(labels[5], f)
+    assert axis[5].rep is axis[5].rep
     assert built == [labels[5]]
+
+
+def test_each_representative_is_built_once(monkeypatch):
+    # the full cross-check walks every orbit from its representative, and
+    # verify_theory reads each superclass's again for its inverse column
+    f = field_construct(3, 1)
+    built = []
+    real = orbits_mod.build_e
+    monkeypatch.setattr(orbits_mod, "build_e",
+                        lambda label, field: built.append(label) or real(label, field))
+    t = build_table(4, f, full=True)
+    assert all(ok for _, ok, _ in verify_theory(t))
+    assert Counter(built) == Counter(o.label for o in t.dual_orbits + t.superclasses)
 
 
 def test_given_members_are_kept():
@@ -129,20 +144,26 @@ def _unchecked_table(n, f):
 
 
 def _bump_r(monkeypatch):
-    """r_of one too large on partitions with two or more arcs."""
-    wrong = lambda pi: r_of(pi) + (len(pi.arcs()) >= 2)  # noqa: E731
-    monkeypatch.setattr(partitions_mod, "r_of", wrong)
+    """partition_stats with r(pi) one too large on partitions with two or
+    more arcs."""
+
+    def wrong(pi):
+        stats = partition_stats(pi)
+        return stats._replace(r=stats.r + (len(pi.arcs()) >= 2))
+
+    monkeypatch.setattr(partitions_mod, "partition_stats", wrong)
     return wrong
 
 
 def _bump_s(monkeypatch):
-    """|S(pi)| one too large on partitions with exactly one arc."""
+    """partition_stats with |S(pi)| one too large on partitions with exactly
+    one arc."""
 
     def wrong(pi):
-        s, reach = compute_SR(pi)
-        return (s | {(0, 0)}, reach) if len(pi.arcs()) == 1 else (s, reach)
+        stats = partition_stats(pi)
+        return stats._replace(shadow=stats.shadow + (len(pi.arcs()) == 1))
 
-    monkeypatch.setattr(partitions_mod, "compute_SR", wrong)
+    monkeypatch.setattr(partitions_mod, "partition_stats", wrong)
 
 
 @pytest.mark.parametrize("mutate,axis", [(_bump_r, "dual_orbits"),
@@ -182,9 +203,9 @@ def test_wrong_s_fails_the_spot_cross_check_and_the_cli(monkeypatch, capsys):
 
 
 def test_orbits_dual_reports_the_walked_size(monkeypatch):
-    # with r_of wrong everywhere, a closed size would match its prediction
+    # with r wrong everywhere, a closed size would match its prediction
     wrong = _bump_r(monkeypatch)
-    monkeypatch.setattr(cli, "r_of", wrong)
+    monkeypatch.setattr(cli, "partition_stats", wrong)
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert cli.main(["orbits", "--n", "4", "--p", "3", "--dual"]) == 1

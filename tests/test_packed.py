@@ -20,11 +20,10 @@ import superchar.table as table_mod
 from superchar.gf import field_construct
 from superchar.nilpotent import fits_space, positions
 from superchar.orbits import _move_programs, _packing, orbit_states, pack, unpack
-from superchar.partitions import build_e, enumerate_labels, enumerate_partitions
+from superchar.partitions import _closed_shape, build_e, enumerate_labels, enumerate_partitions
 from superchar.table import (
     RouteDisagreement,
     _closed_cells,
-    _closed_shape,
     _pairing_hist,
     build_table,
     table_from_json,

@@ -2,30 +2,31 @@
 
 Oracle: an independent enumerator (grow partitions of [k-1] by inserting k
 into every block or as a new singleton) checks counts and membership, and
-the statistics are recomputed from their set-builder definitions.
+the bit-mask statistics of partition_stats are compared with their
+set-builder definitions in oracles (compute_SR, r_of, nest).
 """
 
 import itertools
 
 import pytest
 
+import oracles
 from oracles import partition_from_arcs
 from superchar.gf import field_construct
+from superchar.nilpotent import position_rank
 from superchar.partitions import (
     ColouredPartition,
     SetPartition,
     build_e,
-    compute_SR,
     count_labels,
     enumerate_labels,
     enumerate_partitions,
     format_coloured,
     format_partition,
     nest,
-    nest_arc,
     parse_coloured,
     parse_partition,
-    r_of,
+    partition_stats,
 )
 
 
@@ -61,32 +62,9 @@ def _all_pairs(n):
     return {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
-def _shadow_oracle(pi):
-    out = set()
-    for (i, j) in pi.arcs():
-        for l in range(j + 1, pi.n + 1):
-            out.add((i, l))
-        for k in range(1, i):
-            out.add((k, j))
-    return out
-
-
-def _nest_oracle(pi, other):
-    total = 0
-    for (i, j) in pi.arcs():
-        for (k, l) in other.arcs():
-            if i < k < l < j:
-                total += 1
-    return total
-
-
-def _r_oracle(pi):
-    covered = set()
-    for (i, j) in pi.arcs():
-        for k in range(i + 1, j):
-            covered.add((i, k))
-            covered.add((k, j))
-    return len(covered)
+def _positions(mask, n):
+    """The positions whose bits are set in mask."""
+    return {pos for pos, k in position_rank(n).items() if mask >> k & 1}
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -161,55 +139,62 @@ def test_partition_from_arcs_inverts_arcs():
 
 
 def test_shadow_worked_examples():
-    s, r = compute_SR(parse_partition("1/2/3", 3))
-    assert s == frozenset() and r == _all_pairs(3)
-    s, r = compute_SR(parse_partition("1,2/3", 3))
-    assert s == {(1, 3)} and r == {(1, 2), (2, 3)}
-    s, r = compute_SR(partition_from_arcs(4, {(2, 3)}))
-    assert s == {(2, 4), (1, 3)}
-    assert r == {(1, 2), (1, 4), (2, 3), (3, 4)}
-
-
-def test_shadow_matches_definition_and_partitions_pairs():
-    for n in range(1, 7):
-        for pi in enumerate_partitions(n):
-            s, r = compute_SR(pi)
-            assert s == _shadow_oracle(pi)
-            assert s | r == _all_pairs(n)
-            assert s & r == frozenset()
-            assert pi.arcs() <= r  # arcs never shadow themselves
+    for pi, shadow, reach in [
+        (parse_partition("1/2/3", 3), set(), _all_pairs(3)),
+        (parse_partition("1,2/3", 3), {(1, 3)}, {(1, 2), (2, 3)}),
+        (partition_from_arcs(4, {(2, 3)}), {(2, 4), (1, 3)},
+         {(1, 2), (1, 4), (2, 3), (3, 4)}),
+    ]:
+        assert oracles.compute_SR(pi) == (shadow, reach)
+        stats = partition_stats(pi)
+        assert stats.shadow == len(shadow)
+        assert _positions(stats.reach, pi.n) == reach
 
 
 def test_nest_worked_examples():
     singles = parse_partition("1/2/3/4", 4)
     for pi in enumerate_partitions(4):
-        assert nest(pi, singles) == 0
-    assert nest(partition_from_arcs(4, {(1, 4)}),
-                partition_from_arcs(4, {(2, 3)})) == 1
-    assert nest(parse_partition("1,3/2", 3), parse_partition("1,2/3", 3)) == 0
-    assert nest_arc((1, 4), partition_from_arcs(4, {(2, 3)})) == 1
-    assert nest_arc((1, 4), partition_from_arcs(4, {(1, 2), (3, 4)})) == 0
-
-
-def test_nest_matches_oracle():
-    for pi in enumerate_partitions(5):
-        for other in enumerate_partitions(5):
-            assert nest(pi, other) == _nest_oracle(pi, other)
-    with pytest.raises(ValueError):
-        nest(parse_partition("1,2", 2), parse_partition("1,2,3", 3))
+        assert nest(pi, singles) == oracles.nest(pi, singles) == 0
+    for pi, other, depth in [
+        (partition_from_arcs(4, {(1, 4)}), partition_from_arcs(4, {(2, 3)}), 1),
+        (parse_partition("1,3/2", 3), parse_partition("1,2/3", 3), 0),
+        (partition_from_arcs(4, {(1, 4)}), partition_from_arcs(4, {(1, 2), (3, 4)}), 0),
+    ]:
+        assert nest(pi, other) == oracles.nest(pi, other) == depth
+    for reading in (nest, oracles.nest):
+        with pytest.raises(ValueError):
+            reading(parse_partition("1,2", 2), parse_partition("1,2,3", 3))
 
 
 def test_r_worked_examples():
-    assert r_of(parse_partition("1/2/3", 3)) == 0
-    assert r_of(parse_partition("1,3/2", 3)) == 2
-    assert r_of(parse_partition("1,2,3", 3)) == 0
-    assert r_of(partition_from_arcs(4, {(1, 4)})) == 4
+    for pi, r in [
+        (parse_partition("1/2/3", 3), 0),
+        (parse_partition("1,3/2", 3), 2),
+        (parse_partition("1,2,3", 3), 0),
+        (partition_from_arcs(4, {(1, 4)}), 4),
+    ]:
+        assert partition_stats(pi).r == oracles.r_of(pi) == r
 
 
-def test_r_matches_oracle():
-    for n in range(1, 7):
-        for pi in enumerate_partitions(n):
-            assert r_of(pi) == _r_oracle(pi)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partition_stats_match_the_set_oracles(n):
+    # |S|, R and r on every partition of [n], n <= 7; the nest count on
+    # every pair for n <= 6, pairs outside the reach included (test_packed
+    # compares the shape on the same pairs)
+    parts = enumerate_partitions(n)
+    for pi in parts:
+        shadow, reach = oracles.compute_SR(pi)
+        assert shadow | reach == _all_pairs(n) and not shadow & reach
+        assert pi.arcs() <= reach  # arcs never shadow themselves
+        stats = partition_stats(pi)
+        assert (stats.shadow, _positions(stats.reach, n), stats.r) == (
+            len(shadow), reach, oracles.r_of(pi)), pi
+        assert _positions(stats.arcs, n) == pi.arcs()
+    if n > 6:
+        return
+    for pi in parts:
+        for pip in parts:
+            assert nest(pi, pip) == oracles.nest(pi, pip), (pi, pip)
 
 
 # ----------------------------------------------------------- label counts
