@@ -176,22 +176,31 @@ def test_r_worked_examples():
         assert partition_stats(pi).r == oracles.r_of(pi) == r
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def test_shadow_matches_definition_and_partitions_pairs():
+    # |S| and R of the record against the set-builder shadow on every
+    # partition of [n], n <= 7; S and R partition the pairs
+    for n in range(1, 8):
+        for pi in enumerate_partitions(n):
+            shadow, reach = oracles.compute_SR(pi)
+            assert shadow | reach == _all_pairs(n) and not shadow & reach
+            assert pi.arcs() <= reach  # arcs never shadow themselves
+            stats = partition_stats(pi)
+            assert (stats.shadow, _positions(stats.reach, n)) == (
+                len(shadow), reach), pi
+            assert _positions(stats.arcs, n) == pi.arcs()
+
+
+def test_r_matches_oracle():
+    for n in range(1, 8):
+        for pi in enumerate_partitions(n):
+            assert partition_stats(pi).r == oracles.r_of(pi), pi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_partition_stats_match_the_set_oracles(n):
-    # |S|, R and r on every partition of [n], n <= 7; the nest count on
-    # every pair for n <= 6, pairs outside the reach included (test_packed
-    # compares the shape on the same pairs)
+    # the nest count on every pair for n <= 6, pairs outside the reach
+    # included (test_packed compares the shape on the same pairs)
     parts = enumerate_partitions(n)
-    for pi in parts:
-        shadow, reach = oracles.compute_SR(pi)
-        assert shadow | reach == _all_pairs(n) and not shadow & reach
-        assert pi.arcs() <= reach  # arcs never shadow themselves
-        stats = partition_stats(pi)
-        assert (stats.shadow, _positions(stats.reach, n), stats.r) == (
-            len(shadow), reach, oracles.r_of(pi)), pi
-        assert _positions(stats.arcs, n) == pi.arcs()
-    if n > 6:
-        return
     for pi in parts:
         for pip in parts:
             assert nest(pi, pip) == oracles.nest(pi, pip), (pi, pip)
