@@ -261,9 +261,9 @@ def _verge_label(n: int, field: FiniteField, state, dual=False) -> ColouredParti
 
 class _Orbit:
     """An orbit labelled by a coloured partition: the label, its field, the
-    size, and, each built on first read and cached, the representative
-    build_e(label) and the members, a sorted tuple of packed states, kept
-    as given if given, else walked with orbit_states; a walk whose count
+    size, and, each kept as given if given, else built on first read and
+    cached, the representative build_e(label) and the members, a sorted
+    tuple of packed states walked with orbit_states; a walk whose count
     differs from size raises AssertionError, so a closed size is checked
     whenever it is walked.
     """
@@ -271,12 +271,13 @@ class _Orbit:
     __slots__ = ("label", "field", "size", "_members", "_rep")
     dual = False
 
-    def __init__(self, label: ColouredPartition, field: FiniteField, size: int, members=None):
+    def __init__(self, label: ColouredPartition, field: FiniteField, size: int,
+                 members=None, rep=None):
         self.label = label
         self.field = field
         self.size = size
         self._members = members
-        self._rep = None
+        self._rep = rep
 
     @classmethod
     def from_label(cls, label: ColouredPartition, field: FiniteField):
@@ -334,8 +335,9 @@ def _walked_axes(kind, n: int, field: FiniteField) -> list:
     is cover-checked."""
     out = []
     for label in enumerate_labels(n, field, dual=kind.dual):
-        states = orbit_states(n, field, build_e(label, field).dense(), kind.dual)
-        out.append(kind(label, field, len(states), tuple(sorted(states))))
+        rep = build_e(label, field)
+        states = orbit_states(n, field, rep.dense(), kind.dual)
+        out.append(kind(label, field, len(states), tuple(sorted(states)), rep))
     check_cover(out, field.order ** len(positions(n)))
     return out
 

@@ -189,6 +189,15 @@ def count_labels(n: int, q: int) -> int:
 # -- coloured partitions ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _digit_rank(n: int) -> dict:
+    """Per position (i, j), its digit in sort_key: positions by width j - i,
+    then by i, both descending."""
+    ranked = sorted(((j - i, i, (i, j)) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)), reverse=True)
+    return {pos: k for k, (_, _, pos) in enumerate(ranked)}
+
+
 class ColouredPartition:
     """A set partition with a nonzero field value on every arc.
 
@@ -221,15 +230,10 @@ class ColouredPartition:
 
     def sort_key(self) -> tuple[int, ...]:
         """Dense digit vector of the verge matrix, widest arcs first."""
-        ranked = sorted(
-            ((j - i, i, (i, j)) for i in range(1, self.n + 1)
-             for j in range(i + 1, self.n + 1)),
-            reverse=True,
-        )
-        return tuple(
-            self.colours[pos].index if pos in self.colours else 0
-            for (_, _, pos) in ranked
-        )
+        key, rank = [0] * (self.n * (self.n - 1) // 2), _digit_rank(self.n)
+        for pos, v in self.colours.items():
+            key[rank[pos]] = v.index
+        return tuple(key)
 
     def __eq__(self, other):
         if not isinstance(other, ColouredPartition):
@@ -315,6 +319,30 @@ def closed_size(cp: ColouredPartition, q: int) -> int:
     orbit, q^|S(pi)| for a superclass."""
     stats = partition_stats(cp.partition)
     return q ** (stats.r if cp.dual else stats.shadow)
+
+
+def torus_logs(cp: ColouredPartition, field: FiniteField) -> tuple:
+    """(lambda0, t) with cp = t . lambda0: lambda0 the all-ones colouring of
+    cp's partition, t the logs of a torus element (t_1, ..., t_n), 0 at each
+    block's least element.
+
+    The diagonal torus (F_q^x)^n acts on A by a_ij -> t_i a_ij t_j^-1 and on
+    pairing matrices by the contragredient b_ij -> t_i^-1 b_ij t_j, so it
+    scales the colour of arc (i, j) by t_i/t_j on a superclass label and by
+    t_j/t_i on a dual one.  The arcs of a block form a path, so t is read
+    along it, and the colourings of a partition form one torus orbit; its
+    stabilizer is the t constant on each block.
+    """
+    log, mod, sign = field.log, field.order - 1, 1 if cp.dual else -1
+    t = [0] * cp.n
+    for (i, j), v in cp.colours.items():  # arcs ascending: t_i is read first
+        t[j - 1] = (t[i - 1] + sign * log[v.index]) % mod
+    return _all_ones(cp.partition, field, cp.dual), tuple(t)
+
+
+@lru_cache(maxsize=1 << 12)
+def _all_ones(pi: SetPartition, field: FiniteField, dual: bool) -> ColouredPartition:
+    return ColouredPartition(pi, dict.fromkeys(pi.arcs(), field.one), dual)
 
 
 def build_e(cp: ColouredPartition, field: FiniteField):

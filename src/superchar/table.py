@@ -33,6 +33,12 @@ members and the trace pairing, never a label formula.  _route_failure
 compares it with the table block by block and keeps one verdict, read by
 both build_table's full cross-check and verify_theory's constancy check.
 
+The diagonal torus permutes both axes and keeps the pairing, so the route
+and the Gram run on one row per torus orbit, Bell(n) rows, once
+_orbit_rows has checked that the table and the members are equivariant;
+any failure, there or on those rows, sends the check over every row, so
+every verdict is the full scan's.
+
 build_table and table_from_json build both axes from the labels alone:
 each orbit carries its label, field and closed size (q^|S(pi)| for a
 superclass, q^r(pi) for a dual orbit) and builds build_e(label) on read.
@@ -47,6 +53,7 @@ it walks only those; plancherel and the closed table walk nothing.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -65,6 +72,7 @@ from .partitions import (
     enumerate_labels,
     format_coloured,
     partition_stats,
+    torus_logs,
 )
 
 _FULL_VALIDATION_LIMIT = 1 << 12
@@ -229,6 +237,7 @@ class SupercharTable:
         self.superclasses = superclasses
         self.order = field.order ** len(positions(n))
         self._route = ...  # _route_failure's verdict, None included, once computed
+        self._rows = range(len(dual_orbits))  # the rows the route and Gram check
 
     @cached_property
     def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
@@ -378,17 +387,14 @@ def _additive_fourier(vec: list[list[int]], p: int, digits: int) -> list[list[in
     return vec
 
 
-def _route_blocks(table: SupercharTable):
-    """The averaging route one block of rows at a time, rows ascending,
-    once each axis's members are checked to cover A disjointly.  Yields
-    (rows, j, column, decode) per block and class: column[e] lists the
-    packed counts of exponent e at each member of class j, one width-bit
-    field per row, and decode turns a member's key (its count per
-    exponent) into its histogram on each row.  A block takes at most
-    _ROUTE_BLOCK_BITS bits, and only the consumer's last column outlives
-    it."""
-    check_cover(table.dual_orbits, table.order)
-    check_cover(table.superclasses, table.order)
+def _route_blocks(table: SupercharTable, checked):
+    """The averaging route on the rows checked, ascending, one block of
+    them at a time.  Yields (rows, j, column, decode) per block and class:
+    column[e] lists the packed counts of exponent e at each member of
+    class j, one width-bit field per row, and decode turns a member's key
+    (its count per exponent) into its histogram on each row.  A block
+    takes at most _ROUTE_BLOCK_BITS bits, and only the consumer's last
+    column outlives it."""
     field, p, q = table.field, table.field.p, table.field.order
     size = len(positions(table.n))
     w, spread = _packing(field, size)[:2]
@@ -413,8 +419,8 @@ def _route_blocks(table: SupercharTable):
     mask = (1 << width) - 1
     rows = table.dual_orbits
     block = max(1, _ROUTE_BLOCK_BITS // (width * order * p))
-    for first in range(0, len(rows), block):
-        block_rows = range(first, min(first + block, len(rows)))
+    for first in range(0, len(checked), block):
+        block_rows = checked[first:first + block]
         vec = [[0] * order for _ in range(p)]
         for k, i in enumerate(block_rows):
             bit = 1 << (k * width)
@@ -432,8 +438,39 @@ def _route_blocks(table: SupercharTable):
 def _route_failure(table: SupercharTable):
     """The first (row, column, member) at which the averaging route is not
     the table cell, scanning classes, then members, then rows, or None;
-    cached on the table, and computed in the row-block loop, so each
-    (row, class) pair of a valid table is decoded and compared once.
+    cached on the table, once each axis's members are checked to cover A
+    disjointly.  The route runs on _orbit_rows, one row per torus orbit
+    when its passes hold, and on every row when they do not or when a
+    checked row fails, so the verdict is the scan over every row's.
+    """
+    if table._route is not ...:
+        return table._route
+    check_cover(table.dual_orbits, table.order)
+    check_cover(table.superclasses, table.order)
+    table._rows = _orbit_rows(table)
+    bad = _first_failure(table, lambda checked: _route_scan(table, checked))
+    table._route = None
+    if bad is not None:
+        j, m, i = bad
+        table._route = i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
+    return table._route
+
+
+def _first_failure(table: SupercharTable, scan):
+    """scan(rows) on table._rows, or, when that finds a failure on fewer
+    than every row, on every row, kept as table._rows from then on."""
+    found = scan(table._rows)
+    if found is not None and len(table._rows) < table.size:
+        table._rows = range(table.size)
+        found = scan(table._rows)
+    return found
+
+
+def _route_scan(table: SupercharTable, checked):
+    """The smallest (column, member, row) at which the route on the rows
+    checked is not the table cell, or None, computed in the row-block
+    loop, so each (row, class) pair of a valid table is decoded and
+    compared once.
 
     Per block and class: if every member shares member 0's packed key,
     only it is decoded and a failure is member 0's; else each distinct key
@@ -443,12 +480,10 @@ def _route_failure(table: SupercharTable):
     as blocks ascend in rows its smallest row is its first failing row:
     the smallest record gives the class, then the member, then the row.
     """
-    if table._route is not ...:
-        return table._route
     denom, cells = table.integer_cells()
     sizes = [o.size for o in table.dual_orbits]
     failures = []  # (column, member, row), one per failing block and class
-    for block_rows, j, col, decode in _route_blocks(table):
+    for block_rows, j, col, decode in _route_blocks(table, checked):
         key = tuple(c[0] for c in col)
         shared = all(c.count(t) == len(c) for c, t in zip(col, key))
         first_row: dict = {}  # per distinct key, its first failing row or None
@@ -462,11 +497,7 @@ def _route_failure(table: SupercharTable):
             if first_row[got] is not None:
                 failures.append((j, m, first_row[got]))
                 break
-    table._route = None
-    if failures:
-        j, m, i = min(failures)
-        table._route = i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
-    return table._route
+    return min(failures, default=None)
 
 
 def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
@@ -476,6 +507,159 @@ def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
     for e, c in cell:
         v[e] -= size * c
     return v.count(v[0]) == len(v)
+
+
+# -- one row per torus orbit -----------------------------------------------------
+
+
+def _orbit_rows(table: SupercharTable):
+    """The rows the route and the Gram check: one per torus orbit, its
+    all-ones colouring lambda0, when the passes below hold, else every row.
+
+    The torus T = (F_q^x)^n acts on A by automorphisms (torus_logs), so it
+    permutes the superclasses and the dual orbits, and <t.b, t.a> = <b, a>.
+    The equivariance pass checks cell(t.lambda0, K) = cell(lambda0, t^-1.K)
+    on every cell, t the row's torus logs, and that each lambda0's row is
+    fixed by its stabilizer.  The transport pass checks that each orbit on
+    either axis is t.(its lambda0's orbit), with its size, and that the
+    stabilizer of each lambda0 column fixes its members, so t.K is a
+    column for every t in T.  Then, for a row t.lambda0 and a member a of
+    K, avg(t.lambda0, a) = avg(lambda0, t^-1.a), which the route on lambda0
+    compares with cell(lambda0, t^-1.K), and that is cell(t.lambda0, K).
+    Class sizes are torus-invariant, so <xi_(t.lambda0), xi_s> =
+    <xi_lambda0, xi_(t^-1.s)>, and lambda0's Gram row covers its orbit's.
+    Both passes need every colouring of each partition once on each axis.
+    At q = 2 the torus is trivial and every row is its own lambda0.
+    """
+    every = range(table.size)
+    field = table.field
+    if field.order == 2:
+        return every
+    rows = _torus_axis(table.dual_orbits, field)
+    cols = _torus_axis(table.superclasses, field)
+    if (rows is None or cols is None or not _equivariant(table, rows, cols)
+            or not _transported(table.dual_orbits, *rows, field, False)
+            or not _transported(table.superclasses, *cols, field, True)):
+        return every
+    return sorted(set(rows[0]))
+
+
+def _torus_axis(axis, field: FiniteField):
+    """(per orbit, the index of its lambda0; per orbit, its torus logs), or
+    None unless the labels are every colouring of each partition once, of
+    the orbits' kind."""
+    index = {o.label: k for k, o in enumerate(axis) if o.label.dual == o.dual}
+    lambda0s, logs = zip(*(torus_logs(o.label, field) for o in axis))
+    reps = list(map(index.get, lambda0s))
+    counts = Counter(reps)
+    if len(index) < len(axis) or None in counts or any(
+            c != (field.order - 1) ** len(axis[k].label.arcs()) for k, c in counts.items()):
+        return None
+    return reps, logs
+
+
+def _block_logs(label):
+    """Torus logs 1 on one block and 0 elsewhere, per block but the first:
+    they generate the stabilizer of label modulo the constants."""
+    return [[int(v in block) for v in range(1, label.n + 1)]
+            for block in label.partition.blocks[1:]]
+
+
+def _equivariant(table: SupercharTable, rows, cols) -> bool:
+    """Whether cell(t.lambda0, K) = cell(lambda0, t^-1.K) on every cell,
+    and cell(lambda0, z.K) = cell(lambda0, K) for z in its stabilizer.
+
+    A column of partition pi is coded by its arc colour logs, digits base
+    q - 1; t^-1 adds t_j - t_i to the log on arc (i, j), digit by digit
+    with no carry, so the columns t^-1.K of one t are an index permutation
+    built once per t from the codes, with no label per cell."""
+    field, cells = table.field, table.integer_cells()[1]
+    log, base = field.log, field.order - 1
+    groups: dict = {}  # per lambda0 column: its arcs, and the column of each code
+    for k, (r, cls) in enumerate(zip(cols[0], table.superclasses)):
+        arcs, pos = groups.setdefault(r, (sorted(cls.label.arcs()), {}))
+        pos[sum(log[v.index] * base**a for a, v in enumerate(cls.label.colours.values()))] = k
+    order = [k for _, pos in groups.values() for _, k in sorted(pos.items())]
+    where = sorted(range(len(order)), key=order.__getitem__)  # column k's place in order
+    perms: dict = {}
+
+    def permuted(line, t):  # line at t^-1.K, per column K
+        t = tuple(t)
+        if t not in perms:
+            out = []
+            for arcs, pos in groups.values():
+                codes = [0]
+                for a, (i, j) in enumerate(arcs):
+                    d = t[j - 1] - t[i - 1]
+                    codes = [c + (x + d) % base * base**a for x in range(base) for c in codes]
+                out.extend(map(pos.__getitem__, codes))
+            perms[t] = list(map(out.__getitem__, where))
+        return list(map(line.__getitem__, perms[t]))
+
+    return all(
+        cells[i] == permuted(cells[r], t) if i != r
+        else all(cells[i] == permuted(cells[i], z) for z in _block_logs(row.label))
+        for i, (row, r, t) in enumerate(zip(table.dual_orbits, *rows))
+    )
+
+
+def _transported(axis, reps, logs, field: FiniteField, fixed: bool) -> bool:
+    """Whether each orbit's members are t.(its lambda0's members), t its
+    torus logs, at lambda0's size, and, if fixed, whether each lambda0's
+    members are fixed by its stabilizer.
+
+    t.x of a packed state x scales each entry by a power of g, so t.x is
+    read in chunks of c entries, q^c <= 32, one lookup each, in a table
+    built once per chunk and scaling; a chunk t does not move is kept."""
+    n, q = axis[0].label.n, field.order
+    size = len(positions(n))
+    w, spread = _packing(field, size)[:2]
+    mw, exp, log = field.m * w, field.exp, field.log
+    c = 1
+    while q ** (c + 1) <= 32:
+        c += 1
+    chunks = [range(k, min(k + c, size)) for k in range(0, size, c)]
+    sign = 1 if axis[0].dual else -1  # the log shift at (i, j) is sign (t_j - t_i)
+    tables: dict = {}  # per chunk scaling: packed chunk -> its image
+    plans: dict = {}  # per t: the bits it keeps, and (offset, mask, table) per chunk it moves
+
+    def plan(t):
+        d = [sign * (t[j - 1] - t[i - 1]) % (q - 1) for i, j in positions(n)]
+        keep, out = 0, []
+        for ranks in chunks:
+            ds = tuple(d[k] for k in ranks)
+            off, mask = (size - ranks[-1] - 1) * mw, (1 << len(ranks) * mw) - 1
+            if not any(ds):
+                keep |= mask << off
+                continue
+            if ds not in tables:
+                tab = {0: 0}
+                for e in ds:
+                    tab = {b << mw | spread[x]: a << mw | spread[exp[log[x] + e]]
+                           for b, a in tab.items() for x in range(q)}
+                tables[ds] = tab
+            out.append((off, mask, tables[ds]))
+        return keep, out
+
+    def moved(members, t):
+        t = tuple(t)
+        if t not in plans:
+            plans[t] = plan(t)
+        keep, chunk_plan = plans[t]
+        out = [x & keep for x in members]
+        for off, mask, tab in chunk_plan:
+            out = [y | tab[x >> off & mask] << off for x, y in zip(members, out)]
+        out.sort()
+        return tuple(out)
+
+    for k, (o, r, t) in enumerate(zip(axis, reps, logs)):
+        first = axis[r]
+        if k != r and (o.size != first.size or moved(first.members, t) != o.members):
+            return False
+        if k == r and fixed and any(moved(o.members, z) != o.members
+                                    for z in _block_logs(o.label)):
+            return False
+    return True
 
 
 def _integer_cells(rows, p: int) -> tuple[int, list[list[tuple]]]:
@@ -618,10 +802,12 @@ def _packed_columns(rows, ncols: int, p: int, width: int) -> list[list[int]]:
     return cols
 
 
-def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: int):
-    """The first row i with <xi_i, xi_j> != delta_ij / |O_i| for some j,
-    or None.  Field j of acc[r] is the x^r coordinate of |A| D^2 <xi_i, xi_j>."""
-    for i, (row, osize) in enumerate(zip(rows, osizes)):
+def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: int, checked):
+    """The first row i of checked with <xi_i, xi_j> != delta_ij / |O_i| for
+    some j, or None.  Field j of acc[r] is the x^r coordinate of
+    |A| D^2 <xi_i, xi_j>."""
+    for i in checked:
+        row, osize = rows[i], osizes[i]
         acc = [0] * p
         for cell, col, size in zip(row, cols, sizes):
             for e, c in cell:
@@ -648,7 +834,9 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
     class sizes.  Orthogonality checks whole Gram rows on the columns
-    packed by Kronecker substitution.  Swapping i and j sends x^k to x^-k,
+    packed by Kronecker substitution, on the rows the route checked (one
+    per torus orbit, see _orbit_rows) and on every row if one of those
+    fails.  Swapping i and j sends x^k to x^-k,
     which keeps the verdict, so the first failing row is that of the
     i <= j scan; only it is rescanned, for j >= i, for the detail.
     Conjugation is x^k -> x^-k, checked on the same packed columns; only a
@@ -697,7 +885,8 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     width = _kronecker_width(cmax, p, sum(sizes), scale)
     cols = _packed_columns(rows, len(sizes), p, width)
     osizes = [o.size for o in table.dual_orbits]
-    i = _first_bad_gram_row(rows, cols, sizes, osizes, p, width, scale)
+    i = _first_failure(table, lambda checked: _first_bad_gram_row(
+        rows, cols, sizes, osizes, p, width, scale, checked))
     bad_pair = None
     if i is not None:  # the detail: row i's first failing (i, j), j >= i
         bad_pair = next(

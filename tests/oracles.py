@@ -16,11 +16,14 @@ i <= j Gram scan and the label scan for inverse columns that the packed
 columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced, with the pairing histogram on dense states that the
-one-multiply packed pairing replaced.  The sparse dict BFS that
+one-multiply packed pairing replaced, and the diagonal torus acting on
+labels and dense states, which the torus passes of superchar.table
+read through colour-log codes and packed chunk tables.  The sparse dict BFS that
 superchar.orbits.orbit_states replaced follows, with the basis-scalar
 walk that its coset walk replaced and the coset walk on dense tuples
 that its packed walk replaced, then the orbit scan that canonical_form and dual_canonical replaced, the
-arc-set label that their checked-chain label replaced, and the entry-dict
+per-label position ranking that the cached digit order of sort_key
+replaced, the arc-set label that their checked-chain label replaced, and the entry-dict
 eliminations that their dense-state eliminations replaced, then the
 tower's per-element relative traces and Horner embeddings, the
 convergence report that reads every level, and the growth scans that walk
@@ -486,6 +489,32 @@ def constancy_check(table):
     )
 
 
+# -- the diagonal torus on labels and states -------------------------------------
+
+
+def torus_label(label, t, field):
+    """t . label for torus logs t: the colour of arc (i, j) times
+    g^(t_i - t_j) on a superclass label, g^(t_j - t_i) on a dual one."""
+    g = field.element_by_index(field.exp[1])
+    sign = 1 if label.dual else -1
+    return ColouredPartition(
+        label.partition,
+        {(i, j): v * g ** (sign * (t[j - 1] - t[i - 1]) % (field.order - 1))
+         for (i, j), v in label.colours.items()},
+        label.dual,
+    )
+
+
+def torus_state(n, field, state, t, dual=False):
+    """t . a on a dense state: entry (i, j) times g^(t_i - t_j), or on a
+    pairing matrix g^(t_j - t_i), through the log and antilog tables."""
+    sign = 1 if dual else -1
+    return tuple(
+        field.exp[field.log[v] + sign * (t[j - 1] - t[i - 1]) % (field.order - 1)] if v else 0
+        for v, (i, j) in zip(state, positions(n))
+    )
+
+
 # -- dict-based orbit BFS ------------------------------------------------------
 #
 # superchar.orbits.orbit_states walks dense index tuples with compiled move
@@ -751,6 +780,19 @@ def verge_state(n, states):
 # step per entry through the compiled root-subgroup programs.  The loops
 # below are the eliminations they replaced: the same pivots and steps on
 # entry dicts, in FieldElement arithmetic, with each move written out.
+
+
+def sort_key_by_ranking(label):
+    """ColouredPartition.sort_key with the positions ranked per label:
+    the dense digit vector of the verge matrix, widest arcs first."""
+    n = label.n
+    ranked = sorted(
+        ((j - i, i, (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+        reverse=True,
+    )
+    return tuple(
+        label.colours[pos].index if pos in label.colours else 0 for (_, _, pos) in ranked
+    )
 
 
 def partition_from_arcs(n, arc_set):

@@ -232,7 +232,7 @@ def test_gram_row_fails_where_the_orbit_size_does_not_divide_the_scale():
     rows = [[((0, 1),)]]
     width = table_mod._kronecker_width(1, 2, 1, 4)
     cols = table_mod._packed_columns(rows, 1, 2, width)
-    assert table_mod._first_bad_gram_row(rows, cols, [1], [3], 2, width, 4) == 0
+    assert table_mod._first_bad_gram_row(rows, cols, [1], [3], 2, width, 4, [0]) == 0
 
 
 def test_a_narrower_width_aliases(monkeypatch):

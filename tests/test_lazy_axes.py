@@ -121,6 +121,12 @@ def test_each_representative_is_built_once(monkeypatch):
     t = build_table(4, f, full=True)
     assert all(ok for _, ok, _ in verify_theory(t))
     assert Counter(built) == Counter(o.label for o in t.dual_orbits + t.superclasses)
+    # the walked axes keep the representative their walk started from
+    built.clear()
+    axes = enumerate_superclasses(4, f) + enumerate_dual_orbits(4, f)
+    assert all(o.rep == real(o.label, f) for o in axes)
+    assert Counter(built) == Counter(o.label for o in axes)
+    assert len(built) == 49 + 49
 
 
 def test_given_members_are_kept():

@@ -3,12 +3,15 @@
 Oracle: an independent enumerator (grow partitions of [k-1] by inserting k
 into every block or as a new singleton) checks counts and membership, and
 the bit-mask statistics of partition_stats are compared with their
-set-builder definitions in oracles (compute_SR, r_of, nest).
+set-builder definitions in oracles (compute_SR, r_of, nest).  The torus
+logs of a label are checked against oracles.torus_label, and the label
+order against the per-label position ranking it replaced.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import partition_from_arcs
@@ -27,6 +30,7 @@ from superchar.partitions import (
     parse_coloured,
     parse_partition,
     partition_stats,
+    torus_logs,
 )
 
 
@@ -322,3 +326,62 @@ def test_labels_distinct_verges():
         assert len(set(rows)) == len(rows)  # one entry per row
         assert len(set(cols)) == len(cols)  # one entry per column
         assert set(mat.entries) == set(lab.arcs())
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("dual", [False, True])
+def test_label_order_is_the_per_label_ranking(p, m, dual):
+    # sort_key reads one digit order per n; the oracle ranks the positions
+    # again for every label
+    f = field_construct(p, m)
+    for n in range(1, 7):
+        labels = enumerate_labels(n, f, dual=dual)
+        assert labels == sorted(labels, key=oracles.sort_key_by_ranking)
+        assert [lab.sort_key() for lab in labels] == list(
+            map(oracles.sort_key_by_ranking, labels))
+
+
+# -- the diagonal torus on labels ------------------------------------------------
+
+TORUS_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]  # q = 3, 4, 5, 7, 8
+
+
+def _all_ones(pi, f, dual):
+    return ColouredPartition(pi, dict.fromkeys(pi.arcs(), f.one), dual)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TORUS_FIELDS), st.integers(1, 6), st.booleans(), st.data())
+def test_torus_logs_rebuild_the_label(pm, n, dual, data):
+    f = field_construct(*pm)
+    pi = data.draw(st.sampled_from(enumerate_partitions(n)))
+    colours = data.draw(st.lists(st.sampled_from(f.nonzero()), min_size=len(pi.arcs()),
+                                 max_size=len(pi.arcs())))
+    label = ColouredPartition(pi, dict(zip(sorted(pi.arcs()), colours)), dual)
+    lambda0, t = torus_logs(label, f)
+    assert lambda0 == _all_ones(pi, f, dual)
+    assert len(t) == n and all(0 <= x < f.order - 1 for x in t)
+    assert all(t[block[0] - 1] == 0 for block in pi.blocks)
+    assert oracles.torus_label(lambda0, t, f) == label
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TORUS_FIELDS), st.integers(1, 4), st.booleans(), st.data())
+def test_torus_reaches_every_colouring(pm, n, dual, data):
+    f = field_construct(*pm)
+    pi = data.draw(st.sampled_from(enumerate_partitions(n)))
+    lambda0 = _all_ones(pi, f, dual)
+    reached = {oracles.torus_label(lambda0, t, f)
+               for t in itertools.product(range(f.order - 1), repeat=n)}
+    arcs = sorted(pi.arcs())
+    assert reached == {ColouredPartition(pi, dict(zip(arcs, c)), dual)
+                       for c in itertools.product(f.nonzero(), repeat=len(arcs))}
+    assert {torus_logs(label, f)[0] for label in reached} == {lambda0}
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_at_q_2_every_label_is_its_own_representative(dual):
+    f = field_construct(2, 1)
+    for n in range(1, 7):
+        for label in enumerate_labels(n, f, dual=dual):
+            assert torus_logs(label, f) == (label, (0,) * n)

@@ -8,7 +8,9 @@ verify_theory must give the second's verdict and detail on tables whose
 dual orbits have been tampered with, at the default block size and at one
 row per block.  The average over a cell's superclass, which the spot
 cross-check takes where that is the smaller orbit, must equal the average
-over its dual orbit.
+over its dual orbit.  The route and the Gram on one row per torus orbit
+must give the report of a copy that checks every row, and each torus pass
+must catch the corruption that only it can see.
 """
 
 import random
@@ -18,20 +20,27 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import itertools
+
 import oracles
 import superchar.table as table_mod
-from superchar.cyclotomic import Cyclotomic
+from superchar.cyclotomic import Cyclotomic, cyclo_root
 from superchar.dual import DualOrbit, enumerate_dual_orbits
 from superchar.gf import field_construct
-from superchar.orbits import enumerate_superclasses
+from superchar.orbits import Superclass, enumerate_superclasses, pack, unpack
 from superchar.table import (
     RouteDisagreement,
     SupercharTable,
     _additive_fourier,
+    _equivariant,
+    _orbit_rows,
     _pairing_hist,
     _route_blocks,
     _route_failure,
+    _route_scan,
     _spot_pairs,
+    _torus_axis,
+    _transported,
     build_table,
     sch_bruteforce,
     verify_theory,
@@ -87,7 +96,7 @@ def test_additive_fourier_matches_definition(p, digits):
 @pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
 def test_transform_equals_pairing_hist_on_every_cell(n, p, m):
     t = _table(n, p, m)
-    for rows, j, col, decode in _route_blocks(t):
+    for rows, j, col, decode in _route_blocks(t, range(t.size)):
         key = [c[0] for c in col]
         assert all(c.count(e) == len(c) for c, e in zip(col, key))
         rep = t.superclasses[j].rep.dense()
@@ -202,9 +211,10 @@ def test_full_cross_check_and_verify_compare_each_cell_once(monkeypatch):
 
     monkeypatch.setattr(table_mod, "_route_matches", counting)
     t = build_table(4, field_construct(3, 1), full=True)
-    assert calls == t.size * len(t.superclasses) == 2401
+    # one row per torus orbit: the 15 all-ones colourings, one per partition
+    assert calls == len(t._rows) * len(t.superclasses) == 15 * 49
     assert all(ok for _, ok, _ in verify_theory(t))
-    assert calls == 2401
+    assert calls == 735
 
 
 def test_no_member_by_member_evaluations(monkeypatch):
@@ -298,3 +308,161 @@ def test_spot_cross_check_catches_a_cell_averaged_over_its_superclass(monkeypatc
     assert (err.row_label, err.col_label) == (orbit.label, cls.label)
     assert err.brute == sch_bruteforce(orbit, cls.rep.dense())
     assert err.closed != err.brute
+
+
+# -- one row per torus orbit ---------------------------------------------------
+
+
+def _all_ones_rows(t):
+    return [i for i, o in enumerate(t.dual_orbits)
+            if all(v == t.field.one for v in o.label.colours.values())]
+
+
+def _every_row(monkeypatch):
+    """The full scan: the route and the Gram on every row."""
+    monkeypatch.setattr(table_mod, "_orbit_rows", lambda table: range(table.size))
+
+
+@pytest.mark.parametrize("n,p,m", ROUTE_CONFIGS)
+def test_one_row_per_torus_orbit_gives_the_full_report(n, p, m, monkeypatch):
+    t = _fresh(_table(n, p, m))
+    reduced = verify_theory(t)
+    assert list(t._rows) == _all_ones_rows(t)  # Bell(n) rows, every row at q = 2
+    if t.order <= 729:
+        assert reduced[4] == oracles.constancy_check(t)
+        assert reduced[5] == oracles.half_gram_check(t)
+    _every_row(monkeypatch)
+    full = _fresh(t)
+    assert verify_theory(full) == reduced
+    assert list(full._rows) == list(range(t.size))
+
+
+def _with_values(t, change):
+    """t with values[i][j] = change(i, j, value) on every cell."""
+    values = [[change(i, j, v) for j, v in enumerate(row)] for i, row in enumerate(t.values)]
+    return SupercharTable(t.n, t.field, t.dual_orbits, t.superclasses, values)
+
+
+def _bumped(v):
+    """A cell moved off its value: zeta times it, or 1 where it is 0."""
+    return v * cyclo_root(v.p, 1) if v else Cyclotomic.one(v.p)
+
+
+def _reports_agree(t):
+    report = verify_theory(t)
+    assert report[4] == oracles.constancy_check(t)
+    assert report[5] == oracles.half_gram_check(t)
+    return report
+
+
+def test_a_corrupted_non_representative_cell_is_caught_by_equivariance():
+    base = _table(3, 3, 1)
+    reps = _all_ones_rows(base)
+    i = next(i for i in range(base.size) if i not in reps)
+    t = _with_values(base, lambda a, b, v: _bumped(v) if (a, b) == (i, 4) else v)
+    rows = _torus_axis(t.dual_orbits, t.field)
+    assert not _equivariant(t, rows, _torus_axis(t.superclasses, t.field))
+    # the representatives alone see nothing
+    assert _route_scan(t, reps) is None
+    report = _reports_agree(t)
+    assert not report[4][1] and not report[5][1]
+    assert list(t._rows) == list(range(t.size))
+
+
+def test_a_representative_row_fixed_by_no_stabilizer_is_caught():
+    # the trivial row is its own torus orbit; one cell of it off breaks
+    # its invariance under the torus, which fixes its label
+    base = _table(3, 3, 1)
+    j = next(j for j, k in enumerate(base.superclasses) if k.label.arcs())
+    t = _with_values(base, lambda a, b, v: _bumped(v) if (a, b) == (0, j) else v)
+    assert not _equivariant(t, _torus_axis(t.dual_orbits, t.field),
+                            _torus_axis(t.superclasses, t.field))
+    assert not _reports_agree(t)[4][1]
+
+
+def test_a_corrupted_representative_cell_is_caught_by_the_route(monkeypatch):
+    # one cell moved along its whole torus orbit, (s.lambda0, s.K) for
+    # every s: both passes hold, and the route on lambda0 fails
+    base = _table(3, 3, 1)
+    f = base.field
+    lam = next(k for k in _all_ones_rows(base) if len(base.dual_orbits[k].label.arcs()) == 1)
+    row_of = {o.label: i for i, o in enumerate(base.dual_orbits)}
+    col_of = {k.label: j for j, k in enumerate(base.superclasses)}
+    K = base.superclasses[5].label
+    cells = {(row_of[oracles.torus_label(base.dual_orbits[lam].label, s, f)],
+              col_of[oracles.torus_label(K, s, f)])
+             for s in itertools.product(range(f.order - 1), repeat=base.n)}
+    t = _with_values(base, lambda a, b, v: _bumped(v) if (a, b) in cells else v)
+    assert list(_orbit_rows(t)) == _all_ones_rows(t)
+    scans = []
+    real = table_mod._route_scan
+    monkeypatch.setattr(table_mod, "_route_scan",
+                        lambda table, checked: scans.append(list(checked)) or real(table, checked))
+    report = _reports_agree(t)
+    assert not report[4][1]
+    # the failure on the representatives sends the route over every row
+    assert scans == [_all_ones_rows(t), list(range(t.size))]
+    assert list(t._rows) == list(range(t.size))
+
+
+def test_a_moved_member_of_a_non_representative_row_is_caught_by_transport():
+    base = _table(3, 3, 1)
+    reps = _all_ones_rows(base)
+    src, dst = [i for i in range(base.size) if i not in reps][:2]
+    t = _tampered(base, [(src, 0, dst, True)])  # a member of each swapped
+    rows = _torus_axis(t.dual_orbits, t.field)
+    assert not _transported(t.dual_orbits, *rows, t.field, False)
+    assert _route_scan(t, reps) is None
+    assert not _reports_agree(t)[4][1]
+    assert list(t._rows) == list(range(t.size))
+
+
+def test_swapped_members_of_two_columns_are_caught_by_transport():
+    # U_2(F_4): the all-ones row reads zeta^Tr(c) on the class of c, which
+    # is -1 at both c = w and c = w^2; swapping those two classes' members
+    # fools it, but not the row of colour w
+    f = field_construct(2, 2)
+    base = _table(2, 2, 2)
+    w, w2 = f.gen, f.gen * f.gen
+    at = {k.label.colours.get((1, 2)): j for j, k in enumerate(base.superclasses)}
+    cols = list(base.superclasses)
+    for c, other in ((w, w2), (w2, w)):
+        k = base.superclasses[at[c]]
+        cols[at[c]] = Superclass(k.label, f, 1, base.superclasses[at[other]].members)
+    t = SupercharTable(base.n, f, base.dual_orbits, cols, base.values)
+    assert not _transported(t.superclasses, *_torus_axis(t.superclasses, f), f, True)
+    assert _route_scan(t, _all_ones_rows(t)) is None
+    assert not _reports_agree(t)[4][1]
+
+
+def test_a_representative_column_not_fixed_by_its_stabilizer_is_caught():
+    # the class of e_12 in U_3(F_3), {a12 = 1, a23 = 0}, is fixed by the
+    # torus elements constant on {1, 2} and {3}; its copy with a13 = 1
+    # swapped for a23 = 1 is not, and its torus images keep transport
+    f = field_construct(3, 1)
+    axis = enumerate_superclasses(3, f)
+    reps, logs = _torus_axis(axis, f)
+    r = next(k for k, o in enumerate(axis)
+             if list(o.label.colours) == [(1, 2)] and reps[k] == k)
+    members = [unpack(3, f, x) for x in axis[r].members]
+    members[members.index((1, 1, 0))] = (1, 0, 1)
+    moved = list(axis)
+    for k, o in enumerate(axis):
+        if reps[k] == r:
+            states = [oracles.torus_state(3, f, x, logs[k]) for x in members]
+            moved[k] = Superclass(o.label, f, o.size, tuple(sorted(pack(f, x) for x in states)))
+    assert _transported(moved, reps, logs, f, False)
+    assert not _transported(moved, reps, logs, f, True)
+    assert _transported(axis, reps, logs, f, True)
+
+
+def test_transport_reads_members_as_the_torus_moves_them():
+    # every orbit of both axes is t.(its all-ones orbit), state by state
+    for n, p, m in [(3, 3, 1), (3, 2, 2), (4, 3, 1), (3, 5, 1)]:
+        t = _table(n, p, m)
+        for axis in (t.dual_orbits, t.superclasses):
+            reps, logs = _torus_axis(axis, t.field)
+            for o, r, s in zip(axis, reps, logs):
+                moved = {pack(t.field, oracles.torus_state(n, t.field, x, s, o.dual))
+                         for x in oracles.dense_members(axis[r])}
+                assert moved == set(o.members)
