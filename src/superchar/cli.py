@@ -62,12 +62,11 @@ def _json_default(obj):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        try:
-            fh = open(output, "w")
-        except OSError as exc:  # unusable input: exit 2, not a traceback
+        try:  # open, write or close: unusable input, exit 2, not a traceback
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
             raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
-        with fh:
-            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -332,7 +332,8 @@ def check_cover(axes, total: int) -> None:
 def _walked_axes(kind, n: int, field: FiniteField) -> list:
     """One orbit of kind (Superclass or DualOrbit) per label, canonical
     order, each walked with orbit_states and sized by its walk; the list
-    is cover-checked."""
+    is cover-checked.  |A| above the space cap raises ValueError first."""
+    check_space(n, field)
     out = []
     for label in enumerate_labels(n, field, dual=kind.dual):
         rep = build_e(label, field)

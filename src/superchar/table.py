@@ -36,8 +36,8 @@ both build_table's full cross-check and verify_theory's constancy check.
 The diagonal torus permutes both axes and keeps the pairing, so the route
 and the Gram run on one row per torus orbit, Bell(n) rows, once
 _orbit_rows has checked that the table and the members are equivariant;
-any failure, there or on those rows, sends the check over every row, so
-every verdict is the full scan's.
+a route failure on those rows is rescanned over every row, and the Gram
+needs no rescan (verify_theory), so every verdict is the full scan's.
 
 build_table and table_from_json build both axes from the labels alone:
 each orbit carries its label, field and closed size (q^|S(pi)| for a
@@ -237,7 +237,8 @@ class SupercharTable:
         self.superclasses = superclasses
         self.order = field.order ** len(positions(n))
         self._route = ...  # _route_failure's verdict, None included, once computed
-        self._rows = range(len(dual_orbits))  # the rows the route and Gram check
+
+    _rows = cached_property(lambda self: _orbit_rows(self))  # the rows the route and Gram check
 
     @cached_property
     def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
@@ -439,31 +440,22 @@ def _route_failure(table: SupercharTable):
     """The first (row, column, member) at which the averaging route is not
     the table cell, scanning classes, then members, then rows, or None;
     cached on the table, once each axis's members are checked to cover A
-    disjointly.  The route runs on _orbit_rows, one row per torus orbit
-    when its passes hold, and on every row when they do not or when a
-    checked row fails, so the verdict is the scan over every row's.
+    disjointly.  The route runs on table._rows, one row per torus orbit
+    when _orbit_rows's passes hold; a failure there is rescanned over every
+    row, so the verdict is the scan over every row's.
     """
     if table._route is not ...:
         return table._route
     check_cover(table.dual_orbits, table.order)
     check_cover(table.superclasses, table.order)
-    table._rows = _orbit_rows(table)
-    bad = _first_failure(table, lambda checked: _route_scan(table, checked))
+    bad = _route_scan(table, table._rows)
+    if bad is not None and len(table._rows) < table.size:
+        bad = _route_scan(table, range(table.size))
     table._route = None
     if bad is not None:
         j, m, i = bad
         table._route = i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
     return table._route
-
-
-def _first_failure(table: SupercharTable, scan):
-    """scan(rows) on table._rows, or, when that finds a failure on fewer
-    than every row, on every row, kept as table._rows from then on."""
-    found = scan(table._rows)
-    if found is not None and len(table._rows) < table.size:
-        table._rows = range(table.size)
-        found = scan(table._rows)
-    return found
 
 
 def _route_scan(table: SupercharTable, checked):
@@ -514,7 +506,8 @@ def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
 
 def _orbit_rows(table: SupercharTable):
     """The rows the route and the Gram check: one per torus orbit, its
-    all-ones colouring lambda0, when the passes below hold, else every row.
+    all-ones colouring lambda0, when each lambda0 is its orbit's first row
+    and the passes below hold, else every row.
 
     The torus T = (F_q^x)^n acts on A by automorphisms (torus_logs), so it
     permutes the superclasses and the dual orbits, and <t.b, t.a> = <b, a>.
@@ -529,7 +522,9 @@ def _orbit_rows(table: SupercharTable):
     Class sizes are torus-invariant, so <xi_(t.lambda0), xi_s> =
     <xi_lambda0, xi_(t^-1.s)>, and lambda0's Gram row covers its orbit's.
     Both passes need every colouring of each partition once on each axis.
-    At q = 2 the torus is trivial and every row is its own lambda0.
+    At q = 2 the torus is trivial and every row is its own lambda0.  Colour
+    1 has the smallest nonzero index, so only rows read back out of
+    canonical order put a lambda0 after another row of its orbit.
     """
     every = range(table.size)
     field = table.field
@@ -537,7 +532,8 @@ def _orbit_rows(table: SupercharTable):
         return every
     rows = _torus_axis(table.dual_orbits, field)
     cols = _torus_axis(table.superclasses, field)
-    if (rows is None or cols is None or not _equivariant(table, rows, cols)
+    if (rows is None or cols is None or any(r > k for k, r in enumerate(rows[0]))
+            or not _equivariant(table, rows, cols)
             or not _transported(table.dual_orbits, *rows, field, False)
             or not _transported(table.superclasses, *cols, field, True)):
         return every
@@ -834,11 +830,14 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
     class sizes.  Orthogonality checks whole Gram rows on the columns
-    packed by Kronecker substitution, on the rows the route checked (one
-    per torus orbit, see _orbit_rows) and on every row if one of those
-    fails.  Swapping i and j sends x^k to x^-k,
-    which keeps the verdict, so the first failing row is that of the
-    i <= j scan; only it is rescanned, for j >= i, for the detail.
+    packed by Kronecker substitution, once, on table._rows.  When that is
+    one lambda0 per torus orbit, row t.lambda0's Gram row is lambda0's
+    permuted (equivariance, its stabilizer clause, equal sizes in an orbit),
+    so it fails just when lambda0 fails, and lambda0 is its orbit's first
+    row: the first failing lambda0 is the first failing row.  Swapping i
+    and j sends x^k to x^-k, which keeps the verdict, so the first failing
+    row is that of the i <= j scan; only it is rescanned, for j >= i, for
+    the detail.
     Conjugation is x^k -> x^-k, checked on the same packed columns; only a
     failing column is rescanned for its row.  Inverse columns come from
     canonical_form of each representative's group inverse, not the label.
@@ -885,8 +884,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     width = _kronecker_width(cmax, p, sum(sizes), scale)
     cols = _packed_columns(rows, len(sizes), p, width)
     osizes = [o.size for o in table.dual_orbits]
-    i = _first_failure(table, lambda checked: _first_bad_gram_row(
-        rows, cols, sizes, osizes, p, width, scale, checked))
+    i = _first_bad_gram_row(rows, cols, sizes, osizes, p, width, scale, table._rows)
     bad_pair = None
     if i is not None:  # the detail: row i's first failing (i, j), j >= i
         bad_pair = next(

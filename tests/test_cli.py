@@ -265,6 +265,22 @@ def test_orbits_validate_full_needs_dual(capsys):
     assert all(r["prediction_matches"] for r in rows)
 
 
+@pytest.mark.parametrize("dual", [[], ["--dual"]], ids=["superclasses", "dual"])
+def test_orbits_checks_the_space_cap_before_any_label(capsys, monkeypatch, dual):
+    # |A| = 2^21: refused before the labels are enumerated, which at
+    # --n 10 --p 3 would take minutes and gigabytes
+    from superchar import orbits
+
+    def no_labels(*args, **kwargs):
+        raise AssertionError("labels enumerated above the space cap")
+
+    monkeypatch.setattr(orbits, "enumerate_labels", no_labels)
+    assert main(["orbits", "--n", "7", "--p", "2"] + dual) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: |A| = 2^21 exceeds the space cap\n"
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_text_golden(tmp_path):
@@ -446,6 +462,9 @@ def test_tower_bad_degrees_exits_2(capsys):
 _UNUSABLE = {
     "unwritable-output": ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1",
                           "--output", "{tmp}/missing/x.json"],
+    # the open succeeds; the write or the close fails
+    "full-device": ["classify", "--n", "2", "--p", "2", "--matrix", "a12=1",
+                    "--output", "/dev/full"],
     "no-command": [],
     "unknown-command": ["frobnicate"],
     "zero-degree": ["tower", "--n", "3", "--p", "2", "--degrees", "0,2", "--mode", "fsc"],
@@ -472,6 +491,8 @@ _UNUSABLE = {
 
 @pytest.mark.parametrize("case", sorted(_UNUSABLE))
 def test_unusable_input_exits_2_with_an_error_line(monkeypatch, tmp_path, capsys, case):
+    if case == "full-device" and not pathlib.Path("/dev/full").exists():
+        pytest.skip("no /dev/full here")
     if case == "empty-cap":
         field_construct(2, 1)  # a cached field is still checked against the cap
         monkeypatch.setenv("SUPERCHAR_CAP", "")

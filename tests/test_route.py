@@ -43,6 +43,8 @@ from superchar.table import (
     _transported,
     build_table,
     sch_bruteforce,
+    table_from_json,
+    table_to_json,
     verify_theory,
 )
 
@@ -380,9 +382,9 @@ def test_a_representative_row_fixed_by_no_stabilizer_is_caught():
     assert not _reports_agree(t)[4][1]
 
 
-def test_a_corrupted_representative_cell_is_caught_by_the_route(monkeypatch):
-    # one cell moved along its whole torus orbit, (s.lambda0, s.K) for
-    # every s: both passes hold, and the route on lambda0 fails
+def _corrupted_along_a_torus_orbit():
+    """U_3(F_3) with one cell moved along its whole torus orbit,
+    (s.lambda0, s.K) for every s: both passes hold, and lambda0 fails."""
     base = _table(3, 3, 1)
     f = base.field
     lam = next(k for k in _all_ones_rows(base) if len(base.dual_orbits[k].label.arcs()) == 1)
@@ -392,17 +394,44 @@ def test_a_corrupted_representative_cell_is_caught_by_the_route(monkeypatch):
     cells = {(row_of[oracles.torus_label(base.dual_orbits[lam].label, s, f)],
               col_of[oracles.torus_label(K, s, f)])
              for s in itertools.product(range(f.order - 1), repeat=base.n)}
-    t = _with_values(base, lambda a, b, v: _bumped(v) if (a, b) in cells else v)
-    assert list(_orbit_rows(t)) == _all_ones_rows(t)
-    scans = []
-    real = table_mod._route_scan
-    monkeypatch.setattr(table_mod, "_route_scan",
-                        lambda table, checked: scans.append(list(checked)) or real(table, checked))
+    return _with_values(base, lambda a, b, v: _bumped(v) if (a, b) in cells else v)
+
+
+def _logged(monkeypatch, name, log):
+    """Record the rows each call of table_mod.name checks, its last argument."""
+    real = getattr(table_mod, name)
+    monkeypatch.setattr(table_mod, name, lambda *args: log.append(list(args[-1])) or real(*args))
+
+
+def test_a_corrupted_representative_cell_is_caught_by_the_route(monkeypatch):
+    t = _corrupted_along_a_torus_orbit()
+    reps = _all_ones_rows(t)
+    assert list(_orbit_rows(t)) == reps
+    scans, grams = [], []
+    _logged(monkeypatch, "_route_scan", scans)
+    _logged(monkeypatch, "_first_bad_gram_row", grams)
     report = _reports_agree(t)
-    assert not report[4][1]
-    # the failure on the representatives sends the route over every row
-    assert scans == [_all_ones_rows(t), list(range(t.size))]
-    assert list(t._rows) == list(range(t.size))
+    assert not report[4][1] and not report[5][1]
+    # the failure on the representatives sends the route, and only the
+    # route, over every row; the Gram scans the representatives once
+    assert scans == [reps, list(range(t.size))]
+    assert grams == [reps]
+    assert list(t._rows) == reps
+
+
+def test_rows_read_back_out_of_order_are_each_checked():
+    # the table above, read back with its first non-representative row,
+    # 1,2/3 | 1,2=2 of the corrupted torus orbit, moved to the front: the
+    # Gram on the representatives alone would read "fails at rows (1, 2)"
+    # where the full scan reads (0, 1)
+    t = _corrupted_along_a_torus_orbit()
+    obj = table_to_json(t)
+    k = next(i for i in range(t.size) if i not in _all_ones_rows(t))
+    for key in ("rows", "values"):
+        obj[key].insert(0, obj[key].pop(k))
+    back = table_from_json(obj)
+    assert list(_orbit_rows(back)) == list(range(back.size))
+    assert not _reports_agree(back)[5][1]
 
 
 def test_a_moved_member_of_a_non_representative_row_is_caught_by_transport():
