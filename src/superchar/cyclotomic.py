@@ -1,4 +1,4 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p), p prime.
+"""Exact values in the cyclotomic field Q(zeta_p), p prime.
 
 A value is p integers num over a positive integer den, the element
 (num_0 + num_1 x + ... + num_(p-1) x^(p-1)) / den of Z[x]/(x^p - 1) read at
@@ -6,8 +6,12 @@ x = zeta_p: the form of zeta^t q^-d and of an orbit's histogram of zeta
 exponents over |O|.  Since 1 + x + ... + x^(p-1) reads as 0, __init__
 keeps one normal form: it subtracts num_(p-1) from every coordinate,
 leaving the power-basis coordinates of 1, z, ..., z^(p-2), then divides
-out the gcd.  Equality compares (p, num, den); arithmetic is on integers.
-coeffs is the read-only Fraction view that basis_str prints.
+out the gcd.  Equality compares (p, num, den).  coeffs is the read-only
+Fraction view that basis_str prints.
+
+A Cyclotomic is a value and defines no arithmetic: superchar.table
+computes on integer cells in Z[x]/(x^p - 1) over one denominator, and
+builds a Cyclotomic only to report, print or export a result.
 """
 
 from __future__ import annotations
@@ -41,20 +45,9 @@ class Cyclotomic:
         self.num = tuple(c // g for c in vec)
         self.den = den // g
 
-    # constructors
-
     @classmethod
     def zero(cls, p: int) -> "Cyclotomic":
         return cls(p, (0,) * p)
-
-    @classmethod
-    def one(cls, p: int) -> "Cyclotomic":
-        return cls.from_rational(p, 1)
-
-    @classmethod
-    def from_rational(cls, p: int, r) -> "Cyclotomic":
-        """r, an int or a Fraction, in Q(zeta_p)."""
-        return cls(p, (r.numerator,) + (0,) * (p - 1), r.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -95,68 +88,6 @@ class Cyclotomic:
             h = -h
         return -2 if h == -1 else h
 
-    # arithmetic
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.den, other.den
-        return Cyclotomic(
-            self.p, [x * b + y * a for x, y in zip(self.num, other.num)], a * b
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.p, [-c for c in self.num], self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        acc = [0] * p  # a cyclic convolution: exponents add mod p
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        acc[(i + j) % p] += a * b
-        return Cyclotomic(p, acc, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.p, other)
-        return NotImplemented
-
-    def scale(self, r) -> "Cyclotomic":
-        """The value times r, an int or a Fraction."""
-        k = r.numerator
-        return Cyclotomic(self.p, [k * c for c in self.num], self.den * r.denominator)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, x^k -> x^-k."""
-        p = self.p
-        return Cyclotomic(p, [self.num[-k % p] for k in range(p)], self.den)
-
-    def rational_part(self) -> Fraction:
-        """The value as a rational, failing if any z-coordinate is nonzero."""
-        if not self._is_rational():
-            raise ValueError(f"not rational: {self}")
-        return Fraction(self.num[0], self.den)
-
     # presentation
 
     def __repr__(self):
@@ -186,23 +117,16 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Cyclotomic":
+        """The value to_json wrote; the coordinate count is checked before
+        primality, so trial division never runs past the stored p - 1."""
         p = int(obj["p"])
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         pairs = [(int(n), int(d)) for n, d in obj["coeffs"]]
         if len(pairs) != p - 1:
             raise ValueError("wrong coordinate count")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if not all(d for _, d in pairs):
             raise ValueError("zero denominator")
         den = lcm(*(d for _, d in pairs))
         return cls(p, [n * (den // d) for n, d in pairs] + [0], den)
-
-
-def cyclo_root(p: int, k: int = 1) -> Cyclotomic:
-    """zeta_p^k as an exact element of Q(zeta_p)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    num = [0] * p
-    num[k % p] = 1
-    return Cyclotomic(p, num)
 

@@ -10,7 +10,8 @@ root subgroup moves a state along one coset
 generates once per coset on packed states with dual=True.
 enumerate_dual_orbits(validate=True) replays every compiled move at every
 nonzero scalar against dual_act and the defining property, the independent
-reference kept on NilMatrix, at every state of A°, before the walk.
+reference kept on NilMatrix, by pairing exponent, at every state of A°,
+before the walk.
 dual_canonical walks no orbit: it eliminates on the dense state with the
 contragredient moves from the one compiler, superchar.orbits._program,
 each step adding c = -v/pivot times the pivot's row or column to zero the
@@ -22,9 +23,8 @@ from __future__ import annotations
 from itertools import accumulate, product
 
 from . import orbits
-from .cyclotomic import Cyclotomic, cyclo_root
 from .gf import FiniteField, trace_lift
-from .nilpotent import NilMatrix, group_inv, position_rank, positions
+from .nilpotent import NilMatrix, group_inv, position_count, position_rank, positions
 from .orbits import (
     _clear,
     _Orbit,
@@ -38,7 +38,9 @@ from .partitions import ColouredPartition
 
 
 def pairing_exponent(b: NilMatrix, a: NilMatrix) -> int:
-    """lift(Tr(sum b_ij * a_ij)), the zeta exponent of the pairing character."""
+    """lift(Tr(sum b_ij * a_ij)) mod p, the zeta exponent of the pairing
+    character theta_b(a); theta_b(a) = theta_b'(a') just when the two
+    exponents are equal, since zeta^s = zeta^t iff s = t mod p."""
     if b.n != a.n or b.field != a.field:
         raise ValueError("shape or field mismatch")
     t = 0
@@ -48,11 +50,6 @@ def pairing_exponent(b: NilMatrix, a: NilMatrix) -> int:
         if vb is not None:
             t += trace_lift(vb * va)
     return t % b.field.p
-
-
-def dual_eval(b: NilMatrix, a: NilMatrix) -> Cyclotomic:
-    """The character value theta_b(a) = zeta_p^lift(Tr(sum b_ij a_ij))."""
-    return cyclo_root(b.field.p, pairing_exponent(b, a))
 
 
 def _mul_into(out: dict, x: dict, y: dict) -> None:
@@ -82,8 +79,9 @@ def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
     """Check one state of A°: for every compiled program and every nonzero
     scalar beta, the image the packed walk finds at beta must equal the
     transport of the state by 1 + sign*beta*e_{i,i+1}, and the transport
-    itself must obey the defining property on a basis of A.  The walk on
-    one program finds the state, then its images, step k adding g^k to beta."""
+    itself must obey the defining property on a basis of A, by pairing
+    exponent.  The walk on one program finds the state, then its images,
+    step k adding g^k to beta."""
     b = NilMatrix.from_dense(n, field, state)
     zero = NilMatrix.zero(n, field)
     basis = [NilMatrix.single(n, field, i, j, field.one) for (i, j) in positions(n)]
@@ -107,7 +105,7 @@ def _validate_moves(n: int, field: FiniteField, state: tuple) -> None:
                 twisted = (
                     (ci @ e) + e if left else (e @ c) + e
                 )  # (1 + c)^-1 e or e (1 + c), the identity summand dropped
-                if dual_eval(moved, e) != dual_eval(b, twisted):
+                if pairing_exponent(moved, e) != pairing_exponent(b, twisted):
                     raise AssertionError(
                         f"dual move ({i},{i + 1}) alpha={alpha} violates the "
                         "defining property"
@@ -162,6 +160,6 @@ def enumerate_dual_orbits(
     first replays every compiled move at every state of A°."""
     if validate:
         orbits.check_space(n, field)
-        for state in product(range(field.order), repeat=len(positions(n))):
+        for state in product(range(field.order), repeat=position_count(n)):
             _validate_moves(n, field, state)
     return _walked_axes(DualOrbit, n, field)

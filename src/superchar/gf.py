@@ -57,13 +57,20 @@ def field_cap() -> int:
     return _cap(_FIELD_CAP)
 
 
-def _check_field_cap(order: int) -> None:
-    """ValueError when a field of this order exceeds field_cap()."""
-    if order > field_cap():
-        raise ValueError(
-            f"field order {order} exceeds the enumeration cap {field_cap()}"
-            " (raise SUPERCHAR_CAP to allow it)"
-        )
+def _check_field_cap(p: int, m: int) -> int:
+    """The order p^m, p >= 2 and m >= 1, built one factor at a time;
+    ValueError once it passes field_cap(), which takes at most the cap's
+    bit length of factors, naming an order not reached as p^m."""
+    cap, order = field_cap(), 1
+    for k in range(1, m + 1):
+        order *= p
+        if order > cap:
+            text = order if k == m else f"{p}^{m}"
+            raise ValueError(
+                f"field order {text} exceeds the enumeration cap {cap}"
+                " (raise SUPERCHAR_CAP to allow it)"
+            )
+    return order
 
 
 def space_cap() -> int:
@@ -331,12 +338,13 @@ class FiniteField:
     """GF(p^m) with the deterministic modulus; compare fields by (p, m)."""
 
     def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        """The degree, then the cap, then primality, so that neither p^m
+        nor trial division runs past the cap."""
         if m < 1:
             raise ValueError("degree must be >= 1")
-        order = p**m
-        _check_field_cap(order)
+        order = _check_field_cap(p, m) if p > 1 else 0
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.m = m
         self.order = order
@@ -432,7 +440,7 @@ def _built_field(p: int, m: int) -> FiniteField:
 def field_construct(p: int, m: int) -> FiniteField:
     """GF(p^m), built once; the cap is checked on every call."""
     field = _built_field(p, m)
-    _check_field_cap(field.order)
+    _check_field_cap(p, m)
     return field
 
 

@@ -20,9 +20,16 @@ def positions(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def position_count(n: int) -> int:
+    """N = len(positions(n)) = n(n-1)/2, without building the positions."""
+    return n * (n - 1) // 2 if n > 0 else 0
+
+
 def fits_space(n: int, field: FiniteField) -> bool:
-    """Whether |A| = q^N, N = len(positions(n)), is within space_cap()."""
-    return field.order ** len(positions(n)) <= space_cap()
+    """Whether |A| = q^N is within space_cap(); q >= 2, so q^N is built
+    only while N is below the cap's bit length."""
+    cap, N = space_cap(), position_count(n)
+    return N < cap.bit_length() and field.order**N <= cap
 
 
 @lru_cache(maxsize=None)

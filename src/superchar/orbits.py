@@ -31,7 +31,7 @@ from collections.abc import KeysView
 from functools import lru_cache
 
 from .gf import FiniteField
-from .nilpotent import NilMatrix, fits_space, position_rank, positions
+from .nilpotent import NilMatrix, fits_space, position_count, position_rank, positions
 from .partitions import (
     ColouredPartition,
     build_e,
@@ -117,7 +117,7 @@ def pack(field: FiniteField, state) -> int:
 
 def unpack(n: int, field: FiniteField, x: int) -> tuple[int, ...]:
     """The dense state over positions(n) of a packed int."""
-    size = len(positions(n))
+    size = position_count(n)
     w, _, gather = _packing(field, size)[:3]
     mw = field.m * w
     return tuple(gather[x >> k * mw & (1 << mw) - 1] for k in reversed(range(size)))
@@ -129,7 +129,7 @@ def _walk_moves(n: int, field: FiniteField, programs: tuple) -> tuple:
     and left shift, destination offsets).  One shift serves all its pairs:
     a superdiagonal program moves (i+1, s) to (i, s), n - i - 1 ranks
     apart for every s, or (r, i) to (r, i+1), or the reverse."""
-    size = len(positions(n))
+    size = position_count(n)
     packing = _packing(field, size)
     mw, out = field.m * packing[0], []
     for k, (_, _, pairs, _) in enumerate(programs):
@@ -145,7 +145,7 @@ def check_space(n: int, field: FiniteField) -> None:
     """ValueError when |A| exceeds the space cap that orbit walks obey."""
     if not fits_space(n, field):
         raise ValueError(
-            f"|A| = {field.order}^{len(positions(n))} exceeds the space cap"
+            f"|A| = {field.order}^{position_count(n)} exceeds the space cap"
         )
 
 
@@ -339,7 +339,7 @@ def _walked_axes(kind, n: int, field: FiniteField) -> list:
         rep = build_e(label, field)
         states = orbit_states(n, field, rep.dense(), kind.dual)
         out.append(kind(label, field, len(states), tuple(sorted(states)), rep))
-    check_cover(out, field.order ** len(positions(n)))
+    check_cover(out, field.order ** position_count(n))
     return out
 
 

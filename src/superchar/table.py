@@ -14,7 +14,8 @@ template rows, and the table holds only those cells: the cross-check,
 verify_theory, plancherel and inner_product read them.  A
 Cyclotomic is the same kind of value, p integers in Z[x]/(x^p - 1) over a
 denominator, so a cell becomes one by a constructor call: for the `values`
-view, built once, for a failing or sampled cell, and in sch_closed.
+view, built once, for a failing or sampled cell, and in sch_closed; a
+table read back from JSON becomes cells by _integer_cells.
 
 The averaging route for every a in A and every row at once is one additive
 Fourier transform, as Diaconis and Isaacs build supercharacters: the
@@ -63,7 +64,7 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
 from .gf import FiniteField, trace_lifts
-from .nilpotent import group_inv, positions
+from .nilpotent import group_inv, position_count, positions
 from .orbits import Superclass, _packing, canonical_form, check_cover, check_space, unpack
 from .partitions import (
     ColouredPartition,
@@ -211,22 +212,17 @@ class SupercharTable:
     label order; each cell is a value xi_O(K) in Q(zeta_p), normalized to
     xi(1) = 1.
 
-    The table holds one representation, integer cells over one shared
-    denominator D: each cell is a sparse vector in Z[x]/(x^p - 1), a tuple
-    of (exponent, coefficient) pairs.  build_table hands over the cells of
-    _closed_cells; a table given Cyclotomic values (table_from_json, tests)
-    converts them once, here.  Every check reads the cells.  `values`, the
-    rows of Cyclotomics for export, is built on first read, one Cyclotomic
-    per distinct cell, and is a tuple of tuples: a table is changed by
-    building another.  Anything but rows x columns cells is refused with
-    ValueError.
+    The table holds one representation, cells = (D, rows): integer cells
+    over one shared denominator D, each a sparse vector in Z[x]/(x^p - 1),
+    a tuple of (exponent, coefficient) pairs.  build_table hands over the
+    cells of _closed_cells, table_from_json those of _integer_cells.  Every
+    check reads the cells.  `values`, the rows of Cyclotomics for export,
+    is built on first read, one Cyclotomic per distinct cell, and is a
+    tuple of tuples: a table is changed by building another.  Anything but
+    rows x columns cells is refused with ValueError.
     """
 
-    def __init__(self, n, field, dual_orbits, superclasses, values=None, cells=None):
-        if (values is None) == (cells is None):
-            raise ValueError("a table takes either values or integer cells")
-        if cells is None:
-            cells = _integer_cells(values, field.p)
+    def __init__(self, n, field, dual_orbits, superclasses, cells):
         self._denom, self._cells = cells
         rows, cols = len(dual_orbits), len(superclasses)
         if len(self._cells) != rows or any(len(line) != cols for line in self._cells):
@@ -235,7 +231,7 @@ class SupercharTable:
         self.field = field
         self.dual_orbits = dual_orbits
         self.superclasses = superclasses
-        self.order = field.order ** len(positions(n))
+        self.order = field.order ** position_count(n)
         self._route = ...  # _route_failure's verdict, None included, once computed
 
     _rows = cached_property(lambda self: _orbit_rows(self))  # the rows the route and Gram check
@@ -319,7 +315,7 @@ def build_table(n: int, field: FiniteField, full: bool = False) -> SupercharTabl
     rows = [DualOrbit.from_label(label, field) for label in row_labels]
     cols = [Superclass.from_label(label, field) for label in col_labels]
     cells = _closed_cells(row_labels, col_labels, field)
-    table = SupercharTable(n, field, rows, cols, cells=cells)
+    table = SupercharTable(n, field, rows, cols, cells)
     bad = _cross_check(table, full or table.order <= _FULL_VALIDATION_LIMIT)
     if bad is not None:
         i, j, brute = bad
@@ -397,7 +393,7 @@ def _route_blocks(table: SupercharTable, checked):
     takes at most _ROUTE_BLOCK_BITS bits, and only the consumer's last
     column outlives it."""
     field, p, q = table.field, table.field.p, table.field.order
-    size = len(positions(table.n))
+    size = position_count(table.n)
     w, spread = _packing(field, size)[:2]
     low, mw = size // 2, field.m * w
     cut = (1 << low * mw) - 1
@@ -608,7 +604,7 @@ def _transported(axis, reps, logs, field: FiniteField, fixed: bool) -> bool:
     read in chunks of c entries, q^c <= 32, one lookup each, in a table
     built once per chunk and scaling; a chunk t does not move is kept."""
     n, q = axis[0].label.n, field.order
-    size = len(positions(n))
+    size = position_count(n)
     w, spread = _packing(field, size)[:2]
     mw, exp, log = field.m * w, field.exp, field.log
     c = 1
@@ -972,13 +968,14 @@ def _axis_from_json(kind, obj: dict, n: int, field: FiniteField):
 
 def table_from_json(obj: dict) -> SupercharTable:
     """The table that table_to_json wrote, on the axes of build_table; the
-    values are taken as stored, for verify_theory to check."""
+    values are taken as stored, as integer cells, for verify_theory to
+    check."""
     n = int(obj["group"]["n"])
     field = FiniteField.from_json(obj["group"])
     rows = [_axis_from_json(DualOrbit, r, n, field) for r in obj["rows"]]
     cols = [_axis_from_json(Superclass, c, n, field) for c in obj["cols"]]
     values = [[Cyclotomic.from_json(v) for v in row] for row in obj["values"]]
-    return SupercharTable(n, field, rows, cols, values)
+    return SupercharTable(n, field, rows, cols, _integer_cells(values, field.p))
 
 
 def table_to_csv(table: SupercharTable) -> str:

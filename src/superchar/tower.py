@@ -28,7 +28,7 @@ from .gf import (
     trace_indices,
     trace_lifts,
 )
-from .nilpotent import fits_space, positions
+from .nilpotent import fits_space, position_count
 from .partitions import (
     ColouredPartition,
     SetPartition,
@@ -40,7 +40,7 @@ from .partitions import (
     nest,
     partition_stats,
 )
-from .table import _closed_value
+from .table import _closed_value, _gram_entry
 
 
 class FieldTower:
@@ -222,6 +222,18 @@ def _level_value(
     return _closed_value(pairs, d, tower.field(level))
 
 
+def _abs2(v: Cyclotomic) -> Fraction:
+    """|v|^2 = v conj(v): _gram_entry's cyclic convolution of v's p integers
+    with their reversal, folded and read as a rational over den^2;
+    AssertionError if it is not rational."""
+    cell = tuple((e, c) for e, c in enumerate(v.num) if c)
+    acc = _gram_entry([cell], [cell], [1], v.p)
+    top = acc[-1]
+    if acc[1:].count(top) != v.p - 1:
+        raise AssertionError(f"|v|^2 is not rational at {v.basis_str()}")
+    return Fraction(acc[0] - top, v.den * v.den)
+
+
 def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
     """Exact level values at every level of the tower against the
     predicted limit.
@@ -247,16 +259,7 @@ def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
             continue
         v = _level_value(label, col, shape, m)
         values.append(v)
-        abs2 = (v * v.conjugate()).rational_part()
-        levels.append(
-            {
-                "level": m,
-                "q": q,
-                "defined": True,
-                "value": v,
-                "abs2": abs2,
-            }
-        )
+        levels.append({"level": m, "q": q, "defined": True, "value": v, "abs2": _abs2(v)})
     limit = values[0] if shape is not None and depth == 0 else Cyclotomic.zero(tower.p)
     if limit:
         stabilized = all(v == limit for v in values)
@@ -382,7 +385,7 @@ def plancherel_profile(n: int, tower: FieldTower, levels=None) -> dict:
     profile = []
     for m in levels:
         q = tower.field(m).order
-        total = q ** len(positions(n))
+        total = q ** position_count(n)
         weight = Fraction(0)
         for stats in qualifying:
             # (q-1)^|arcs| colourings of pi, each an orbit of q^r(pi) characters

@@ -4,8 +4,10 @@ The set-builder partition statistics that the bit masks of
 superchar.partitions.partition_stats replaced come first: the shadow
 S(pi) and reach R(pi), the cover count r(pi) and the nest count.
 superchar.cyclotomic holds a value as p integers in Z[x]/(x^p - 1) over
-one denominator; the Fraction-coordinate class it replaced comes next,
-with the closed formula cell by cell in that class, which the integer
+one denominator, with no arithmetic; the Fraction-coordinate class it
+replaced comes next, then the integer arithmetic on such values that the
+loops below and the tests use, plain functions with no coercion, then the
+closed formula cell by cell in the Fraction class, which the integer
 kernel of superchar.table replaced, and a table view whose values are
 such cells, for comparing exports; then the set-based closed shape and
 the cell-by-cell integer table that the bit masks and row templates of
@@ -16,9 +18,11 @@ i <= j Gram scan and the label scan for inverse columns that the packed
 columns and the label index of verify_theory replaced, then the
 member-by-member superclass-constancy scan that the additive Fourier
 transform replaced, with the pairing histogram on dense states that the
-one-multiply packed pairing replaced, and the diagonal torus acting on
-labels and dense states, which the torus passes of superchar.table
-read through colour-log codes and packed chunk tables.  The sparse dict BFS that
+one-multiply packed pairing replaced, the character value theta_b(a),
+whose equalities superchar.dual compares as pairing exponents, and the
+diagonal torus acting on labels and dense states, which the torus passes
+of superchar.table read through colour-log codes and packed chunk
+tables.  The sparse dict BFS that
 superchar.orbits.orbit_states replaced follows, with the basis-scalar
 walk that its coset walk replaced and the coset walk on dense tuples
 that its packed walk replaced, then the orbit scan that canonical_form and dual_canonical replaced, the
@@ -46,6 +50,7 @@ from types import SimpleNamespace
 
 from superchar.cli import _json_default
 from superchar.cyclotomic import Cyclotomic
+from superchar.dual import pairing_exponent
 from superchar.gf import field_trace, is_prime, trace_lift, trace_lifts
 from superchar.nilpotent import NilMatrix, fits_space, group_inv, positions
 from superchar.orbits import _move_programs, canonical_form, orbit_states, unpack
@@ -56,7 +61,7 @@ from superchar.partitions import (
     enumerate_labels,
     format_coloured,
 )
-from superchar.table import _equals_rational, _gram_entry
+from superchar.table import SupercharTable, _equals_rational, _gram_entry, _integer_cells
 from superchar.table import sch_closed as closed_cyclotomic
 
 
@@ -96,7 +101,8 @@ def nest(pi, other):
 # -- Fraction-coordinate cyclotomics --------------------------------------------
 #
 # Elements on the power basis 1, z, ..., z^(p-2) with p - 1 Fraction
-# coordinates, using z^(p-1) = -(1 + z + ... + z^(p-2)).
+# coordinates, using z^(p-1) = -(1 + z + ... + z^(p-2)).  Sums and products
+# take two elements of one field; a rational enters by from_rational.
 
 
 class FractionCyclotomic:
@@ -110,10 +116,6 @@ class FractionCyclotomic:
     @classmethod
     def zero(cls, p):
         return cls(p, (Fraction(0),) * (p - 1))
-
-    @classmethod
-    def one(cls, p):
-        return cls.from_rational(p, Fraction(1))
 
     @classmethod
     def from_rational(cls, p, r):
@@ -130,30 +132,12 @@ class FractionCyclotomic:
             return self == FractionCyclotomic.from_rational(self.p, other)
         return NotImplemented
 
-    def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
-
     def __add__(self, other):
-        other = self._coerce(other)
         return FractionCyclotomic(
             self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FractionCyclotomic(self.p, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
-        other = self._coerce(other)
         p = self.p
         # accumulate exponents mod p, then fold z^(p-1) back onto the basis
         acc = [Fraction(0)] * p
@@ -162,15 +146,6 @@ class FractionCyclotomic:
                 acc[(i + j) % p] += a * b
         top = acc[p - 1]
         return FractionCyclotomic(p, tuple(c - top for c in acc[: p - 1]))
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, FractionCyclotomic):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic fields")
-            return other
-        return FractionCyclotomic.from_rational(self.p, other)
 
     def scale(self, r):
         r = Fraction(r)
@@ -216,6 +191,58 @@ class FractionCyclotomic:
         if len(coeffs) != p - 1:
             raise ValueError("wrong coordinate count")
         return cls(p, coeffs)
+
+
+# -- integer arithmetic on Cyclotomic values -----------------------------------
+#
+# Cyclotomic defines no arithmetic.  These functions, with no coercion,
+# combine values of one p on their integers, and scale by an int or Fraction.
+
+
+def rational(p, r):
+    """The int or Fraction r in Q(zeta_p)."""
+    return Cyclotomic(p, (r.numerator,) + (0,) * (p - 1), r.denominator)
+
+
+def root(p, k=1):
+    """zeta_p^k."""
+    return Cyclotomic(p, [int(e == k % p) for e in range(p)])
+
+
+def add(u, v):
+    """u + v."""
+    return Cyclotomic(
+        u.p, [a * v.den + b * u.den for a, b in zip(u.num, v.num)], u.den * v.den
+    )
+
+
+def mul(u, v):
+    """u v, a cyclic convolution: exponents add mod p."""
+    p, acc = u.p, [0] * u.p
+    for i, a in enumerate(u.num):
+        if a:
+            for j, b in enumerate(v.num):
+                if b:
+                    acc[(i + j) % p] += a * b
+    return Cyclotomic(p, acc, u.den * v.den)
+
+
+def scale(u, r):
+    """u times the int or Fraction r."""
+    k = r.numerator
+    return Cyclotomic(u.p, [k * c for c in u.num], u.den * r.denominator)
+
+
+def conj(u):
+    """Complex conjugation, x^k -> x^-k."""
+    return Cyclotomic(u.p, [u.num[-k] for k in range(u.p)], u.den)
+
+
+def rational_part(u):
+    """u as a Fraction; ValueError if a z-coordinate is nonzero."""
+    if any(u.num[1:]):
+        raise ValueError(f"not rational: {u.basis_str()}")
+    return Fraction(u.num[0], u.den)
 
 
 def fraction_root(p, k=1):
@@ -280,6 +307,15 @@ def closed_view(table):
     )
 
 
+def with_values(table, values):
+    """A table on the axes of table holding the rows of Cyclotomic values,
+    converted to integer cells as table_from_json converts them."""
+    cells = _integer_cells(values, table.field.p)
+    return SupercharTable(
+        table.n, table.field, table.dual_orbits, table.superclasses, cells
+    )
+
+
 def closed_shape(pi, pip):
     """_closed_shape on arc sets: None when an arc of pi leaves the reach
     R(pip), else the shared arcs, sorted, and nest(pi, pip)."""
@@ -319,7 +355,7 @@ def closed_cells(rows, cols, field):
     return q**dmax, out
 
 
-# -- direct Cyclotomic loops -------------------------------------------------
+# -- direct loops on Cyclotomic values -------------------------------------------
 
 
 def inner_product(table, i, j):
@@ -327,9 +363,9 @@ def inner_product(table, i, j):
     p = table.field.p
     acc = Cyclotomic.zero(p)
     for k, cls in enumerate(table.superclasses):
-        term = table.values[i][k] * table.values[j][k].conjugate()
-        acc = acc + term.scale(cls.size)
-    return acc.scale(Fraction(1, table.order))
+        term = mul(table.values[i][k], conj(table.values[j][k]))
+        acc = add(acc, scale(term, cls.size))
+    return scale(acc, Fraction(1, table.order))
 
 
 def plancherel(table):
@@ -340,11 +376,8 @@ def plancherel(table):
     for j, cls in enumerate(table.superclasses):
         acc = Cyclotomic.zero(p)
         for i in range(table.size):
-            acc = acc + table.values[i][j].scale(weights[i])
-        expected = (
-            Cyclotomic.one(p) if not cls.label.arcs() else Cyclotomic.zero(p)
-        )
-        if acc != expected:
+            acc = add(acc, scale(table.values[i][j], weights[i]))
+        if acc != rational(p, int(not cls.label.arcs())):
             failures.append(format_coloured(cls.label))
     return {
         "weights": [
@@ -362,12 +395,8 @@ def orthogonality_check(table):
     bad_pair = None
     for i in range(table.size):
         for j in range(table.size):
-            expected = (
-                Cyclotomic.from_rational(p, Fraction(1, table.dual_orbits[i].size))
-                if i == j
-                else Cyclotomic.zero(p)
-            )
-            if inner_product(table, i, j) != expected:
+            expected = Fraction(int(i == j), table.dual_orbits[i].size)
+            if inner_product(table, i, j) != rational(p, expected):
                 bad_pair = (i, j)
                 break
         if bad_pair:
@@ -431,7 +460,7 @@ def conjugate_symmetry_check(table):
     for j in range(table.size):
         jinv = inverse_column(table, j)
         for i in range(table.size):
-            if table.values[i][jinv] != table.values[i][j].conjugate():
+            if table.values[i][jinv] != conj(table.values[i][j]):
                 bad = (i, j)
                 break
         if bad:
@@ -453,6 +482,11 @@ def pairing_hist(members, a, field):
     for state in members:
         hist[sum(trl[exp[log[state[k]] + la]] for k, la in compiled) % field.p] += 1
     return hist
+
+
+def dual_eval(b, a):
+    """The character value theta_b(a) = zeta_p^lift(Tr(sum b_ij a_ij))."""
+    return root(b.field.p, pairing_exponent(b, a))
 
 
 def dense_members(orbit):
@@ -970,7 +1004,7 @@ def convergence_report_by_levels(label, col):
             continue
         v = tower_supercharacter(label, m, _embedded_column(tower, col, m))
         values.append(v)
-        abs2 = (v * v.conjugate()).rational_part()
+        abs2 = rational_part(mul(v, conj(v)))
         levels.append({"level": m, "q": q, "defined": True, "value": v, "abs2": abs2})
     if limit:
         stabilized = all(v == limit for v in values)

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import complex_value, elementary_generators, group_mul
+from oracles import complex_value, conj, dual_eval, elementary_generators, group_mul
 from superchar.cyclotomic import Cyclotomic
-from superchar.dual import dual_act, dual_eval, dual_orbit, enumerate_dual_orbits
+from superchar.dual import dual_act, dual_orbit, enumerate_dual_orbits
 from superchar.gf import field_construct
 from superchar.nilpotent import NilMatrix, group_inv, positions
 from superchar.orbits import canonical_form, enumerate_superclasses
@@ -102,13 +102,12 @@ def test_c03_golden_table():
     orbits = enumerate_dual_orbits(3, f)
     classes = enumerate_superclasses(3, f)
     regenerated = [
-        [sch_bruteforce(o, sc.rep.dense()).rational_part()
-         for sc in classes]
+        [sch_bruteforce(o, sc.rep.dense()) for sc in classes]
         for o in orbits
     ]
     assert regenerated == golden
     t = _table(3, 2)
-    assert [[v.rational_part() for v in row] for row in t.values] == golden
+    assert [list(row) for row in t.values] == golden
     print("ACCEPTANCE 3 golden table: PASS (U_3(F_2) regenerated by the "
           "averaging oracle)")
 
@@ -122,7 +121,7 @@ def test_c04_orthogonality():
             for j in range(t.size):
                 v = inner_product(t, i, j)
                 if i == j:
-                    assert v.rational_part() == Fraction(1, t.dual_orbits[i].size)
+                    assert v == Fraction(1, t.dual_orbits[i].size)
                 else:
                     assert v == Cyclotomic.zero(p)
                 checked += 1
@@ -253,7 +252,7 @@ def test_c10_property_suites():
         for k, sc in enumerate(t.superclasses):
             ki = cols[format_coloured(canonical_form(group_inv(sc.rep)))]
             for row in t.values:
-                assert row[ki] == row[k].conjugate()
+                assert row[ki] == conj(row[k])
 
     # PSD Gram proxy: 50 samples of 6 group elements
     numpy = pytest.importorskip("numpy")

@@ -8,10 +8,11 @@ form and the exit-code contract.
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
-from superchar import cli, field_construct
+from superchar import cli, field_construct, gf
 from superchar import table as table_mod
 from superchar.cli import main
 from superchar.partitions import partition_stats
@@ -458,8 +459,25 @@ def test_tower_bad_degrees_exits_2(capsys):
 
 # ------------------------------------------------------------- exit codes
 
+# Input over the field cap or the space cap, each refused before any work
+# on it: no p^m or q^N past the cap, no trial division, no position list.
+_OVER_FIELD_CAP = {
+    "p-2^61-1": ["verify", "--n", "2", "--p", "2305843009213693951"],
+    "degree-10^8": ["verify", "--n", "2", "--p", "2", "--degree", "100000000"],
+    "tower-degree-10^8": ["tower", "--n", "3", "--p", "2", "--degrees", "1,100000000",
+                          "--mode", "fsc"],
+}
+_OVER_SPACE_CAP = {
+    "verify-n-20000": ["verify", "--n", "20000", "--p", "2"],
+    "orbits-n-20000": ["orbits", "--n", "20000", "--p", "2", "--dual"],
+    "tower-n-20000": ["tower", "--n", "20000", "--p", "2", "--degrees", "1,2",
+                      "--mode", "fsc"],
+}
+
 # Unusable input of every kind; "{tmp}" stands for a fresh directory.
 _UNUSABLE = {
+    **_OVER_FIELD_CAP,
+    **_OVER_SPACE_CAP,
     "unwritable-output": ["classify", "--n", "3", "--p", "2", "--matrix", "a12=1",
                           "--output", "{tmp}/missing/x.json"],
     # the open succeeds; the write or the close fails
@@ -496,6 +514,17 @@ def test_unusable_input_exits_2_with_an_error_line(monkeypatch, tmp_path, capsys
     if case == "empty-cap":
         field_construct(2, 1)  # a cached field is still checked against the cap
         monkeypatch.setenv("SUPERCHAR_CAP", "")
+
+    def no_work(arg):
+        raise AssertionError(f"{case}: work done on {arg} above the cap")
+
+    if case in _OVER_FIELD_CAP:  # no trial division
+        field_construct(2, 1)  # the tower's first level, under the cap
+        monkeypatch.setattr(gf, "is_prime", no_work)
+    if case in _OVER_SPACE_CAP:  # no position list
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "superchar" and hasattr(mod, "positions"):
+                monkeypatch.setattr(mod, "positions", no_work)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in _UNUSABLE[case]]
     try:
         code = main(argv)

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import json_dumps_text
 
 from superchar import cli
-from superchar.cyclotomic import cyclo_root
+from superchar.cyclotomic import Cyclotomic
 from superchar.gf import field_construct
 from superchar.table import build_table, table_to_json
 
@@ -84,11 +84,11 @@ def test_writer_matches_json_dumps(obj):
 def test_writer_matches_json_dumps_on_report_values():
     # the values _json_default converts, alone and nested, at the top level
     # and inside containers
-    z = cyclo_root(5)
+    z = Cyclotomic(5, [0, 1, 0, 0, 0])
     values = [
         Fraction(-3, 4),
         z,
-        z * 0,
+        Cyclotomic.zero(5),
         {"a": [Fraction(1, 2), {"b": (z, Fraction(2))}], "c": []},
         [{}, [], (), [[]], {"": {}}],
     ]

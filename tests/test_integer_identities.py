@@ -1,10 +1,10 @@
 """The integer identity kernels of superchar.table against Fraction loops.
 
-Oracle: tests/oracles.py, the direct Cyclotomic loops for <xi_i, xi_j>,
-super-Plancherel and conjugate symmetry, the entry-by-entry i <= j Gram
-scan that the packed columns replaced, and the label scan for inverse
-columns.  Tables come from build_table; route agreement is tested
-elsewhere.
+Oracle: tests/oracles.py, the direct loops on Cyclotomic values, by its
+integer helper, for <xi_i, xi_j>, super-Plancherel and conjugate
+symmetry, the entry-by-entry i <= j Gram scan that the packed columns
+replaced, and the label scan for inverse columns.  Tables come from
+build_table; route agreement is tested elsewhere.
 """
 
 from fractions import Fraction
@@ -15,15 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import superchar.table as table_mod
-from superchar.cyclotomic import Cyclotomic, cyclo_root
+from oracles import add, conj, rational, root, scale, with_values
+from superchar.cyclotomic import Cyclotomic
 from superchar.gf import field_construct
 from superchar.table import (
-    SupercharTable,
     _gram_entry,
     _inverse_columns,
     build_table,
     inner_product,
     plancherel,
+    table_from_json,
+    table_to_json,
     verify_theory,
 )
 
@@ -57,10 +59,10 @@ def test_plancherel_equals_fraction_oracle(n, p, m):
 
 
 def _non_monomial(p):
-    half_plus_zeta = Cyclotomic.from_rational(p, Fraction(1, 2)) + cyclo_root(p)
+    half_plus_zeta = Cyclotomic(p, [1, 2] + [0] * (p - 2), 2)
     coords = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     return st.one_of(
-        st.just(cyclo_root(p, p - 1)),  # (-1, ..., -1) on the power basis
+        st.just(root(p, p - 1)),  # (-1, ..., -1) on the power basis
         st.just(half_plus_zeta),
         st.lists(coords, min_size=p - 1, max_size=p - 1).map(
             lambda cs: oracles.cyclotomic(p, cs)
@@ -79,7 +81,7 @@ def test_corrupted_tables_get_oracle_verdicts(config, data):
         i = data.draw(st.integers(0, base.size - 1))
         j = data.draw(st.integers(0, base.size - 1))
         values[i][j] = data.draw(_non_monomial(p))
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.orthogonality_check(t)
     assert report["plancherel-identity"] == oracles.plancherel_check(t)
@@ -99,8 +101,8 @@ def test_conjugate_symmetry_equals_cyclotomic_oracle(config, data):
         v = data.draw(_non_monomial(base.field.p))
         values[i][j] = v
         if data.draw(st.booleans()):
-            values[i][_inverse_columns(base)[j]] = v.conjugate()
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+            values[i][_inverse_columns(base)[j]] = conj(v)
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
 
@@ -163,7 +165,7 @@ def test_half_gram_finds_the_full_scan_failure(config, data):
         i = data.draw(st.integers(1, base.size - 1))
         j = data.draw(st.integers(0, i))
         values[i][j] = data.draw(_non_monomial(base.field.p))
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.orthogonality_check(t)
     assert report["orthogonality"] == oracles.half_gram_check(t)
@@ -183,7 +185,8 @@ def test_verify_theory_converts_the_table_once(monkeypatch):
     t = build_table(3, f)  # holds its integer cells
     assert all(ok for _, ok, _ in verify_theory(t))
     assert calls == 0
-    given = SupercharTable(t.n, f, t.dual_orbits, t.superclasses, t.values)
+    given = table_from_json(table_to_json(t))  # values become cells here, once
+    assert calls == 1
     report = {c[0]: c for c in verify_theory(given)}
     assert calls == 1
     assert report["plancherel-identity"] == oracles.plancherel_check(given)
@@ -216,8 +219,8 @@ def test_near_bound_corruptions_get_oracle_verdicts(config, data):
             j = data.draw(st.integers(0, base.size - 1))
             values[i][j] = v
             if data.draw(st.booleans()):
-                values[i][jinv[j]] = v.conjugate()
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+                values[i][jinv[j]] = conj(v)
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.half_gram_check(t)
     assert report["orthogonality"] == oracles.orthogonality_check(t)
@@ -244,8 +247,7 @@ def test_a_narrower_width_aliases(monkeypatch):
     f = field_construct(2, 1)
     base = build_table(2, f)
     rows = [[5, 3], [-2, 3]]
-    values = [[Cyclotomic.from_rational(2, Fraction(v)) for v in row] for row in rows]
-    t = SupercharTable(2, f, base.dual_orbits, base.superclasses, values)
+    t = with_values(base, [[rational(2, v) for v in row] for row in rows])
     truth = oracles.orthogonality_check(t)
     assert truth == ("orthogonality", False, "fails at rows (0, 0)")
     width = table_mod._kronecker_width
@@ -295,9 +297,9 @@ def test_packed_checks_rescan_only_the_failing_row(monkeypatch):
     i, j = next((i, j) for i in range(1, base.size) for j in range(i + 2, base.size)
                 if sizes[i] == sizes[j])
     values = [list(row) for row in base.values]
-    values[i] = [u.scale(Fraction(3, 5)) + v.scale(Fraction(4, 5))
+    values[i] = [add(scale(u, Fraction(3, 5)), scale(v, Fraction(4, 5)))
                  for u, v in zip(base.values[i], base.values[j])]
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["orthogonality"] == oracles.orthogonality_check(t)
     assert report["orthogonality"][2] == f"fails at rows {(i, j)}"
@@ -310,8 +312,8 @@ def test_packed_checks_rescan_only_the_failing_row(monkeypatch):
     # rescanned, up to the failing row
     gram.clear()
     values = [list(row) for row in base.values]
-    values[i][j] = values[i][j] + cyclo_root(3)
-    t = SupercharTable(base.n, base.field, base.dual_orbits, base.superclasses, values)
+    values[i][j] = add(values[i][j], root(3))
+    t = with_values(base, values)
     report = {c[0]: c for c in verify_theory(t)}
     assert report["conjugate-symmetry"] == oracles.conjugate_symmetry_check(t)
     assert report["conjugate-symmetry"][2].startswith(f"fails at row {i}, ")

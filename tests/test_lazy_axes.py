@@ -57,9 +57,8 @@ def test_spot_plancherel_equals_walked(monkeypatch, n, p, m):
     monkeypatch.setattr(table_mod, "_FULL_VALIDATION_LIMIT", 0)  # every size spot
     f = field_construct(p, m)
     spot = build_table(n, f)
-    walked = SupercharTable(
-        n, f, enumerate_dual_orbits(n, f), enumerate_superclasses(n, f), spot.values
-    )
+    walked = SupercharTable(n, f, enumerate_dual_orbits(n, f),
+                            enumerate_superclasses(n, f), spot.integer_cells())
     assert plancherel(spot) == plancherel(walked)
 
 
@@ -146,7 +145,7 @@ def _unchecked_table(n, f):
     rows = [DualOrbit.from_label(lab, f) for lab in row_labels]
     cols = [Superclass.from_label(lab, f) for lab in col_labels]
     cells = table_mod._closed_cells(row_labels, col_labels, f)
-    return SupercharTable(n, f, rows, cols, cells=cells)
+    return SupercharTable(n, f, rows, cols, cells)
 
 
 def _bump_r(monkeypatch):
@@ -245,7 +244,8 @@ def test_verify_checks_the_cover(axis, one, space):
 
     def table_with(changed):
         axes = {"dual_orbits": t.dual_orbits, "superclasses": t.superclasses, axis: changed}
-        return SupercharTable(3, f, axes["dual_orbits"], axes["superclasses"], t.values)
+        return SupercharTable(3, f, axes["dual_orbits"], axes["superclasses"],
+                              t.integer_cells())
 
     shared = tuple(sorted(first.members + last.members[:1]))
     overlapping = [kind(first.label, first.field, 2, shared)] + orbits[1:]

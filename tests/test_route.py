@@ -24,7 +24,7 @@ import itertools
 
 import oracles
 import superchar.table as table_mod
-from superchar.cyclotomic import Cyclotomic, cyclo_root
+from superchar.cyclotomic import Cyclotomic
 from superchar.dual import DualOrbit, enumerate_dual_orbits
 from superchar.gf import field_construct
 from superchar.orbits import Superclass, enumerate_superclasses, pack, unpack
@@ -67,7 +67,7 @@ def _table(n, p, m):
 def _fresh(t, dual_orbits=None):
     """The same table with no cached route, optionally other dual orbits."""
     return SupercharTable(
-        t.n, t.field, dual_orbits or t.dual_orbits, t.superclasses, t.values
+        t.n, t.field, dual_orbits or t.dual_orbits, t.superclasses, t.integer_cells()
     )
 
 
@@ -342,12 +342,12 @@ def test_one_row_per_torus_orbit_gives_the_full_report(n, p, m, monkeypatch):
 def _with_values(t, change):
     """t with values[i][j] = change(i, j, value) on every cell."""
     values = [[change(i, j, v) for j, v in enumerate(row)] for i, row in enumerate(t.values)]
-    return SupercharTable(t.n, t.field, t.dual_orbits, t.superclasses, values)
+    return oracles.with_values(t, values)
 
 
 def _bumped(v):
     """A cell moved off its value: zeta times it, or 1 where it is 0."""
-    return v * cyclo_root(v.p, 1) if v else Cyclotomic.one(v.p)
+    return oracles.mul(v, oracles.root(v.p)) if v else oracles.root(v.p, 0)
 
 
 def _reports_agree(t):
@@ -458,7 +458,7 @@ def test_swapped_members_of_two_columns_are_caught_by_transport():
     for c, other in ((w, w2), (w2, w)):
         k = base.superclasses[at[c]]
         cols[at[c]] = Superclass(k.label, f, 1, base.superclasses[at[other]].members)
-    t = SupercharTable(base.n, f, base.dual_orbits, cols, base.values)
+    t = SupercharTable(base.n, f, base.dual_orbits, cols, base.integer_cells())
     assert not _transported(t.superclasses, *_torus_axis(t.superclasses, f), f, True)
     assert _route_scan(t, _all_ones_rows(t)) is None
     assert not _reports_agree(t)[4][1]

@@ -11,19 +11,25 @@ which read closed sizes, against the same reports on walked sizes
 (tests/oracles.py).
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
     char_extend_scan,
+    conj,
     convergence_report_by_levels,
     horner_embed,
+    mul,
     plancherel_profile_walk_all,
+    rational_part,
+    root,
+    scale,
     size_scan_walked,
     tower_supercharacter,
 )
-from superchar.cyclotomic import Cyclotomic, cyclo_root
+from superchar.cyclotomic import Cyclotomic
 from superchar.gf import field_construct, field_embed, field_trace, trace_indices
 from superchar.partitions import (
     ColouredPartition,
@@ -36,6 +42,7 @@ from superchar.tower import (
     FieldTower,
     TowerCharacter,
     TowerLabel,
+    _abs2,
     char_extend,
     char_restrict,
     convergence_report,
@@ -208,10 +215,10 @@ def test_tower_supercharacter_worked_examples():
         tw, parse_coloured("1,4/2/3 | 1,4=1", 4, f2, dual=True))
     col1 = parse_coloured("1/2,3/4 | 2,3=1", 4, f2)
     v1 = tower_supercharacter(lab, 1, col1)
-    assert v1.rational_part() == Fraction(1, 2)
+    assert rational_part(v1) == Fraction(1, 2)
     col2 = ColouredPartition(col1.partition, {(2, 3): f4.one})
     v2 = tower_supercharacter(lab, 2, col2)
-    assert v2.rational_part() == Fraction(1, 4)
+    assert rational_part(v2) == Fraction(1, 4)
     with pytest.raises(ValueError):
         tower_supercharacter(lab, 1, col2)  # colours at the wrong level
 
@@ -222,7 +229,7 @@ def test_tower_supercharacter_no_arcs_label():
     lab = TowerLabel(tw, parse_partition("1/2/3", 3), {})
     for text in ("1/2/3", "1,2/3 | 1,2=1", "1,3/2 | 1,3=1"):
         col = parse_coloured(text, 3, f2)
-        assert tower_supercharacter(lab, 1, col) == Cyclotomic.one(2)
+        assert tower_supercharacter(lab, 1, col) == 1
 
 
 def test_limit_value_cases():
@@ -238,9 +245,9 @@ def test_limit_value_cases():
     shadowed = TowerLabel.from_level1(
         tw, parse_coloured("1,3/2 | 1,3=1", 3, f2, dual=True))
     assert limit(shadowed, "1,2/3 | 1,2=1", 3) == Cyclotomic.zero(2)
-    assert limit(shadowed, "1,3/2 | 1,3=1", 3) == cyclo_root(2)  # -1, stable
+    assert limit(shadowed, "1,3/2 | 1,3=1", 3) == -1  # stable
     trivial = TowerLabel(tw, parse_partition("1/2/3", 3), {})
-    assert limit(trivial, "1,2/3 | 1,2=1", 3) == Cyclotomic.one(2)
+    assert limit(trivial, "1,2/3 | 1,2=1", 3) == 1
 
 
 # ------------------------------------------------------------ convergence
@@ -272,8 +279,8 @@ def test_convergence_stabilizing_example():
     assert rep["stabilized"]
     assert rep["verdict"] == "stabilized at level 1"
     vals = [e["value"] for e in rep["levels"]]
-    assert vals == [cyclo_root(2)] * 3
-    assert rep["limit"] == cyclo_root(2)
+    assert vals == [-1] * 3
+    assert rep["limit"] == -1
 
 
 def test_convergence_trivial_label():
@@ -281,8 +288,8 @@ def test_convergence_trivial_label():
     f2 = tw.field(1)
     lab = TowerLabel(tw, parse_partition("1/2/3", 3), {})
     rep = convergence_report(lab, parse_coloured("1/2/3", 3, f2))
-    assert rep["stabilized"] and rep["limit"] == Cyclotomic.one(2)
-    assert all(e["value"] == Cyclotomic.one(2) for e in rep["levels"])
+    assert rep["stabilized"] and rep["limit"] == 1
+    assert all(e["value"] == 1 for e in rep["levels"])
 
 
 def test_convergence_reports_undefined_prefix():
@@ -340,6 +347,19 @@ def test_convergence_report_matches_level_by_level_oracle():
             ), (format_partition(pi), format_partition(pip))
             pairs += 1
     assert pairs == 210
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_abs2_is_the_norm_of_each_monomial(p):
+    # |+-zeta^t p^-d|^2 = p^-2d by the cyclic convolution, as by the product
+    # with the conjugate; |1 + zeta|^2, irrational at p >= 5, is refused
+    for t, d, sign in itertools.product(range(p), range(4), (1, -1)):
+        v = scale(root(p, t), Fraction(sign, p ** d))
+        assert _abs2(v) == rational_part(mul(v, conj(v))) == Fraction(1, p ** (2 * d))
+    assert _abs2(Cyclotomic.zero(p)) == 0
+    if p > 3:
+        with pytest.raises(AssertionError, match="not rational"):
+            _abs2(Cyclotomic(p, [1, 1] + [0] * (p - 2)))
 
 
 # ------------------------------------------------------------ diagnostics
