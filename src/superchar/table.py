@@ -31,14 +31,14 @@ rows * |A| * mN * p^2 bit-packed additions, in row blocks that bound the
 memory.  The output is read at the trace-dual digits
 c_k(a) = lift(Tr(x^k a)).  The transform reads only the BFS dual-orbit
 members and the trace pairing, never a label formula.  _route_failure
-compares it with the table block by block and keeps one verdict, read by
-both build_table's full cross-check and verify_theory's constancy check.
+compares it with the table block by block; its verdict, cached as
+table._route, is read by build_table's full cross-check and verify_theory.
 
 The diagonal torus permutes both axes and keeps the pairing, so the route
 and the Gram run on one row per torus orbit, Bell(n) rows, once
-_orbit_rows has checked that the table and the members are equivariant;
-a route failure on those rows is rescanned over every row, and the Gram
-needs no rescan (verify_theory), so every verdict is the full scan's.
+_orbit_rows has checked that the table and the members are equivariant.
+Both rank failures by row first, and a row fails just when its orbit's
+first row does (_orbit_rows), so every verdict is the full scan's.
 
 build_table and table_from_json build both axes from the labels alone:
 each orbit carries its label, field and closed size (q^|S(pi)| for a
@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import Cyclotomic
 from .dual import DualOrbit
@@ -232,9 +232,9 @@ class SupercharTable:
         self.dual_orbits = dual_orbits
         self.superclasses = superclasses
         self.order = field.order ** position_count(n)
-        self._route = ...  # _route_failure's verdict, None included, once computed
 
     _rows = cached_property(lambda self: _orbit_rows(self))  # the rows the route and Gram check
+    _route = cached_property(lambda self: _route_failure(self))  # its verdict, None included
 
     @cached_property
     def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
@@ -328,7 +328,7 @@ def _cross_check(table: SupercharTable, full: bool):
     not the closed cell, or None: every cell at every member by
     _route_failure when full, else the spot cells in seeded order."""
     if full:
-        bad = _route_failure(table)
+        bad = table._route
         if bad is None:
             return None
         i, j, state = bad
@@ -434,67 +434,63 @@ def _route_blocks(table: SupercharTable, checked):
 
 def _route_failure(table: SupercharTable):
     """The first (row, column, member) at which the averaging route is not
-    the table cell, scanning classes, then members, then rows, or None;
-    cached on the table, once each axis's members are checked to cover A
-    disjointly.  The route runs on table._rows, one row per torus orbit
-    when _orbit_rows's passes hold; a failure there is rescanned over every
-    row, so the verdict is the scan over every row's.
+    the table cell, scanning rows, then classes, then members, or None,
+    once each axis's members are checked to cover A disjointly.  The one
+    scan runs on table._rows; a row fails just when its orbit's first row,
+    a checked one, does (_orbit_rows), so the verdict is that of the scan
+    over every row.
     """
-    if table._route is not ...:
-        return table._route
     check_cover(table.dual_orbits, table.order)
     check_cover(table.superclasses, table.order)
     bad = _route_scan(table, table._rows)
-    if bad is not None and len(table._rows) < table.size:
-        bad = _route_scan(table, range(table.size))
-    table._route = None
-    if bad is not None:
-        j, m, i = bad
-        table._route = i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
-    return table._route
+    if bad is None:
+        return None
+    i, j, m = bad
+    return i, j, unpack(table.n, table.field, table.superclasses[j].members[m])
 
 
 def _route_scan(table: SupercharTable, checked):
-    """The smallest (column, member, row) at which the route on the rows
+    """The smallest (row, column, member) at which the route on the rows
     checked is not the table cell, or None, computed in the row-block
     loop, so each (row, class) pair of a valid table is decoded and
     compared once.
 
     Per block and class: if every member shares member 0's packed key,
-    only it is decoded and a failure is member 0's; else each distinct key
-    is decoded once.  The block's first failing member is recorded with
-    its first failing row there.  No member below a class's smallest
-    failing member fails, so every block where it fails records it, and
-    as blocks ascend in rows its smallest row is its first failing row:
-    the smallest record gives the class, then the member, then the row.
+    only it is decoded; else each distinct key is decoded once, at its
+    first member.  Each row lies in one block, where classes and members
+    ascend, so the first failure recorded for a row is its first.
     """
     denom, cells = table.integer_cells()
     sizes = [o.size for o in table.dual_orbits]
-    failures = []  # (column, member, row), one per failing block and class
+    first: dict = {}  # per failing row, its first failing (column, member)
     for block_rows, j, col, decode in _route_blocks(table, checked):
         key = tuple(c[0] for c in col)
         shared = all(c.count(t) == len(c) for c, t in zip(col, key))
-        first_row: dict = {}  # per distinct key, its first failing row or None
+        at: dict = {}  # per distinct key, its first member
         for m, got in enumerate([key] if shared else zip(*col)):
-            if got not in first_row:
-                first_row[got] = next(
-                    (i for i, hist in zip(block_rows, decode(got))
-                     if not _route_matches(hist, cells[i][j], denom, sizes[i])),
-                    None,
-                )
-            if first_row[got] is not None:
-                failures.append((j, m, first_row[got]))
-                break
-    return min(failures, default=None)
+            at.setdefault(got, m)
+        for got, m in at.items():
+            for i, hist in zip(block_rows, decode(got)):
+                if not _route_matches(hist, cells[i][j], denom, sizes[i]):
+                    first.setdefault(i, (j, m))
+    return min(((i, *jm) for i, jm in first.items()), default=None)
+
+
+def _fold(acc: list[int]):
+    """acc in Z[x]/(x^p - 1) read in Q(zeta_p), where 1 + x + ... + x^(p-1)
+    is 0: the rational acc[0] - acc[-1] when acc[1:] are all equal, else
+    None, for then acc is not rational."""
+    top = acc[-1]
+    return acc[0] - top if acc[1:].count(top) == len(acc) - 1 else None
 
 
 def _route_matches(hist: list[int], cell: tuple, denom: int, size: int) -> bool:
     """Whether hist / size, read in Q(zeta_p), is the integer cell u / denom
-    of the table: hist*denom - size*u has all p coordinates equal."""
+    of the table: hist*denom - size*u folds to 0."""
     v = [h * denom for h in hist]
     for e, c in cell:
         v[e] -= size * c
-    return v.count(v[0]) == len(v)
+    return _fold(v) == 0
 
 
 # -- one row per torus orbit -----------------------------------------------------
@@ -518,9 +514,13 @@ def _orbit_rows(table: SupercharTable):
     Class sizes are torus-invariant, so <xi_(t.lambda0), xi_s> =
     <xi_lambda0, xi_(t^-1.s)>, and lambda0's Gram row covers its orbit's.
     Both passes need every colouring of each partition once on each axis.
-    At q = 2 the torus is trivial and every row is its own lambda0.  Colour
-    1 has the smallest nonzero index, so only rows read back out of
-    canonical order put a lambda0 after another row of its orbit.
+    At q = 2 the torus is trivial and every row is its own lambda0.
+
+    So a row fails the route, or the Gram, just when its lambda0 does, and
+    lambda0 is its orbit's first row: a scan ranked by row first gives on
+    these rows the verdict it gives on every row.  Colour 1 has the
+    smallest nonzero index, so only rows read back out of canonical order
+    put a lambda0 after another row of its orbit; those check every row.
     """
     every = range(table.size)
     field = table.field
@@ -694,13 +694,10 @@ def _gram_entry(row_i, row_j, sizes, p: int) -> list[int]:
 
 
 def _equals_rational(acc: list[int], denom: int, r) -> bool:
-    """Whether acc / denom, read in Q(zeta_p) by folding x^(p-1) onto the
-    power basis, is the rational r; integer cross-multiplication only."""
-    top = acc[-1]
-    return (
-        all(a == top for a in acc[1:-1])
-        and (acc[0] - top) * r.denominator == r.numerator * denom
-    )
+    """Whether acc / denom, read in Q(zeta_p) by _fold, is the rational r;
+    integer cross-multiplication only."""
+    a = _fold(acc)
+    return a is not None and a * r.denominator == r.numerator * denom
 
 
 def inner_product(table: SupercharTable, i: int, j: int) -> Cyclotomic:
@@ -754,13 +751,11 @@ def plancherel(table: SupercharTable) -> dict:
 def _is_conjugate(cell: tuple, other: tuple, p: int) -> bool:
     """Whether the integer cell is the complex conjugate of other, both
     over one denominator: conjugation sends x^e to x^-e, and
-    cell(x) - other(x^-1) must have all p coordinates equal."""
-    v = [0] * p
-    for e, c in cell:
-        v[e] += c
+    cell(x) - other(x^-1) must fold to 0."""
+    v = _dense(cell, p)
     for e, c in other:
         v[-e % p] -= c
-    return v.count(v[0]) == len(v)
+    return _fold(v) == 0
 
 
 def _inverse_columns(table: SupercharTable) -> list[int]:
@@ -806,9 +801,8 @@ def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: in
                 c *= size
                 for r in range(p):
                     acc[r] += c * col[(e - r) % p]
-        top = acc[-1]
         target, rem = divmod(scale, osize)
-        if rem or acc[1:].count(top) != p - 1 or acc[0] - top != target << (i * width):
+        if rem or _fold(acc) != target << (i * width):
             return i
     return None
 
@@ -816,24 +810,21 @@ def _first_bad_gram_row(rows, cols, sizes, osizes, p: int, width: int, scale: in
 def verify_theory(table: SupercharTable) -> list[tuple]:
     """The axiom and identity suite; returns (name, passed, detail) triples.
 
-    Superclass constancy reads _route_failure's verdict, the first
-    (row, column, member) at which the averaging route is not the cell,
-    cached on the table by build_table's full cross-check.  Reading the
-    members walks every orbit not walked yet, which checks its closed
-    size, and the transform first checks that each axis covers A
-    disjointly; a table read back by table_from_json is checked alike.
+    Superclass constancy reads table._route, the first (row, column,
+    member) at which the averaging route is not the cell, one scan shared
+    with build_table's full cross-check.  Reading the members walks every
+    orbit not walked yet, which checks its closed size, and the transform
+    first checks that each axis covers A disjointly; a table read back by
+    table_from_json is checked alike.
 
     Identity normalization, orthogonality, Plancherel and conjugate
     symmetry read only the table's integer cells over D and the orbit and
     class sizes.  Orthogonality checks whole Gram rows on the columns
-    packed by Kronecker substitution, once, on table._rows.  When that is
-    one lambda0 per torus orbit, row t.lambda0's Gram row is lambda0's
-    permuted (equivariance, its stabilizer clause, equal sizes in an orbit),
-    so it fails just when lambda0 fails, and lambda0 is its orbit's first
-    row: the first failing lambda0 is the first failing row.  Swapping i
-    and j sends x^k to x^-k, which keeps the verdict, so the first failing
-    row is that of the i <= j scan; only it is rescanned, for j >= i, for
-    the detail.
+    packed by Kronecker substitution, once, on table._rows; its first
+    failing row is the full scan's, by the argument of _orbit_rows that
+    the route rests on too.  Swapping i and j sends x^k to x^-k, which
+    keeps the verdict, so the first failing row is that of the i <= j
+    scan; only it is rescanned, for j >= i, for the detail.
     Conjugation is x^k -> x^-k, checked on the same packed columns; only a
     failing column is rescanned for its row.  Inverse columns come from
     canonical_form of each representative's group inverse, not the label.
@@ -865,7 +856,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     )
     checks.append(("identity-normalization", id_ok, "xi(1) = 1 on every row"))
 
-    bad = _route_failure(table)
+    bad = table._route
     tested = sum(len(k.members) for k in table.superclasses) * table.size
     checks.append(
         ("superclass-constancy", bad is None,
@@ -904,8 +895,7 @@ def verify_theory(table: SupercharTable) -> list[tuple]:
     bad_conj = None
     for j, jinv in enumerate(_inverse_columns(table)):
         conj = cols[j][:1] + cols[j][:0:-1]  # the x^-e coefficients
-        v = [a - b for a, b in zip(cols[jinv], conj)]
-        if v.count(v[0]) != p:
+        if _fold(list(map(sub, cols[jinv], conj))) != 0:
             i = next(i for i, row in enumerate(rows)
                      if not _is_conjugate(row[jinv], row[j], p))
             bad_conj = (i, j)

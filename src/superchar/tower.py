@@ -29,6 +29,7 @@ from .gf import (
     trace_lifts,
 )
 from .nilpotent import fits_space, position_count
+from .orbits import check_space
 from .partitions import (
     ColouredPartition,
     SetPartition,
@@ -40,7 +41,7 @@ from .partitions import (
     nest,
     partition_stats,
 )
-from .table import _closed_value, _gram_entry
+from .table import _closed_value, _fold, _gram_entry
 
 
 class FieldTower:
@@ -224,14 +225,13 @@ def _level_value(
 
 def _abs2(v: Cyclotomic) -> Fraction:
     """|v|^2 = v conj(v): _gram_entry's cyclic convolution of v's p integers
-    with their reversal, folded and read as a rational over den^2;
+    with their reversal, read by _fold as a rational over den^2;
     AssertionError if it is not rational."""
     cell = tuple((e, c) for e, c in enumerate(v.num) if c)
-    acc = _gram_entry([cell], [cell], [1], v.p)
-    top = acc[-1]
-    if acc[1:].count(top) != v.p - 1:
+    a = _fold(_gram_entry([cell], [cell], [1], v.p))
+    if a is None:
         raise AssertionError(f"|v|^2 is not rational at {v.basis_str()}")
-    return Fraction(acc[0] - top, v.den * v.den)
+    return Fraction(a, v.den * v.den)
 
 
 def convergence_report(label: TowerLabel, col: ColouredPartition) -> dict:
@@ -303,7 +303,13 @@ def _scan_levels(n: int, tower: FieldTower, levels, what: str) -> list[int]:
         if not fits_space(n, tower.field(m)):
             raise ValueError(f"level {m} exceeds the space cap for n = {n}")
     if len(levels) < 2:
-        raise ValueError(f"{what} needs at least two feasible levels")
+        reason = f"{what} needs at least two feasible levels"
+        try:  # name the first level over the space cap
+            for m in range(1, len(tower) + 1):
+                check_space(n, tower.field(m))
+        except ValueError as exc:
+            reason += f"; level {m}: {exc}"
+        raise ValueError(reason)
     return levels
 
 

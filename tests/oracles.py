@@ -496,17 +496,18 @@ def dense_members(orbit):
 
 def constancy_check(table):
     """The superclass-constancy triple of verify_theory, by the averaging
-    route evaluated member by member on dense states: classes in order,
-    members in order, rows in order, stopping at the first value that is
-    not the table's."""
+    route evaluated member by member on dense states: rows in order,
+    classes in order, members in order, stopping at the first value that
+    is not the table's."""
     field = table.field
-    rows = [dense_members(o) for o in table.dual_orbits]
+    classes = [dense_members(k) for k in table.superclasses]
     bad = None
     tested = 0
-    for j, cls in enumerate(table.superclasses):
-        for state in dense_members(cls):
-            for i, orbit in enumerate(table.dual_orbits):
-                hist = pairing_hist(rows[i], state, field)
+    for i, orbit in enumerate(table.dual_orbits):
+        members = dense_members(orbit)
+        for j, states in enumerate(classes):
+            for state in states:
+                hist = pairing_hist(members, state, field)
                 got = Cyclotomic(field.p, hist, orbit.size)
                 tested += 1
                 if got != table.values[i][j]:

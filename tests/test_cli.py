@@ -472,6 +472,8 @@ _OVER_SPACE_CAP = {
     "orbits-n-20000": ["orbits", "--n", "20000", "--p", "2", "--dual"],
     "tower-n-20000": ["tower", "--n", "20000", "--p", "2", "--degrees", "1,2",
                       "--mode", "fsc"],
+    "tower-n-20000-plancherel": ["tower", "--n", "20000", "--p", "2", "--degrees", "1,2",
+                                 "--mode", "plancherel"],
 }
 
 # Unusable input of every kind; "{tmp}" stands for a fresh directory.
@@ -536,6 +538,16 @@ def test_unusable_input_exits_2_with_an_error_line(monkeypatch, tmp_path, capsys
     last = out.err.splitlines()[-1]
     assert last.startswith("error: ") or (
         last.startswith("superchar") and ": error: " in last), last
+    assert case not in _OVER_SPACE_CAP or "space cap" in last, last
+
+
+@pytest.mark.parametrize("n,level,size", [("20000", 1, "2^199990000"), ("6", 2, "4^15")])
+@pytest.mark.parametrize("mode,what", [("fsc", "growth"), ("plancherel", "a profile")])
+def test_a_tower_scan_names_the_level_over_the_space_cap(capsys, n, level, size, mode, what):
+    code = main(["tower", "--n", n, "--p", "2", "--degrees", "1,2", "--mode", mode])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {what} needs at least two feasible levels; "
+                                       f"level {level}: |A| = {size} exceeds the space cap\n")
 
 
 def test_unknown_subcommand_exits_2():

@@ -153,6 +153,24 @@ def test_gram_entry_is_hermitian(p, data):
     assert backward == [forward[-e % p] for e in range(p)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_fold_reads_the_rational_part(p, data):
+    # r + c (1 + x + ... + x^(p-1)), which reads as r, then sometimes
+    # moved off the rationals by a few small coordinates
+    big = st.integers(-10**30, 10**30)
+    r, c = data.draw(big), data.draw(big)
+    acc = [r + c] + [c] * (p - 1)
+    for e, d in data.draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(-3, 3)),
+                                   max_size=2)):
+        acc[e] += d
+    try:
+        expected = oracles.rational_part(Cyclotomic(p, acc))
+    except ValueError:
+        expected = None
+    assert table_mod._fold(acc) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(3, 3, 1), (3, 2, 2), (2, 5, 1), (4, 2, 1)] + BENCHMARK_CONFIGS),
        st.data())

@@ -4,9 +4,9 @@ Oracles: _pairing_hist, which sums the pairing character over the orbit
 members one cell at a time, and the member-by-member constancy scan in
 tests/oracles.py.  The transform's row blocks must reproduce the first on
 every cell, and the verdict read by both the full cross-check and
-verify_theory must give the second's verdict and detail on tables whose
-dual orbits have been tampered with, at the default block size and at one
-row per block.  The average over a cell's superclass, which the spot
+verify_theory, the first failing (row, class, member) in that order, must
+give the second's verdict and detail on tables whose dual orbits have
+been tampered with, at the default block size and at one row per block.  The average over a cell's superclass, which the spot
 cross-check takes where that is the smaller orbit, must equal the average
 over its dual orbit.  The route and the Gram on one row per torus orbit
 must give the report of a copy that checks every row, and each torus pass
@@ -36,7 +36,6 @@ from superchar.table import (
     _orbit_rows,
     _pairing_hist,
     _route_blocks,
-    _route_failure,
     _route_scan,
     _spot_pairs,
     _torus_axis,
@@ -169,36 +168,14 @@ def test_tampered_orbits_get_oracle_verdicts(config, data):
         assert _constancy(_fresh(tampered)) == expected
 
 
-def _first_failing_rows(t, j):
-    """Per member of class j, the first row whose average there is not the
-    table cell, or None; member by member through _pairing_hist."""
-    out = []
-    for state in oracles.dense_members(t.superclasses[j]):
-        out.append(next(
-            (i for i, o in enumerate(t.dual_orbits)
-             if Cyclotomic(t.field.p, _pairing_hist(o.members, state, t.field), o.size)
-             != t.values[i][j]),
-            None,
-        ))
-    return out
-
-
 def test_row_blocks_give_the_same_route(monkeypatch):
     monkeypatch.setattr(table_mod, "_ROUTE_BLOCK_BITS", 1)  # one row per block
     t = _table(4, 3, 1)
-    moved = _tampered(t, [(t.size - 1, 5, 1, True)])
-    assert _route_failure(moved) is not None
-    assert _constancy(moved) == oracles.constancy_check(moved)
-    # the class's smallest failing member fails only in a later block than
-    # a larger member of the class does
     small = _table(3, 3, 1)
-    later = _tampered(small, [(3, 173, 9, True), (6, 148, 4, True)])
-    i, j, state = _route_failure(later)
-    first = _first_failing_rows(later, j)
-    m = oracles.dense_members(later.superclasses[j]).index(state)
-    assert first[:m] == [None] * m and first[m] == i
-    assert any(r is not None and r < i for r in first[m + 1:])
-    assert _constancy(later) == oracles.constancy_check(later)
+    for tampered in (_tampered(t, [(t.size - 1, 5, 1, True)]),
+                     _tampered(small, [(3, 173, 9, True), (6, 148, 4, True)])):
+        assert tampered._route is not None
+        assert _constancy(tampered) == oracles.constancy_check(tampered)
     assert _constancy(_fresh(t)) == oracles.constancy_check(t)
 
 
@@ -351,9 +328,14 @@ def _bumped(v):
 
 
 def _reports_agree(t):
+    """verify_theory's report on t, once its constancy and orthogonality
+    lines are the oracles' and the report is that of a copy that checks
+    every row."""
     report = verify_theory(t)
     assert report[4] == oracles.constancy_check(t)
     assert report[5] == oracles.half_gram_check(t)
+    with mock.patch.object(table_mod, "_orbit_rows", lambda table: range(table.size)):
+        assert verify_theory(_fresh(t)) == report
     return report
 
 
@@ -410,13 +392,34 @@ def test_a_corrupted_representative_cell_is_caught_by_the_route(monkeypatch):
     scans, grams = [], []
     _logged(monkeypatch, "_route_scan", scans)
     _logged(monkeypatch, "_first_bad_gram_row", grams)
-    report = _reports_agree(t)
-    assert not report[4][1] and not report[5][1]
-    # the failure on the representatives sends the route, and only the
-    # route, over every row; the Gram scans the representatives once
-    assert scans == [reps, list(range(t.size))]
+    verify_theory(t)
+    # the route and the Gram each scan the representatives once
+    assert scans == [reps]
     assert grams == [reps]
     assert list(t._rows) == reps
+    report = _reports_agree(t)
+    assert not report[4][1] and not report[5][1]
+
+
+def test_the_torus_orbit_corruption_is_reported_in_row_order(monkeypatch):
+    # ranked by class first, the route would name row 2, column 4
+    t = _corrupted_along_a_torus_orbit()
+    report = _constancy(t)
+    assert report == oracles.constancy_check(t)
+    assert report[2].startswith("row 1, column 5, ")
+    _every_row(monkeypatch)
+    assert _constancy(_fresh(t)) == report
+
+
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_the_route_scans_once_per_table(monkeypatch, corrupted):
+    t = _corrupted_along_a_torus_orbit() if corrupted else _fresh(_table(3, 3, 1))
+    scans = []
+    _logged(monkeypatch, "_route_scan", scans)
+    assert (table_mod._cross_check(t, True) is None) is not corrupted
+    assert _constancy(t)[1] is not corrupted
+    verify_theory(t)
+    assert scans == [_all_ones_rows(t)]
 
 
 def test_rows_read_back_out_of_order_are_each_checked():
